@@ -33,9 +33,10 @@ int main() {
   camp.base = *ScenarioRegistry::builtin().find("fig1-cpu-exhaustion");
   Axis stressed = Axis::custom("stressed", {});
   for (int s : stressed_counts) {
-    stressed.points.push_back({std::to_string(s),
-                               static_cast<std::uint64_t>(s),
-                               [s](Scenario& sc) { sc.anomaly.victims = s; }});
+    stressed.points.push_back(
+        {std::to_string(s), static_cast<std::uint64_t>(s), [s](Scenario& sc) {
+           sc.timeline.entry(0).victims = fault::VictimSelector::uniform(s);
+         }});
   }
   camp.axes = {std::move(stressed),
                Axis::configs({{"SWIM", swim::Config::swim_baseline()},

@@ -29,7 +29,9 @@ Scenario demo_scenario() {
   Scenario s;
   s.name = "flapping-demo";
   s.cluster_size = 64;
-  s.anomaly = AnomalyPlan::cycling(4, sec(16), msec(5));
+  s.timeline.add(sec(0), sec(120),
+                 fault::Fault::interval_block(sec(16), msec(5)),
+                 fault::VictimSelector::uniform(4));
   s.run_length = sec(120);
   s.seed = 77;
   return s;

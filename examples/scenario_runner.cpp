@@ -12,31 +12,31 @@
 //
 //   ./examples/scenario_runner --scenario NAME [overrides]
 //       Run a cataloged scenario; any flag below overrides that field.
+//       --length changes the observation window only, never the fault
+//       timeline's spans (the same as on --scenario-file).
 //
 //   ./examples/scenario_runner [flags]
 //       Compose and run an ad-hoc scenario:
 //     --nodes N          cluster size               (default 64)
 //     --config NAME      swim|lha-probe|lha-suspicion|buddy|lifeguard
 //                                                   (default lifeguard)
-//     --anomaly KIND     none|threshold|interval|stress|partition|flapping|
-//                        churn                      (default interval)
-//     --victims C        anomaly set size            (default 8)
-//     --duration MS      anomaly duration D in ms    (default 16384)
-//     --interval MS      recovery interval I in ms   (default 4)
 //     --length S         observation length, seconds (default 120)
 //     --quiesce S        settling time, seconds      (default 15)
 //     --alpha A --beta B suspicion tuning            (default 5 / 6)
 //     --seed S           RNG seed                    (default 1)
 //     --membership NAME  membership backend: swim | central[:miss=N] |
 //                        static                      (default swim)
+//       Without --fault, the ad-hoc scenario runs the paper's §V-D2
+//       interval anomaly over the whole window:
+//         --fault interval@0s:<length>,victims=8,d=16384ms,i=4ms
 //
 //   ./examples/scenario_runner --fault SPEC [--fault SPEC]... [flags]
-//       Compose a fault timeline instead of a single anomaly; each SPEC is
-//       KIND@AT:DUR[,key=val]... (see fault/fault.h for the grammar), e.g.
+//       Compose the fault timeline; each SPEC is KIND@AT:DUR[,key=val]...
+//       (see fault/fault.h for the grammar), e.g.
 //         --fault stress@0s:60s,victims=2 --fault partition@15s:20s,victims=5
 //         --fault loss@0s:90s,pct=25,egress=0.3,ingress=0.1
-//       --fault replaces the --anomaly/--victims/--duration/--interval
-//       single-slot flags (mixing them is rejected).
+//       With --scenario or --scenario-file, --fault replaces the base's
+//       timeline.
 //
 //   ./examples/scenario_runner --check [flags]
 //       Evaluate the built-in protocol invariant suite (src/check) live
@@ -113,8 +113,8 @@
 //       Coverage-guided fault-timeline fuzzing (src/fuzz): N trials of
 //       mutated fault timelines run against the composed base scenario
 //       (cluster shape, config, membership and check tolerances compose
-//       as usual; the anomaly/timeline slots are replaced per candidate
-//       and the invariant suite is force-enabled). Every violation is
+//       as usual; the timeline is replaced per candidate and the
+//       invariant suite is force-enabled). Every violation is
 //       auto-shrunk (check::shrink) and written to DIR as a committed-
 //       format reproducer scenario plus a baselines.json entry; the
 //       corpus of coverage-extending timelines and a coverage.json report
@@ -255,11 +255,9 @@ swim::Config config_by_name(const std::string& name) {
               "' (expected swim|lha-probe|lha-suspicion|buddy|lifeguard)");
 }
 
-/// The timeline a catalog entry executes: explicit, or the AnomalyPlan
-/// shim's one-entry equivalent. Shown in both catalog formats.
+/// A catalog entry's fault timeline, as both catalog formats show it.
 std::string timeline_summary(const Scenario& s) {
-  const fault::Timeline tl = s.effective_timeline();
-  return tl.empty() ? "none" : tl.summary();
+  return s.timeline.empty() ? "none" : s.timeline.summary();
 }
 
 void list_catalog() {
@@ -674,8 +672,8 @@ int run_fuzz(const Scenario& base, int trials, std::uint64_t fuzz_seed,
     std::printf("finding: %s (trial %d, shrunk to %zu timeline entr%s "
                 "in %d round(s))%s%s\n",
                 invariants.c_str(), f.trial_index,
-                f.reproducer.effective_timeline().size(),
-                f.reproducer.effective_timeline().size() == 1 ? "y" : "ies",
+                f.reproducer.timeline.size(),
+                f.reproducer.timeline.size() == 1 ? "y" : "ies",
                 f.shrink.rounds, f.file.empty() ? "" : " -> ",
                 f.file.c_str());
   }
@@ -723,16 +721,16 @@ int main(int argc, char** argv) {
   s.summary = "ad-hoc scenario composed from flags";
   s.cluster_size = 64;
   s.config = swim::Config::lifeguard();
-  s.anomaly = AnomalyPlan::cycling(8, msec(16384), msec(4));
   s.run_length = sec(120);
+  bool ad_hoc = true;  // no --scenario / --scenario-file base
 
   // Flag values are collected first and applied on top of the base scenario
   // (the catalog entry or the ad-hoc default) so order doesn't matter.
   std::optional<double> alpha, beta;
-  std::optional<int> nodes, victims;
-  std::optional<Duration> duration, interval, length, quiesce;
+  std::optional<int> nodes;
+  std::optional<Duration> length, quiesce;
   std::optional<std::uint64_t> seed;
-  std::optional<std::string> anomaly_name, config_name, membership;
+  std::optional<std::string> config_name, membership;
   std::vector<fault::TimelineEntry> fault_entries;
   bool campaign_mode = false;
   bool check_mode = false;
@@ -773,11 +771,13 @@ int main(int argc, char** argv) {
                     "' — run with --list to see the catalog");
       }
       s = *found;
+      ad_hoc = false;
     } else if (arg == "--scenario-file") {
       std::string error;
       const auto loaded = ScenarioFile::load(next(), error);
       if (!loaded) usage_error("--scenario-file: " + error);
       s = *loaded;
+      ad_hoc = false;
     } else if (arg == "--export-scenarios") {
       export_dir = next();
     } else if (arg == "--validate-scenarios") {
@@ -800,14 +800,6 @@ int main(int argc, char** argv) {
       if (!membership::parse_spec(*membership, &error)) {
         usage_error("--membership: " + error);
       }
-    } else if (arg == "--anomaly") {
-      anomaly_name = next();
-    } else if (arg == "--victims") {
-      victims = static_cast<int>(parse_int(arg, next(), 0, 4096));
-    } else if (arg == "--duration") {
-      duration = msec(parse_int(arg, next(), 1, 86400000));
-    } else if (arg == "--interval") {
-      interval = msec(parse_int(arg, next(), 1, 86400000));
     } else if (arg == "--length") {
       length = sec(parse_int(arg, next(), 1, 86400));
     } else if (arg == "--quiesce") {
@@ -910,52 +902,25 @@ int main(int argc, char** argv) {
     if (alpha) s.config.suspicion_alpha = *alpha;
     if (beta) s.config.suspicion_beta = *beta;
   }
-  if (anomaly_name) {
-    const auto kind = anomaly_kind_from_name(*anomaly_name);
-    if (!kind) {
-      usage_error("unknown --anomaly '" + *anomaly_name +
-                  "' (expected none|threshold|interval|stress|partition|"
-                  "flapping|churn)");
-    }
-    s.anomaly.kind = *kind;
-    if (*kind == AnomalyKind::kNone) s.anomaly.victims = 0;
-  }
-  if (victims) s.anomaly.victims = *victims;
-  if (duration) s.anomaly.duration = *duration;
-  if (interval) s.anomaly.interval = *interval;
-
   if (!fault_entries.empty()) {
-    if (anomaly_name || victims || duration || interval) {
-      usage_error("--fault composes a timeline and cannot be mixed with the "
-                  "single-slot --anomaly/--victims/--duration/--interval "
-                  "flags");
-    }
-    s.anomaly = AnomalyPlan::none();
     s.timeline = fault::Timeline{};
     for (fault::TimelineEntry& e : fault_entries) s.timeline.add(std::move(e));
+  } else if (ad_hoc) {
+    s.timeline.add(Duration{}, s.run_length,
+                   fault::Fault::interval_block(msec(16384), msec(4)),
+                   fault::VictimSelector::uniform(8));
   }
 
   // Mention the backend only when it isn't the default — keeps swim output
   // (and anything diffing it) byte-identical to pre-backend versions.
   const std::string membership_note =
       s.membership == "swim" ? "" : " membership=" + s.membership;
-  if (s.timeline.empty()) {
-    std::printf("scenario: %s — %d nodes, %s, anomaly=%s victims=%d "
-                "D=%.0fms I=%.0fms length=%.0fs seed=%llu%s\n\n",
-                s.name.c_str(), s.cluster_size, s.config.table1_name().c_str(),
-                anomaly_kind_name(s.anomaly.kind), s.anomaly.victims,
-                s.anomaly.duration.millis(), s.anomaly.interval.millis(),
-                s.run_length.seconds(),
-                static_cast<unsigned long long>(s.seed),
-                membership_note.c_str());
-  } else {
-    std::printf("scenario: %s — %d nodes, %s, timeline [%s] "
-                "length=%.0fs seed=%llu%s\n\n",
-                s.name.c_str(), s.cluster_size, s.config.table1_name().c_str(),
-                s.timeline.summary().c_str(), s.run_length.seconds(),
-                static_cast<unsigned long long>(s.seed),
-                membership_note.c_str());
-  }
+  std::printf("scenario: %s — %d nodes, %s, timeline [%s] "
+              "length=%.0fs seed=%llu%s\n\n",
+              s.name.c_str(), s.cluster_size, s.config.table1_name().c_str(),
+              s.timeline.summary().c_str(), s.run_length.seconds(),
+              static_cast<unsigned long long>(s.seed),
+              membership_note.c_str());
 
   if (check_mode) s.checks = check::Spec::all();
   if (suspicion_cap) s.checks.suspicion_cap = *suspicion_cap;

@@ -9,6 +9,7 @@
 
 #include "harness/scenario.h"
 #include "harness/table.h"
+#include "swim/suspicion.h"
 
 using namespace lifeguard;
 using namespace lifeguard::harness;
@@ -37,7 +38,8 @@ int main() {
     lat_s.cluster_size = 64;
     lat_s.config = cfg;
     lat_s.seed = 9;
-    lat_s.anomaly = AnomalyPlan::threshold(6, msec(32768));
+    lat_s.timeline.add(sec(0), msec(32768), fault::Fault::block(),
+                       fault::VictimSelector::uniform(6));
     lat_s.run_length = sec(60);
     const RunResult lat = run(lat_s);
     Histogram h;
@@ -49,7 +51,9 @@ int main() {
     fp_s.cluster_size = 64;
     fp_s.config = cfg;
     fp_s.seed = 9;
-    fp_s.anomaly = AnomalyPlan::cycling(10, msec(16384), msec(4));
+    fp_s.timeline.add(sec(0), sec(120),
+                      fault::Fault::interval_block(msec(16384), msec(4)),
+                      fault::VictimSelector::uniform(10));
     fp_s.run_length = sec(120);
     const RunResult fp = run(fp_s);
 

@@ -30,7 +30,6 @@ std::optional<harness::Scenario> scenario_from_header(const TraceHeader& h,
   const auto tl = timeline_from_specs(h.timeline, error);
   if (!tl) return std::nullopt;
   s.timeline = *tl;
-  s.anomaly = harness::AnomalyPlan::none();
   s.checks = h.checks;
   s.metrics_interval = h.metrics_interval;
   s.membership = h.membership;

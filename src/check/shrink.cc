@@ -112,10 +112,6 @@ ShrinkResult shrink(const Scenario& s, const ShrinkOptions& opts) {
 
   Scenario current = s;
   if (!current.checks.enabled) current.checks = Spec::all();
-  if (current.timeline.empty()) {
-    current.timeline = current.effective_timeline();
-    current.anomaly = harness::AnomalyPlan::none();
-  }
 
   // Baseline: the input must fail, and what it fails is the shrink target.
   RunResult baseline = harness::run(current);

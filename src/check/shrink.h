@@ -55,9 +55,8 @@ struct ShrinkResult {
   std::vector<std::string> log;
 };
 
-/// Shrink `s` (its AnomalyPlan, if any, is first materialized into an
-/// explicit timeline; checks are force-enabled with Spec::all() unless the
-/// scenario already configures them).
+/// Shrink `s`'s fault timeline (checks are force-enabled with Spec::all()
+/// unless the scenario already configures them).
 ShrinkResult shrink(const harness::Scenario& s, const ShrinkOptions& opts = {});
 
 }  // namespace lifeguard::check

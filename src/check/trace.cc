@@ -7,7 +7,7 @@
 #include <sstream>
 #include <utility>
 
-#include "check/flatjson.h"
+#include "common/flatjson.h"
 #include "harness/report.h"
 
 namespace lifeguard::check {
@@ -149,7 +149,7 @@ TraceHeader make_header(const harness::Scenario& s) {
   h.network = s.network;
   h.msg_proc_cost = s.msg_proc_cost;
   h.recv_buffer_bytes = s.recv_buffer_bytes;
-  h.timeline = timeline_specs(s.effective_timeline());
+  h.timeline = timeline_specs(s.timeline);
   h.checks = s.checks;
   h.metrics_interval = s.metrics_interval;
   h.membership = s.membership;
@@ -253,7 +253,7 @@ bool save_trace_file(const Trace& t, const std::string& path,
 }
 
 // ---------------------------------------------------------------------------
-// Load (shared flat-JSON scanner — check/flatjson.h)
+// Load (shared flat-JSON scanner — common/flatjson.h)
 
 namespace {
 

@@ -1,10 +1,10 @@
-#include "check/flatjson.h"
+#include "common/flatjson.h"
 
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
 
-namespace lifeguard::check::flatjson {
+namespace lifeguard::flatjson {
 
 const Value* Value::find(std::string_view key) const {
   if (kind != Kind::kObject) return nullptr;
@@ -331,4 +331,4 @@ bool get_string_array(const Value& obj, const std::string& key,
   return true;
 }
 
-}  // namespace lifeguard::check::flatjson
+}  // namespace lifeguard::flatjson

@@ -1,8 +1,9 @@
 // Minimal hand-rolled JSON scanner shared by the repo's artifact codecs.
 //
 // Grown out of the trace codec's flat-object scanner (check/trace.cc), now
-// a small recursive value model so the scenario-file and baseline codecs
-// (harness/scenariofile.h, harness/gate.h) can parse the same dialect:
+// a small recursive value model so every artifact codec parses the same
+// dialect — traces, scenario files and gate baselines (harness/), fuzz
+// coverage reports (fuzz/) and perf baselines (perf/baseline.h):
 // objects, arrays, strings, numbers and booleans — no null, no non-ASCII
 // escapes above 0xFF, numbers kept as raw tokens until a typed accessor
 // converts them. Newlines count as whitespace, so one parse() call handles
@@ -20,7 +21,7 @@
 #include <utility>
 #include <vector>
 
-namespace lifeguard::check::flatjson {
+namespace lifeguard::flatjson {
 
 struct Value {
   enum class Kind { kString, kNumber, kBool, kArray, kObject };
@@ -62,4 +63,4 @@ bool get_string_array(const Value& obj, const std::string& key,
                       std::vector<std::string>& out, std::string& error,
                       bool required = true);
 
-}  // namespace lifeguard::check::flatjson
+}  // namespace lifeguard::flatjson

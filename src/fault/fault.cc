@@ -72,7 +72,7 @@ Fault Fault::interval_block(Duration d, Duration i) {
   return f;
 }
 
-Fault Fault::stressed(sim::StressParams params) {
+Fault Fault::stressed(StressParams params) {
   Fault f;
   f.kind = FaultKind::kStress;
   f.stress = params;
@@ -191,9 +191,8 @@ std::vector<int> VictimSelector::resolve(int cluster_size, Rng& rng,
     }
     case Mode::kUniform:
     case Mode::kFraction: {
-      // Shuffle-then-truncate over the eligible indices: exactly the legacy
-      // pick_victims() / pick_churn_victims() draw sequence (AnomalyPlan
-      // replay parity depends on this).
+      // Shuffle-then-truncate over the eligible indices. Every golden run
+      // depends on this draw sequence; do not reorder it.
       std::vector<int> all;
       for (int i = exclude_seed_node ? 1 : 0; i < cluster_size; ++i) {
         all.push_back(i);
@@ -774,7 +773,7 @@ Fault random_fault(FaultKind kind, Rng& rng) {
       return Fault::flapping(grid_ms(rng, 250, 4000, 250),
                              grid_ms(rng, 250, 4000, 250));
     case FaultKind::kStress: {
-      sim::StressParams p;
+      StressParams p;
       p.block_min = grid_ms(rng, 100, 2000, 100);
       p.block_max = p.block_min + grid_ms(rng, 0, 4000, 100);
       p.run_min = grid_ms(rng, 1, 50, 1);

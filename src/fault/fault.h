@@ -3,9 +3,8 @@
 // A `Fault` is one kind of badness with its parameters — the process-level
 // kinds the paper's evaluation is built on (block/threshold, interval
 // cycles, CPU-starvation stress, flapping, churn, partition) plus
-// network-level primitives the single-slot AnomalyPlan could never express:
-// asymmetric link loss, added latency/jitter, datagram duplication and
-// reordering.
+// network-level primitives: asymmetric link loss, added latency/jitter,
+// datagram duplication and reordering.
 //
 // A `VictimSelector` says *who* is afflicted: a uniform random draw (the
 // paper's choice), explicit node indices, a percentage of the cluster, or a
@@ -19,9 +18,9 @@
 // from `kind@AT:DUR,key=val` flag syntax, and summary() renders them for
 // catalogs.
 //
-// Execution lives in fault/injector.h. harness::AnomalyPlan is now a thin
-// shim producing a one-entry Timeline (scenario.h); its replay is
-// bit-identical to the pre-Timeline engine by construction.
+// fault/schedule.h lowers a Timeline into the time-sorted action list both
+// backends execute: fault/injector.h on the simulator's event queue,
+// live/runner.cc at wall-clock offsets.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +29,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/types.h"
-#include "sim/anomaly.h"
 
 namespace lifeguard::fault {
 
@@ -58,6 +57,17 @@ std::optional<FaultKind> fault_kind_from_name(std::string_view name);
 /// True for the kinds that perturb links rather than processes.
 bool is_network_fault(FaultKind k);
 
+/// kStress span distributions: each victim cycles blocked for a span drawn
+/// log-uniform from [block_min, block_max], then runs for one drawn
+/// log-uniform from [run_min, run_max] — our model of the paper's Fig. 1
+/// CPU exhaustion (stress -c 128 on one core: progress in short bursts).
+struct StressParams {
+  Duration block_min = sec(2);
+  Duration block_max = sec(40);
+  Duration run_min = msec(1);
+  Duration run_max = msec(50);
+};
+
 /// One kind of badness plus its parameters. Which fields matter depends on
 /// `kind`; the factories document each shape and are the intended way to
 /// build one.
@@ -71,7 +81,7 @@ struct Fault {
   /// between restart and the next crash.
   Duration gap{};
   /// kStress: block/run span distributions.
-  sim::StressParams stress;
+  StressParams stress;
 
   /// kLinkLoss: drop probability for datagrams a victim *sends* / *receives*
   /// — asymmetric on purpose (a saturated uplink loses egress first).
@@ -87,7 +97,7 @@ struct Fault {
 
   static Fault block();
   static Fault interval_block(Duration d, Duration i);
-  static Fault stressed(sim::StressParams params = {});
+  static Fault stressed(StressParams params = {});
   static Fault flapping(Duration d, Duration i);
   static Fault churn(Duration downtime, Duration uptime);
   static Fault partition();
@@ -126,8 +136,8 @@ struct VictimSelector {
 
   /// Materialize the victim set. `exclude_seed_node` removes node 0 from the
   /// random draws (churn: node 0 is the rejoin seed). The uniform draw is
-  /// shuffle-then-truncate, matching the legacy pick_victims() exactly so
-  /// AnomalyPlan replay stays bit-identical.
+  /// shuffle-then-truncate: one shuffle of the eligible indices, clamped to
+  /// the pool size.
   std::vector<int> resolve(int cluster_size, Rng& rng,
                            bool exclude_seed_node) const;
 
@@ -224,9 +234,8 @@ void perturb_timeline_entry(TimelineEntry& e, int cluster_size,
                             Duration horizon, Rng& rng);
 
 /// "The test ends at the end of the next anomalous period" (§V-D2):
-/// `span` rounded up to whole (duration + interval) cycles. One definition,
-/// shared by the injector's drain computation and the legacy-grid sweeps, so
-/// shim parity cannot drift.
+/// `span` rounded up to whole (duration + interval) cycles — the end of the
+/// last interval cycle the schedule begins inside the span.
 Duration cycle_aligned_length(Duration span, Duration duration,
                               Duration interval);
 

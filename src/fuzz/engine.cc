@@ -10,7 +10,7 @@
 #include <thread>
 
 #include "check/coverage.h"
-#include "check/flatjson.h"
+#include "common/flatjson.h"
 #include "check/trace.h"
 #include "harness/campaign.h"
 #include "harness/gate.h"
@@ -108,7 +108,6 @@ Engine::Engine(harness::Scenario base, EngineOptions opts)
 
 FuzzReport Engine::run() {
   harness::Scenario base = base_;
-  base.anomaly = harness::AnomalyPlan::none();
   base.timeline = fault::Timeline{};
   // Force-enable the full suite (empty invariant list = every built-in);
   // tolerance knobs the caller tuned (cap, slack, settle) are respected.
@@ -220,7 +219,7 @@ FuzzReport Engine::run() {
           harness::Scenario minimal = f.shrink.minimal;
           ContentHash hash;
           for (const std::string& spec :
-               check::timeline_specs(minimal.effective_timeline())) {
+               check::timeline_specs(minimal.timeline)) {
             hash.feed(spec);
           }
           hash.feed(minimal.seed);
@@ -231,7 +230,7 @@ FuzzReport Engine::run() {
               "fuzzer reproducer: violates " + join(sig, ", ") +
               " (trial " + std::to_string(f.trial_index) + ", shrunk " +
               std::to_string(violating.timeline.size()) + " -> " +
-              std::to_string(minimal.effective_timeline().size()) +
+              std::to_string(minimal.timeline.size()) +
               " entries)";
           f.reproducer = std::move(minimal);
           findings.push_back(std::move(f));
@@ -348,7 +347,7 @@ std::string coverage_report_to_json(const CoverageReport& r) {
 
 std::optional<CoverageReport> coverage_report_from_json(
     const std::string& text, std::string& error) {
-  namespace fj = check::flatjson;
+  namespace fj = flatjson;
   fj::Value doc;
   if (!fj::parse(text, doc, error)) return std::nullopt;
 

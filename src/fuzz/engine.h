@@ -98,7 +98,7 @@ struct FuzzReport {
 class Engine {
  public:
   /// `base` supplies the cluster shape, config, membership spec and check
-  /// knobs; its anomaly/timeline are replaced per candidate and its checks
+  /// knobs; its timeline is replaced per candidate and its checks
   /// are force-enabled (Spec::all()) when off.
   Engine(harness::Scenario base, EngineOptions opts);
 

@@ -26,36 +26,6 @@ std::string ms_label(Duration d) {
 
 }  // namespace
 
-Axis Axis::victims(const std::vector<int>& counts) {
-  Axis a;
-  a.name = "victims";
-  for (int c : counts) {
-    a.points.push_back({std::to_string(c), static_cast<std::uint64_t>(c),
-                        [c](Scenario& s) { s.anomaly.victims = c; }});
-  }
-  return a;
-}
-
-Axis Axis::duration(const std::vector<Duration>& values) {
-  Axis a;
-  a.name = "duration";
-  for (Duration d : values) {
-    a.points.push_back({ms_label(d), static_cast<std::uint64_t>(d.us),
-                        [d](Scenario& s) { s.anomaly.duration = d; }});
-  }
-  return a;
-}
-
-Axis Axis::interval(const std::vector<Duration>& values) {
-  Axis a;
-  a.name = "interval";
-  for (Duration i : values) {
-    a.points.push_back({ms_label(i), static_cast<std::uint64_t>(i.us),
-                        [i](Scenario& s) { s.anomaly.interval = i; }});
-  }
-  return a;
-}
-
 Axis Axis::cluster_size(const std::vector<int>& sizes) {
   Axis a;
   a.name = "cluster_size";
@@ -64,6 +34,23 @@ Axis Axis::cluster_size(const std::vector<int>& sizes) {
                         [n](Scenario& s) { s.cluster_size = n; }});
   }
   return a;
+}
+
+std::vector<NamedConfig> table1_configs(double alpha, double beta) {
+  auto tune = [&](swim::Config c) {
+    if (c.lha_suspicion) {
+      c.suspicion_alpha = alpha;
+      c.suspicion_beta = beta;
+    }
+    return c;
+  };
+  return {
+      {"SWIM", swim::Config::swim_baseline()},
+      {"LHA-Probe", swim::Config::lha_probe_only()},
+      {"LHA-Suspicion", tune(swim::Config::lha_suspicion_only())},
+      {"Buddy System", swim::Config::buddy_only()},
+      {"Lifeguard", tune(swim::Config::lifeguard())},
+  };
 }
 
 Axis Axis::configs(const std::vector<NamedConfig>& cfgs) {
@@ -138,7 +125,6 @@ std::vector<GridPoint> expand_grid(const Campaign& c) {
       p.salts.push_back(pt.seed_salt);
       if (pt.apply) pt.apply(p.scenario);
     }
-    if (c.finalize) c.finalize(p.scenario);
     grid.push_back(std::move(p));
     for (std::size_t ai = c.axes.size(); ai-- > 0;) {
       if (++idx[ai] < c.axes[ai].points.size()) break;
@@ -284,7 +270,7 @@ void fold_point_stats(const std::vector<GridPoint>& grid,
 CampaignResult run(const Campaign& c, const std::vector<Reporter*>& reporters) {
   // Split validation so the grid is expanded exactly once (a full Table
   // II/III campaign has hundreds of points, each a Scenario copy plus axis
-  // closures — and user-supplied apply/finalize hooks should fire once).
+  // closures — and user-supplied apply hooks should fire once).
   std::vector<GridPoint> grid;
   {
     std::vector<std::string> errors = validate_shape(c);

@@ -26,9 +26,9 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "harness/experiment.h"
 #include "harness/scenario.h"
 #include "obs/export.h"
+#include "swim/config.h"
 
 namespace lifeguard::harness {
 
@@ -50,18 +50,23 @@ struct AxisPoint {
   std::function<void(Scenario&)> apply;
 };
 
+/// One protocol configuration under its paper name.
+struct NamedConfig {
+  std::string name;
+  swim::Config config;
+};
+
+/// The five Table I configurations in paper order, with the given suspicion
+/// tuning applied (α/β only affect configs with LHA-Suspicion; the SWIM
+/// baseline's fixed timeout is always α = 5, β = 1).
+std::vector<NamedConfig> table1_configs(double alpha = 5.0, double beta = 6.0);
+
 /// A named sweep dimension. Factories cover the common Scenario fields; use
 /// custom() to sweep anything else.
 struct Axis {
   std::string name;
   std::vector<AxisPoint> points;
 
-  /// anomaly.victims sweep (salt = count).
-  static Axis victims(const std::vector<int>& counts);
-  /// anomaly.duration sweep (salt = microseconds; labels in ms).
-  static Axis duration(const std::vector<Duration>& values);
-  /// anomaly.interval sweep (salt = microseconds; labels in ms).
-  static Axis interval(const std::vector<Duration>& values);
   /// cluster_size sweep (salt = size).
   static Axis cluster_size(const std::vector<int>& sizes);
   /// Protocol-configuration sweep. All points share salt 0: runs are paired
@@ -97,9 +102,6 @@ struct Campaign {
   /// Worker threads. 0 = one per hardware thread; 1 = sequential. Results
   /// never depend on this value.
   int jobs = 0;
-  /// Optional post-processing applied after every axis, before validation
-  /// (e.g. legacy grid semantics that couple several swept fields).
-  std::function<void(Scenario&)> finalize;
   /// Retain each trial's full Metrics registry in the CampaignResult. Off by
   /// default: the registry is the bulky part of a RunResult and aggregation
   /// only needs the scalar fields. Reporters always see the full result.
@@ -128,7 +130,7 @@ struct GridPoint {
   std::vector<std::string> labels;
   /// Axis point salts, parallel to Campaign::axes (trial_seed input).
   std::vector<std::uint64_t> salts;
-  /// Base scenario with every axis point (and finalize) applied.
+  /// Base scenario with every axis point applied.
   Scenario scenario;
 };
 

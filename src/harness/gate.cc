@@ -6,12 +6,10 @@
 #include <limits>
 #include <sstream>
 
-#include "check/flatjson.h"
+#include "common/flatjson.h"
 #include "harness/report.h"
 
 namespace lifeguard::harness {
-
-namespace flatjson = check::flatjson;
 
 using flatjson::Value;
 

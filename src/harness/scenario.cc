@@ -17,130 +17,6 @@
 namespace lifeguard::harness {
 
 // ---------------------------------------------------------------------------
-// Anomaly plan
-
-const char* anomaly_kind_name(AnomalyKind k) {
-  switch (k) {
-    case AnomalyKind::kNone:
-      return "none";
-    case AnomalyKind::kThreshold:
-      return "threshold";
-    case AnomalyKind::kInterval:
-      return "interval";
-    case AnomalyKind::kStress:
-      return "stress";
-    case AnomalyKind::kPartition:
-      return "partition";
-    case AnomalyKind::kFlapping:
-      return "flapping";
-    case AnomalyKind::kChurn:
-      return "churn";
-  }
-  return "?";
-}
-
-std::optional<AnomalyKind> anomaly_kind_from_name(std::string_view name) {
-  for (AnomalyKind k :
-       {AnomalyKind::kNone, AnomalyKind::kThreshold, AnomalyKind::kInterval,
-        AnomalyKind::kStress, AnomalyKind::kPartition, AnomalyKind::kFlapping,
-        AnomalyKind::kChurn}) {
-    if (name == anomaly_kind_name(k)) return k;
-  }
-  return std::nullopt;
-}
-
-AnomalyPlan AnomalyPlan::none() { return {}; }
-
-AnomalyPlan AnomalyPlan::threshold(int victims, Duration duration) {
-  AnomalyPlan p;
-  p.kind = AnomalyKind::kThreshold;
-  p.victims = victims;
-  p.duration = duration;
-  return p;
-}
-
-AnomalyPlan AnomalyPlan::cycling(int victims, Duration duration,
-                                 Duration interval) {
-  AnomalyPlan p;
-  p.kind = AnomalyKind::kInterval;
-  p.victims = victims;
-  p.duration = duration;
-  p.interval = interval;
-  return p;
-}
-
-AnomalyPlan AnomalyPlan::stressed(int victims, sim::StressParams params) {
-  AnomalyPlan p;
-  p.kind = AnomalyKind::kStress;
-  p.victims = victims;
-  p.stress = params;
-  return p;
-}
-
-AnomalyPlan AnomalyPlan::partition(int island_size, Duration heal_after) {
-  AnomalyPlan p;
-  p.kind = AnomalyKind::kPartition;
-  p.victims = island_size;
-  p.duration = heal_after;
-  return p;
-}
-
-AnomalyPlan AnomalyPlan::flapping(int victims, Duration duration,
-                                  Duration interval) {
-  AnomalyPlan p;
-  p.kind = AnomalyKind::kFlapping;
-  p.victims = victims;
-  p.duration = duration;
-  p.interval = interval;
-  return p;
-}
-
-AnomalyPlan AnomalyPlan::churn(int victims, Duration downtime,
-                               Duration uptime) {
-  AnomalyPlan p;
-  p.kind = AnomalyKind::kChurn;
-  p.victims = victims;
-  p.duration = downtime;
-  p.interval = uptime;
-  return p;
-}
-
-fault::Timeline AnomalyPlan::to_timeline(Duration run_length) const {
-  // The one-entry mapping the engine executes. Entry spans: one-shot kinds
-  // (threshold, partition) are active for their own duration; cycling kinds
-  // (interval, stress, flapping, churn) keep injecting until the observation
-  // window closes, so their span is run_length itself.
-  fault::Timeline tl;
-  const fault::VictimSelector who = fault::VictimSelector::uniform(victims);
-  switch (kind) {
-    case AnomalyKind::kNone:
-      break;
-    case AnomalyKind::kThreshold:
-      tl.add(Duration{}, duration, fault::Fault::block(), who);
-      break;
-    case AnomalyKind::kInterval:
-      tl.add(Duration{}, run_length,
-             fault::Fault::interval_block(duration, interval), who);
-      break;
-    case AnomalyKind::kStress:
-      tl.add(Duration{}, run_length, fault::Fault::stressed(stress), who);
-      break;
-    case AnomalyKind::kPartition:
-      tl.add(Duration{}, duration, fault::Fault::partition(), who);
-      break;
-    case AnomalyKind::kFlapping:
-      tl.add(Duration{}, run_length, fault::Fault::flapping(duration, interval),
-             who);
-      break;
-    case AnomalyKind::kChurn:
-      tl.add(Duration{}, run_length, fault::Fault::churn(duration, interval),
-             who);
-      break;
-  }
-  return tl;
-}
-
-// ---------------------------------------------------------------------------
 // Validation
 
 namespace {
@@ -176,7 +52,7 @@ std::vector<std::string> Scenario::validate() const {
   }
   if (run_length <= Duration{0}) {
     fail("run_length (" + secs(run_length) +
-         ") must be > 0 — it is the observation window after anomaly start");
+         ") must be > 0 — it is the observation window after the quiesce");
   }
   if (msg_proc_cost.is_negative()) {
     fail("msg_proc_cost (" + secs(msg_proc_cost) + ") must be >= 0");
@@ -205,115 +81,7 @@ std::vector<std::string> Scenario::validate() const {
     }
   }
 
-  if (!timeline.empty()) {
-    if (anomaly.kind != AnomalyKind::kNone) {
-      fail(std::string("scenario sets both anomaly (kind '") +
-           anomaly_kind_name(anomaly.kind) +
-           "') and a fault timeline — migrate the AnomalyPlan entry into the "
-           "timeline (AnomalyPlan::to_timeline) or clear one of them");
-    }
-    for (std::string& e : timeline.validate(cluster_size)) {
-      fail(std::move(e));
-    }
-  }
-
-  const AnomalyPlan& a = anomaly;
-  const std::string kind = anomaly_kind_name(a.kind);
-  if (a.victims < 0) {
-    fail("anomaly.victims (" + std::to_string(a.victims) + ") must be >= 0");
-  }
-  if (a.kind == AnomalyKind::kNone) {
-    if (a.victims != 0) {
-      fail("anomaly.victims (" + std::to_string(a.victims) +
-           ") must be 0 for kind 'none' — pick an anomaly kind to afflict "
-           "members");
-    }
-    return errors;
-  }
-
-  if (a.victims == 0) {
-    fail("anomaly.victims must be >= 1 for kind '" + kind +
-         "' — use AnomalyKind::kNone for a healthy baseline run");
-  }
-  if (a.victims > cluster_size) {
-    fail("anomaly.victims (" + std::to_string(a.victims) +
-         ") must be <= cluster_size (" + std::to_string(cluster_size) + ")");
-  }
-
-  switch (a.kind) {
-    case AnomalyKind::kThreshold:
-      if (a.duration <= Duration{0}) {
-        fail("anomaly.duration (" + secs(a.duration) +
-             ") must be > 0 for kind 'threshold' — it is the length D of "
-             "the synchronized block");
-      }
-      break;
-    case AnomalyKind::kInterval:
-    case AnomalyKind::kFlapping:
-      if (a.duration <= Duration{0}) {
-        fail("anomaly.duration (" + secs(a.duration) +
-             ") must be > 0 for kind '" + kind +
-             "' — it is the blocked span D of each cycle");
-      }
-      if (a.interval <= Duration{0}) {
-        fail("anomaly.interval (" + secs(a.interval) +
-             ") must be > 0 for kind '" + kind +
-             "' — it is the open window I between blocks; use 'threshold' "
-             "for one uninterrupted block");
-      }
-      break;
-    case AnomalyKind::kStress:
-      if (a.stress.block_min <= Duration{0} ||
-          a.stress.block_min > a.stress.block_max) {
-        fail("anomaly.stress block range [" + secs(a.stress.block_min) +
-             ", " + secs(a.stress.block_max) +
-             "] must satisfy 0 < block_min <= block_max (spans are drawn "
-             "log-uniform)");
-      }
-      if (a.stress.run_min <= Duration{0} ||
-          a.stress.run_min > a.stress.run_max) {
-        fail("anomaly.stress run range [" + secs(a.stress.run_min) + ", " +
-             secs(a.stress.run_max) +
-             "] must satisfy 0 < run_min <= run_max (spans are drawn "
-             "log-uniform)");
-      }
-      break;
-    case AnomalyKind::kPartition:
-      if (a.victims >= cluster_size) {
-        fail("anomaly.victims (" + std::to_string(a.victims) +
-             ") is the island size and must be <= cluster_size - 1 (" +
-             std::to_string(cluster_size - 1) +
-             ") — a partition needs members on both sides");
-      }
-      if (a.duration <= Duration{0}) {
-        fail("anomaly.duration (" + secs(a.duration) +
-             ") must be > 0 for kind 'partition' — it is how long the "
-             "split lasts before healing");
-      } else if (a.duration > run_length) {
-        fail("anomaly.duration (" + secs(a.duration) +
-             ") must be <= run_length (" + secs(run_length) +
-             ") for kind 'partition' — the heal and re-merge must fall "
-             "inside the observation window");
-      }
-      break;
-    case AnomalyKind::kChurn:
-      if (a.victims >= cluster_size) {
-        fail("anomaly.victims (" + std::to_string(a.victims) +
-             ") must be <= cluster_size - 1 (" +
-             std::to_string(cluster_size - 1) +
-             ") for kind 'churn' — node 0 is the rejoin seed and is never "
-             "churned");
-      }
-      if (a.duration <= Duration{0} || a.interval <= Duration{0}) {
-        fail("anomaly.duration (" + secs(a.duration) +
-             ") and anomaly.interval (" + secs(a.interval) +
-             ") must both be > 0 for kind 'churn' — downtime after a crash "
-             "and uptime after the restart");
-      }
-      break;
-    case AnomalyKind::kNone:
-      break;  // handled above
-  }
+  for (std::string& e : timeline.validate(cluster_size)) fail(std::move(e));
   return errors;
 }
 
@@ -336,7 +104,9 @@ ScenarioError::ScenarioError(std::vector<std::string> errors)
 namespace {
 
 /// Collect FP / FP⁻ counts and latency samples from the per-node event logs
-/// (accounting per §V-F1/F2; see experiment.h for definitions).
+/// (accounting per §V-F1/F2): an FP event is a node *originating* a dead
+/// declaration (its own suspicion timeout) about a member outside the victim
+/// set; FP⁻ additionally requires the originator itself to be outside it.
 void extract_results(sim::Simulator& sim, const std::vector<int>& victims,
                      TimePoint anomaly_start, RunResult& out) {
   std::set<std::string> victim_names;
@@ -393,11 +163,6 @@ void extract_results(sim::Simulator& sim, const std::vector<int>& victims,
 
 }  // namespace
 
-fault::Timeline Scenario::effective_timeline() const {
-  if (!timeline.empty()) return timeline;
-  return anomaly.to_timeline(run_length);
-}
-
 RunResult run(const Scenario& s, const std::vector<check::TraceSink*>& sinks) {
   if (auto errors = s.validate(); !errors.empty()) {
     throw ScenarioError(std::move(errors));
@@ -444,13 +209,11 @@ RunResult run(const Scenario& s, const std::vector<check::TraceSink*>& sinks) {
   cluster->start();
   cluster->run_for(s.quiesce);
 
-  // One path for every scenario: compile the effective timeline (the
-  // explicit one, or the AnomalyPlan shim's one-entry equivalent) onto the
-  // event queue and run until every entry has completed and settled.
-  const fault::Timeline tl = s.effective_timeline();
+  // Lower the timeline onto the event queue and run until every entry has
+  // completed and settled.
   const TimePoint start = sim.now();
-  const fault::InjectionOutcome outcome =
-      fault::FaultInjector().inject(sim, tl, start, s.run_length);
+  const fault::Schedule outcome =
+      fault::FaultInjector().inject(sim, s.timeline, start, s.run_length);
   sim.run_until(start + outcome.total_run);
 
   RunResult out;
@@ -515,7 +278,8 @@ ScenarioRegistry make_builtin() {
                       "Fig. 1");
     s.cluster_size = 100;
     s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::stressed(4);
+    s.timeline.add(sec(0), sec(300), fault::Fault::stressed(),
+                   fault::VictimSelector::uniform(4));
     s.run_length = sec(300);
     reg.add(std::move(s));
   }
@@ -526,7 +290,9 @@ ScenarioRegistry make_builtin() {
                       "Fig. 2");
     s.cluster_size = 128;
     s.config = swim::Config::swim_baseline();
-    s.anomaly = AnomalyPlan::cycling(8, msec(16384), msec(4));
+    s.timeline.add(sec(0), sec(120),
+                   fault::Fault::interval_block(msec(16384), msec(4)),
+                   fault::VictimSelector::uniform(8));
     s.run_length = sec(120);
     reg.add(std::move(s));
   }
@@ -537,7 +303,9 @@ ScenarioRegistry make_builtin() {
                       "Fig. 3");
     s.cluster_size = 128;
     s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::cycling(8, msec(16384), msec(4));
+    s.timeline.add(sec(0), sec(120),
+                   fault::Fault::interval_block(msec(16384), msec(4)),
+                   fault::VictimSelector::uniform(8));
     s.run_length = sec(120);
     reg.add(std::move(s));
   }
@@ -548,7 +316,9 @@ ScenarioRegistry make_builtin() {
                       "Table IV");
     s.cluster_size = 128;
     s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::cycling(4, sec(8), msec(64));
+    s.timeline.add(sec(0), sec(120),
+                   fault::Fault::interval_block(sec(8), msec(64)),
+                   fault::VictimSelector::uniform(4));
     s.run_length = sec(120);
     reg.add(std::move(s));
   }
@@ -559,7 +329,8 @@ ScenarioRegistry make_builtin() {
                       "Table V");
     s.cluster_size = 128;
     s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::threshold(4, sec(16));
+    s.timeline.add(sec(0), sec(16), fault::Fault::block(),
+                   fault::VictimSelector::uniform(4));
     s.run_length = sec(70);
     reg.add(std::move(s));
   }
@@ -570,7 +341,9 @@ ScenarioRegistry make_builtin() {
                       "Table VI");
     s.cluster_size = 128;
     s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::cycling(4, sec(8), msec(64));
+    s.timeline.add(sec(0), sec(120),
+                   fault::Fault::interval_block(sec(8), msec(64)),
+                   fault::VictimSelector::uniform(4));
     s.run_length = sec(120);
     s.seed = 2;
     reg.add(std::move(s));
@@ -585,7 +358,8 @@ ScenarioRegistry make_builtin() {
     cfg.suspicion_alpha = 2.0;
     cfg.suspicion_beta = 6.0;
     s.config = cfg;
-    s.anomaly = AnomalyPlan::threshold(4, sec(16));
+    s.timeline.add(sec(0), sec(16), fault::Fault::block(),
+                   fault::VictimSelector::uniform(4));
     s.run_length = sec(70);
     reg.add(std::move(s));
   }
@@ -598,7 +372,6 @@ ScenarioRegistry make_builtin() {
                       "");
     s.cluster_size = 64;
     s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::none();
     s.run_length = sec(60);
     reg.add(std::move(s));
   }
@@ -609,7 +382,8 @@ ScenarioRegistry make_builtin() {
                       "");
     s.cluster_size = 16;
     s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::partition(8, sec(60));
+    s.timeline.add(sec(0), sec(60), fault::Fault::partition(),
+                   fault::VictimSelector::uniform(8));
     s.run_length = sec(150);
     reg.add(std::move(s));
   }
@@ -620,7 +394,8 @@ ScenarioRegistry make_builtin() {
                       "");
     s.cluster_size = 64;
     s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::flapping(4, sec(16), msec(5));
+    s.timeline.add(sec(0), sec(120), fault::Fault::flapping(sec(16), msec(5)),
+                   fault::VictimSelector::uniform(4));
     s.run_length = sec(120);
     reg.add(std::move(s));
   }
@@ -631,12 +406,13 @@ ScenarioRegistry make_builtin() {
                       "");
     s.cluster_size = 32;
     s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::churn(4, sec(20), sec(40));
+    s.timeline.add(sec(0), sec(120), fault::Fault::churn(sec(20), sec(40)),
+                   fault::VictimSelector::uniform(4));
     s.run_length = sec(120);
     reg.add(std::move(s));
   }
 
-  // ---- composed fault timelines (inexpressible as a single AnomalyPlan) --
+  // ---- composed fault timelines ----
   {
     Scenario s = base("partition-under-stress",
                       "2 members CPU-starved the whole minute while 5 others "
@@ -776,7 +552,6 @@ ScenarioRegistry make_builtin() {
                       "");
     s.cluster_size = 8;
     s.config = live_config();
-    s.anomaly = AnomalyPlan::none();
     s.quiesce = sec(5);
     s.run_length = sec(8);
     s.checks = live_checks();
@@ -820,7 +595,7 @@ ScenarioRegistry make_builtin() {
     s.cluster_size = 10;
     s.config = live_config();
     {
-      sim::StressParams stress;
+      fault::StressParams stress;
       stress.block_min = msec(500);
       stress.block_max = sec(2);
       stress.run_min = msec(100);
@@ -849,7 +624,6 @@ ScenarioRegistry make_builtin() {
                       "");
     s.cluster_size = 2000;
     s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::none();
     s.quiesce = sec(30);
     s.run_length = sec(20);
     s.checks = check::Spec::all();
@@ -863,7 +637,8 @@ ScenarioRegistry make_builtin() {
                       "");
     s.cluster_size = 1000;
     s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::flapping(8, sec(25), msec(50));
+    s.timeline.add(sec(0), sec(50), fault::Fault::flapping(sec(25), msec(50)),
+                   fault::VictimSelector::uniform(8));
     s.quiesce = sec(25);
     s.run_length = sec(50);
     s.checks = check::Spec::all();
@@ -876,7 +651,8 @@ ScenarioRegistry make_builtin() {
                       "");
     s.cluster_size = 2000;
     s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::churn(4, sec(15), sec(30));
+    s.timeline.add(sec(0), sec(45), fault::Fault::churn(sec(15), sec(30)),
+                   fault::VictimSelector::uniform(4));
     s.quiesce = sec(30);
     s.run_length = sec(45);
     s.checks = check::Spec::all();
@@ -889,7 +665,8 @@ ScenarioRegistry make_builtin() {
                       "");
     s.cluster_size = 4000;
     s.config = swim::Config::lifeguard();
-    s.anomaly = AnomalyPlan::partition(48, sec(30));
+    s.timeline.add(sec(0), sec(30), fault::Fault::partition(),
+                   fault::VictimSelector::uniform(48));
     s.quiesce = sec(40);
     s.run_length = sec(60);
     s.checks = check::Spec::all();

@@ -2,11 +2,10 @@
 // evaluation methodology (§V) and beyond.
 //
 // A Scenario is a plain, reviewable value: cluster shape, protocol
-// configuration, network model, seed, and a composable anomaly plan. One
-// engine, harness::run(Scenario), executes every kind — it subsumes the
-// legacy run_threshold / run_interval / run_stress drivers (now thin shims
-// over it, see experiment.h) and adds partition, flapping and churn
-// workloads that the bespoke drivers could never express.
+// configuration, network model, seed, and a composable fault timeline. One
+// engine, harness::run(Scenario), executes every kind — the paper's
+// threshold, interval and CPU-stress anomalies as well as partition,
+// flapping, churn and network-level faults, alone or composed.
 //
 // ScenarioRegistry::builtin() catalogs the paper's Fig. 1–3 and Table IV–VII
 // setups plus the new scenario kinds under stable names, so tools
@@ -14,9 +13,9 @@
 // exact same descriptors.
 //
 // Validation is explicit and actionable: Scenario::validate() returns one
-// message per defect ("anomaly.victims (12) must be <= cluster_size (8)...")
-// and run() refuses invalid descriptors with a ScenarioError carrying all of
-// them.
+// message per defect ("timeline[0] (block): resolves to 12 victims, more
+// than cluster_size (8)") and run() refuses invalid descriptors with a
+// ScenarioError carrying all of them.
 #pragma once
 
 #include <cstdint>
@@ -32,63 +31,10 @@
 #include "common/types.h"
 #include "fault/fault.h"
 #include "obs/catalog.h"
-#include "sim/anomaly.h"
 #include "sim/network.h"
 #include "swim/config.h"
 
 namespace lifeguard::harness {
-
-// ---------------------------------------------------------------------------
-// Anomaly plan (legacy shim over fault::Timeline)
-
-enum class AnomalyKind : std::uint8_t {
-  kNone = 0,       ///< healthy steady state (load / convergence baselines)
-  kThreshold,      ///< one synchronized block of duration D (§V-D1)
-  kInterval,       ///< lock-step D-blocked / I-open cycles (§V-D2)
-  kStress,         ///< randomized CPU-starvation cycles (§II, Fig. 1)
-  kPartition,      ///< an island splits off, then the partition heals
-  kFlapping,       ///< per-victim unsynchronized D/I cycles
-  kChurn,          ///< victims crash and rejoin in cycles
-};
-
-const char* anomaly_kind_name(AnomalyKind k);
-std::optional<AnomalyKind> anomaly_kind_from_name(std::string_view name);
-
-/// What goes wrong during a run — the original single-slot plan, now a thin
-/// shim over the composable fault layer: the engine executes
-/// to_timeline(run_length), a one-entry fault::Timeline, and replays
-/// bit-identically to the pre-Timeline engine. New code (and anything that
-/// needs composition, network-level faults, or non-uniform victim selection)
-/// should populate Scenario::timeline directly. The meaning of `duration` /
-/// `interval` depends on `kind`; the factory helpers document each shape.
-struct AnomalyPlan {
-  AnomalyKind kind = AnomalyKind::kNone;
-  /// How many members are afflicted (the anomaly set; C in the paper).
-  int victims = 0;
-  /// kThreshold/kInterval/kFlapping: blocked span D. kPartition: how long
-  /// the split lasts. kChurn: downtime between crash and restart.
-  Duration duration{};
-  /// kInterval/kFlapping: open window I between blocks. kChurn: uptime
-  /// between restart and the next crash. Unused otherwise.
-  Duration interval{};
-  /// kStress only: block/run span distributions.
-  sim::StressParams stress;
-
-  static AnomalyPlan none();
-  static AnomalyPlan threshold(int victims, Duration duration);
-  static AnomalyPlan cycling(int victims, Duration duration,
-                             Duration interval);
-  static AnomalyPlan stressed(int victims, sim::StressParams params = {});
-  static AnomalyPlan partition(int island_size, Duration heal_after);
-  static AnomalyPlan flapping(int victims, Duration duration,
-                              Duration interval);
-  static AnomalyPlan churn(int victims, Duration downtime, Duration uptime);
-
-  /// The shim: this plan as a one-entry fault::Timeline (empty for kNone).
-  /// `run_length` bounds the cycling kinds, which inject until the
-  /// observation window closes.
-  fault::Timeline to_timeline(Duration run_length) const;
-};
 
 // ---------------------------------------------------------------------------
 // Scenario descriptor
@@ -102,7 +48,7 @@ struct Scenario {
   std::string paper_ref;
 
   int cluster_size = 64;
-  /// Settling time before the anomaly begins (paper: 15 s).
+  /// Settling time before the fault timeline begins (paper: 15 s).
   Duration quiesce = sec(15);
   swim::Config config;
   /// Paper-testbed-like loopback latency and a small datagram loss rate.
@@ -123,17 +69,14 @@ struct Scenario {
   /// static), so concurrent trials are bit-identical to sequential ones.
   std::uint64_t seed = 1;
 
-  /// Legacy single-fault slot (a shim over `timeline`; see AnomalyPlan).
-  /// Mutually exclusive with a non-empty `timeline`.
-  AnomalyPlan anomaly;
-  /// The composable fault plan: an ordered list of phased entries, each a
-  /// Fault + VictimSelector active over [at, at + duration) after the
-  /// quiesce. Overlap is allowed ("partition during CPU exhaustion"). When
-  /// empty, the engine runs anomaly.to_timeline(run_length) instead.
+  /// What goes wrong: an ordered list of phased entries, each a Fault +
+  /// VictimSelector active over [at, at + duration) after the quiesce.
+  /// Overlap is allowed ("partition during CPU exhaustion"); empty is a
+  /// healthy run.
   fault::Timeline timeline;
-  /// Observation window measured from anomaly start (the cycling kinds keep
-  /// injecting until it closes; see fault::FaultInjector::plan_total_run for
-  /// per-kind drain details).
+  /// Observation window measured from the end of the quiesce. The run lasts
+  /// at least this long, and longer when an entry needs it to complete and
+  /// settle (fault::FaultInjector::plan_total_run).
   Duration run_length = sec(60);
 
   /// Live protocol invariant checking (src/check). Disabled by default;
@@ -159,9 +102,9 @@ struct Scenario {
   /// tier only (live runs reject non-swim).
   std::string membership = "swim";
 
-  /// The timeline the engine will execute: `timeline` when non-empty,
-  /// otherwise the AnomalyPlan shim's one-entry equivalent.
-  fault::Timeline effective_timeline() const;
+  /// `timeline` itself. Library code reads the field; this accessor stays
+  /// because perfbench/lgbench.cc measures against it.
+  const fault::Timeline& effective_timeline() const { return timeline; }
 
   /// Empty when the descriptor is runnable; otherwise one actionable message
   /// per defect.
@@ -214,7 +157,7 @@ struct RunResult {
 };
 
 /// The engine: validate, build a simulated cluster through ClusterBuilder,
-/// quiesce, inject the anomaly plan, observe, and extract the paper's
+/// quiesce, inject the fault timeline, observe, and extract the paper's
 /// metrics. Throws ScenarioError when validate() is non-empty.
 ///
 /// `sinks` observe the merged simulator + membership event stream (see
@@ -252,15 +195,6 @@ struct RunOptions {
 /// that links both engines).
 RunResult run(const Scenario& s, const RunOptions& opts,
               const std::vector<check::TraceSink*>& sinks = {});
-
-/// "The test ends at the end of the next anomalous period" (§V-D2):
-/// `run_length` rounded up to whole (duration + interval) cycles. Forwards
-/// to fault::cycle_aligned_length — one definition (shared with the
-/// injector's drain computation) so shim parity cannot drift.
-inline Duration cycle_aligned_length(Duration run_length, Duration duration,
-                                     Duration interval) {
-  return fault::cycle_aligned_length(run_length, duration, interval);
-}
 
 // ---------------------------------------------------------------------------
 // Registry

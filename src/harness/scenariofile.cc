@@ -5,14 +5,12 @@
 #include <sstream>
 #include <vector>
 
-#include "check/flatjson.h"
+#include "common/flatjson.h"
 #include "check/trace.h"  // entry_spec / timeline_from_specs — one grammar
 #include "harness/report.h"
 #include "membership/backend.h"
 
 namespace lifeguard::harness {
-
-namespace flatjson = check::flatjson;
 
 using flatjson::Value;
 
@@ -212,7 +210,7 @@ std::string ScenarioFile::to_json(const Scenario& s) {
   os << "  \"rbuf\": " << s.recv_buffer_bytes << ",\n";
   os << "  \"membership\": \"" << json_escape(s.membership) << "\",\n";
   os << "  \"timeline\": "
-     << strings_block(check::timeline_specs(s.effective_timeline()), "  ")
+     << strings_block(check::timeline_specs(s.timeline), "  ")
      << ",\n";
   os << "  \"checked\": " << (s.checks.enabled ? "true" : "false") << ",\n";
   os << "  \"invariants\": " << strings_block(s.checks.invariants, "  ")

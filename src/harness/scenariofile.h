@@ -18,11 +18,10 @@
 // except `type`, `version` and `name` is optional and defaults to the
 // Scenario{} value — a hand-authored file states only what it changes.
 //
-// Round-trip contract: save() writes the *effective* timeline (the
-// AnomalyPlan shim is rendered through its one-entry Timeline equivalent,
-// which replays bit-identically by the shim contract), so for every
-// registry scenario export -> load -> run reproduces the original run's
-// metrics and trace digest bit-for-bit. tests/scenariofile pins this.
+// Round-trip contract: the timeline is written losslessly in the `--fault`
+// grammar, so for every registry scenario export -> load -> run reproduces
+// the original run's metrics and trace digest bit-for-bit.
+// tests/scenariofile pins this.
 #pragma once
 
 #include <optional>
@@ -44,7 +43,7 @@ struct ScenarioFile {
   /// `error` (one actionable message; multiple validation defects are
   /// joined with "; ") on any malformed, unknown or out-of-range input.
   /// The loaded scenario carries the file's timeline in Scenario::timeline
-  /// with an empty AnomalyPlan, and passes Scenario::validate().
+  /// and passes Scenario::validate().
   static std::optional<Scenario> from_json(const std::string& text,
                                            std::string& error);
 

@@ -85,7 +85,7 @@ std::uint64_t run_seed(std::uint64_t base, int c, std::int64_t d_us,
 
 namespace {
 
-/// Adapts the legacy ProgressFn callback onto the Reporter interface.
+/// Adapts the ProgressFn callback onto the Reporter interface.
 class FnProgress : public Reporter {
  public:
   explicit FnProgress(const ProgressFn& fn) : fn_(fn) {}
@@ -101,36 +101,68 @@ int resolve_jobs(int jobs) {
   return jobs < 0 ? ReproOptions::from_env().jobs : jobs;
 }
 
+/// A grid campaign's base: one uniform-victim entry of `fault` over `span`,
+/// which the axes below rewrite point by point.
+Scenario grid_base(const char* name, const Grid& grid, const swim::Config& cfg,
+                   fault::Fault fault, Duration span, Duration run_length) {
+  Scenario s;
+  s.name = name;
+  s.cluster_size = grid.cluster_size;
+  s.quiesce = grid.quiesce;
+  s.config = cfg;
+  s.timeline.add(Duration{}, span, fault, fault::VictimSelector::uniform(1));
+  s.run_length = run_length;
+  return s;
+}
+
+/// Sweeps the entry's victim count C (salt = C).
+Axis victims_axis(const std::vector<int>& counts) {
+  Axis a = Axis::custom("victims", {});
+  for (int c : counts) {
+    a.points.push_back({std::to_string(c), static_cast<std::uint64_t>(c),
+                        [c](Scenario& s) {
+                          s.timeline.entry(0).victims =
+                              fault::VictimSelector::uniform(c);
+                        }});
+  }
+  return a;
+}
+
+/// Sweeps one span of the entry, written by `set` (salt = microseconds,
+/// label in ms).
+Axis span_axis(std::string name, const std::vector<Duration>& values,
+               void (*set)(fault::TimelineEntry&, Duration)) {
+  Axis a = Axis::custom(std::move(name), {});
+  for (Duration d : values) {
+    a.points.push_back(
+        {std::to_string(d.us / 1000) + "ms", static_cast<std::uint64_t>(d.us),
+         [d, set](Scenario& s) { set(s.timeline.entry(0), d); }});
+  }
+  return a;
+}
+
 }  // namespace
 
 IntervalSweepResult sweep_interval(const swim::Config& cfg, const Grid& grid,
                                    std::uint64_t seed_base,
                                    const ProgressFn& progress, int jobs) {
   // The grid as a campaign: victims/duration/interval axes whose salts are
-  // exactly the legacy run_seed() coordinates, so per-trial seeds (and thus
-  // results) are bit-identical to the old sequential loop.
+  // exactly the run_seed() coordinates, so every config sees the same
+  // schedule at the same grid point and repetition.
   Campaign camp;
   camp.name = "sweep-interval";
-  IntervalParams base;
-  base.base.cluster_size = grid.cluster_size;
-  base.base.quiesce = grid.quiesce;
-  base.base.config = cfg;
-  base.concurrent = 1;  // placeholder; the victims axis overwrites it
-  base.test_length = grid.test_length;
-  camp.base = to_scenario(base);
-  camp.base.name = "sweep-interval";
-  camp.axes = {Axis::victims(grid.concurrency), Axis::duration(grid.durations),
-               Axis::interval(grid.intervals)};
-  // Legacy semantics for c == 0: a healthy baseline whose end time still
-  // follows the cycle-aligned clock of its grid point (see to_scenario).
-  camp.finalize = [test_length = grid.test_length](Scenario& s) {
-    if (s.anomaly.kind == AnomalyKind::kInterval && s.anomaly.victims == 0) {
-      const Duration d = s.anomaly.duration;
-      const Duration i = s.anomaly.interval;
-      s.anomaly = AnomalyPlan::none();
-      s.run_length = cycle_aligned_length(test_length, d, i) + sec(1);
-    }
-  };
+  camp.base = grid_base("sweep-interval", grid, cfg,
+                        fault::Fault::interval_block(sec(8), msec(64)),
+                        grid.test_length, grid.test_length);
+  camp.axes = {victims_axis(grid.concurrency),
+               span_axis("duration", grid.durations,
+                         [](fault::TimelineEntry& e, Duration d) {
+                           e.fault.period = d;
+                         }),
+               span_axis("interval", grid.intervals,
+                         [](fault::TimelineEntry& e, Duration i) {
+                           e.fault.gap = i;
+                         })};
   camp.repetitions = grid.repetitions;
   camp.base_seed = seed_base;
   camp.jobs = resolve_jobs(jobs);
@@ -161,19 +193,13 @@ ThresholdSweepResult sweep_threshold(const swim::Config& cfg, const Grid& grid,
                                      const ProgressFn& progress, int jobs) {
   Campaign camp;
   camp.name = "sweep-threshold";
-  ThresholdParams base;
-  base.base.cluster_size = grid.cluster_size;
-  base.base.quiesce = grid.quiesce;
-  base.base.config = cfg;
-  base.concurrent = 1;  // placeholder; the victims axis overwrites it
-  base.observe = grid.observe;
-  camp.base = to_scenario(base);
-  camp.base.name = "sweep-threshold";
+  camp.base = grid_base("sweep-threshold", grid, cfg, fault::Fault::block(),
+                        sec(16), grid.observe);
   // The trailing single-point axis contributes nothing to the scenario but
-  // keeps the salt chain {c, d_us, 0} — the exact legacy
-  // run_seed(base, c, d_us, 0, rep) coordinates, so threshold trials stay
-  // bit-identical to the pre-campaign sequential loop.
-  camp.axes = {Axis::victims(grid.concurrency), Axis::duration(grid.durations),
+  // keeps the salt chain {c, d_us, 0} — the run_seed(base, c, d_us, 0, rep)
+  // coordinates the threshold grid has always used.
+  camp.axes = {victims_axis(grid.concurrency),
+               Axis::timeline_duration(0, grid.durations),
                Axis::custom("interval", {{"0ms", 0, {}}})};
   camp.repetitions = grid.repetitions;
   camp.base_seed = seed_base;

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "harness/experiment.h"
+#include "harness/campaign.h"
 
 namespace lifeguard::harness {
 

@@ -13,8 +13,8 @@
 
 #include "check/invariant.h"
 #include "common/rng.h"
+#include "fault/schedule.h"
 #include "live/control.h"
-#include "live/fault_plan.h"
 #include "live/merge.h"
 #include "live/process.h"
 #include "membership/backend.h"
@@ -179,8 +179,7 @@ class LiveRun {
   LiveRun(const harness::Scenario& s, const RunOptions& opts,
           const std::vector<check::TraceSink*>& sinks)
       : s_(s), opts_(opts), plan_rng_(s.seed ^ 0x11fe9ad5u) {
-    plan_ = compile_timeline(s.effective_timeline(), s.cluster_size,
-                             s.run_length, plan_rng_);
+    plan_ = fault::lower(s.timeline, s.cluster_size, s.run_length, plan_rng_);
     metrics_ = std::make_unique<StreamMetrics>(s.cluster_size, plan_.victims);
     sinks_ = sinks;
     if (s.checks.enabled) {
@@ -235,7 +234,12 @@ class LiveRun {
   void start_worker(int index);
   void resend_node_faults(int index);
   void recompute_partitions();
-  void execute_action(const LiveAction& a);
+  /// The process currently behind node `index` (nullptr while none is).
+  NodeProcess* proc(int index) {
+    return slots_[static_cast<std::size_t>(index)].proc.get();
+  }
+  void respawn(int index);
+  void execute_action(const fault::Action& a);
   void pump(Duration max_wait);
   void drain_worker(int index);
   void collect_stats();
@@ -246,7 +250,7 @@ class LiveRun {
   const harness::Scenario& s_;
   const RunOptions& opts_;
   Rng plan_rng_;
-  LivePlan plan_;
+  fault::Schedule plan_;
   std::unique_ptr<StreamMetrics> metrics_;
   SeriesCollector series_;
   std::optional<check::Checker> checker_;
@@ -260,10 +264,9 @@ class LiveRun {
   std::string binary_;
   std::vector<Slot> slots_;
 
-  /// Per-node stack of active partition claims (mirrors the sim injector's
-  /// partition_claims) and per-node active netem overlays, so a respawned
-  /// worker can be brought back up to the current fault state.
-  std::map<int, std::vector<int>> partition_claims_;
+  /// Active partition claims and per-node active netem overlays, so a
+  /// respawned worker can be brought back up to the current fault state.
+  fault::PartitionClaims partitions_;
   std::map<int, std::map<int, net::NetemFilter::Overlay>> active_netem_;
 
   TimePoint last_disturbance_{};
@@ -313,22 +316,18 @@ void LiveRun::resend_node_faults(int index) {
 }
 
 void LiveRun::recompute_partitions() {
-  const auto group_of = [this](int v) {
-    const auto it = partition_claims_.find(v);
-    return it == partition_claims_.end() || it->second.empty()
-               ? 0
-               : it->second.back();
-  };
   for (int i = 0; i < s_.cluster_size; ++i) {
     Slot& slot = slots_[static_cast<std::size_t>(i)];
     if (!slot.proc || !slot.proc->running()) continue;
-    const int my_group = group_of(i);
+    const int my_group = partitions_.group_of(i);
     std::vector<Address> blocked;
     for (int j = 0; j < s_.cluster_size; ++j) {
       if (j == i) continue;
       const Slot& other = slots_[static_cast<std::size_t>(j)];
       if (!other.proc) continue;
-      if (group_of(j) != my_group) blocked.push_back(other.proc->address());
+      if (partitions_.group_of(j) != my_group) {
+        blocked.push_back(other.proc->address());
+      }
     }
     slot.proc->send_line(fault_del_line(kPartitionToken));
     if (!blocked.empty()) {
@@ -337,79 +336,81 @@ void LiveRun::recompute_partitions() {
   }
 }
 
-void LiveRun::execute_action(const LiveAction& a) {
-  Slot* slot = a.node >= 0 && a.node < s_.cluster_size
-                   ? &slots_[static_cast<std::size_t>(a.node)]
-                   : nullptr;
-  switch (a.kind) {
-    case LiveAction::Kind::kStop:
-      push_parent(check::TraceEventKind::kBlock, a.node);
-      if (slot && slot->proc) slot->proc->sigstop();
-      break;
-    case LiveAction::Kind::kCont:
-      if (slot && slot->proc) slot->proc->sigcont();
-      push_parent(check::TraceEventKind::kUnblock, a.node);
-      break;
-    case LiveAction::Kind::kKill:
-      push_parent(check::TraceEventKind::kCrash, a.node);
-      // SIGKILL only; the control stream is drained to EOF so everything
-      // the victim emitted before dying still merges (then the stream
-      // closes and stops bounding the watermark).
-      if (slot && slot->proc) slot->proc->kill_hard();
-      break;
-    case LiveAction::Kind::kRespawn: {
-      if (!slot) break;
-      const std::uint16_t port = slot->proc ? slot->proc->udp_port() : 0;
-      if (slot->proc) {
-        drain_worker(a.node);
-        slot->proc->kill_and_reap();
-        if (!slot->eof) {
-          merger_->close_stream(slot->stream);
-          slot->eof = true;
-        }
-      }
-      push_parent(check::TraceEventKind::kRestart, a.node);
-      spawn_slot(a.node, port);
-      resend_node_faults(a.node);
-      recompute_partitions();
-      start_worker(a.node);
-      break;
+void LiveRun::respawn(int index) {
+  Slot& slot = slots_[static_cast<std::size_t>(index)];
+  const std::uint16_t port = slot.proc ? slot.proc->udp_port() : 0;
+  if (slot.proc) {
+    drain_worker(index);
+    slot.proc->kill_and_reap();
+    if (!slot.eof) {
+      merger_->close_stream(slot.stream);
+      slot.eof = true;
     }
-    case LiveAction::Kind::kNetemAdd:
-      active_netem_[a.node][a.token] = a.overlay;
-      if (slot && slot->proc) {
-        slot->proc->send_line(fault_add_line(a.token, a.overlay));
-      }
-      break;
-    case LiveAction::Kind::kNetemDel:
-      if (const auto it = active_netem_.find(a.node);
-          it != active_netem_.end()) {
-        it->second.erase(a.token);
-      }
-      if (slot && slot->proc) slot->proc->send_line(fault_del_line(a.token));
-      break;
-    case LiveAction::Kind::kPartitionAdd:
-      for (int v : a.island) partition_claims_[v].push_back(a.token);
-      recompute_partitions();
-      break;
-    case LiveAction::Kind::kPartitionDel:
-      for (int v : a.island) {
-        std::vector<int>& claims = partition_claims_[v];
-        // Drop the most recent matching claim; the node follows the next
-        // remaining claim or re-merges (sim injector semantics).
-        if (const auto it =
-                std::find(claims.rbegin(), claims.rend(), a.token);
-            it != claims.rend()) {
-          claims.erase(std::next(it).base());
-        }
-      }
-      recompute_partitions();
-      break;
-    case LiveAction::Kind::kFaultStart:
+  }
+  push_parent(check::TraceEventKind::kRestart, index);
+  spawn_slot(index, port);
+  resend_node_faults(index);
+  recompute_partitions();
+  start_worker(index);
+}
+
+void LiveRun::execute_action(const fault::Action& a) {
+  using fault::ActionKind;
+  // Netem overlays are keyed by the entry index; kPartitionToken sits far
+  // above any.
+  switch (a.kind) {
+    case ActionKind::kFaultStart:
       push_parent(check::TraceEventKind::kFaultStart, -1, a.entry);
       break;
-    case LiveAction::Kind::kFaultEnd:
+    case ActionKind::kFaultEnd:
       push_parent(check::TraceEventKind::kFaultEnd, -1, a.entry);
+      break;
+    case ActionKind::kBlock:
+      for (int v : a.nodes) {
+        push_parent(check::TraceEventKind::kBlock, v);
+        if (NodeProcess* p = proc(v)) p->sigstop();
+      }
+      break;
+    case ActionKind::kUnblock:
+      for (int v : a.nodes) {
+        if (NodeProcess* p = proc(v)) p->sigcont();
+        push_parent(check::TraceEventKind::kUnblock, v);
+      }
+      break;
+    case ActionKind::kCrash:
+      for (int v : a.nodes) {
+        push_parent(check::TraceEventKind::kCrash, v);
+        // SIGKILL only; the control stream is drained to EOF so everything
+        // the victim emitted before dying still merges (then the stream
+        // closes and stops bounding the watermark).
+        if (NodeProcess* p = proc(v)) p->kill_hard();
+      }
+      break;
+    case ActionKind::kRestart:
+      for (int v : a.nodes) respawn(v);
+      break;
+    case ActionKind::kPartitionAdd:
+    case ActionKind::kPartitionDel:
+      partitions_.apply(a);
+      recompute_partitions();
+      break;
+    case ActionKind::kLinkFaultAdd: {
+      const net::NetemFilter::Overlay overlay =
+          net::NetemFilter::overlay_from_fault(
+              s_.timeline.entries()[static_cast<std::size_t>(a.entry)].fault);
+      for (int v : a.nodes) {
+        active_netem_[v][a.entry] = overlay;
+        if (NodeProcess* p = proc(v)) {
+          p->send_line(fault_add_line(a.entry, overlay));
+        }
+      }
+      break;
+    }
+    case ActionKind::kLinkFaultDel:
+      for (int v : a.nodes) {
+        active_netem_[v].erase(a.entry);
+        if (NodeProcess* p = proc(v)) p->send_line(fault_del_line(a.entry));
+      }
       break;
   }
 }

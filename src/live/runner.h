@@ -2,10 +2,10 @@
 //
 // Takes the exact same harness::Scenario descriptor and executes it against
 // a cluster of real OS processes (live/process.h) exchanging real UDP
-// datagrams on loopback, with the fault timeline lowered to wall-clock
-// actions (live/fault_plan.h), every worker's trace stream merged
-// time-ordered (live/merge.h), and the same check::Checker / TraceSink
-// observers the simulator path uses. Returns the same harness::RunResult,
+// datagrams on loopback, with the fault timeline lowered to the same action
+// schedule the simulator runs (fault/schedule.h) and fired at wall-clock
+// offsets, every worker's trace stream merged time-ordered (live/merge.h),
+// and the same check::Checker / TraceSink observers the simulator path uses. Returns the same harness::RunResult,
 // so tools and tests compare backends directly (docs/live-tier.md spells
 // out which knobs and invariants apply on which backend).
 //

@@ -3,12 +3,12 @@
 #include <sys/resource.h>
 #include <sys/utsname.h>
 
-#include <cctype>
 #include <cstdio>
 #include <ctime>
 #include <fstream>
 #include <sstream>
 
+#include "common/flatjson.h"
 #include "harness/report.h"  // json_escape — one escaping rule set
 
 namespace lifeguard::perf {
@@ -131,191 +131,58 @@ std::string to_json(const Baseline& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Parsing — a minimal recursive scanner for this document shape (strings,
-// numbers, one array of flat objects). Same spirit as the trace codec:
-// tolerant of unknown keys, strict about structure.
+// Parsing — the shared flatjson dialect. Unknown keys are ignored (forward
+// compatibility); a known key with a malformed value is an error naming it.
 
 namespace {
 
-struct Scanner {
-  std::string_view s;
-  std::size_t i = 0;
-  std::string error;
-
-  bool fail(const std::string& msg) {
-    error = msg + " at offset " + std::to_string(i);
+bool parse_measurement(const flatjson::Value& o, Measurement& m,
+                       std::string& error) {
+  if (o.kind != flatjson::Value::Kind::kObject) {
+    error = "is not an object";
     return false;
   }
-
-  void ws() {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                            s[i] == '\r')) {
-      ++i;
-    }
-  }
-
-  bool expect(char c) {
-    ws();
-    if (i >= s.size() || s[i] != c) {
-      return fail(std::string("expected '") + c + "'");
-    }
-    ++i;
-    return true;
-  }
-
-  bool peek(char c) {
-    ws();
-    return i < s.size() && s[i] == c;
-  }
-
-  bool string(std::string& out) {
-    ws();
-    if (i >= s.size() || s[i] != '"') return fail("expected string");
-    ++i;
-    out.clear();
-    while (i < s.size() && s[i] != '"') {
-      char c = s[i++];
-      if (c == '\\') {
-        if (i >= s.size()) return fail("dangling escape");
-        const char esc = s[i++];
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          default: return fail("unsupported escape");
-        }
-      }
-      out += c;
-    }
-    if (i >= s.size()) return fail("unterminated string");
-    ++i;
-    return true;
-  }
-
-  bool number(double& out) {
-    ws();
-    const std::size_t start = i;
-    while (i < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[i])) || s[i] == '-' ||
-            s[i] == '+' || s[i] == '.' || s[i] == 'e' || s[i] == 'E')) {
-      ++i;
-    }
-    if (i == start) return fail("expected number");
-    try {
-      out = std::stod(std::string(s.substr(start, i - start)));
-    } catch (...) {
-      return fail("malformed number");
-    }
-    return true;
-  }
-
-  /// Skip any scalar value (string or number) — unknown-key tolerance.
-  bool skip_scalar() {
-    ws();
-    if (i < s.size() && s[i] == '"') {
-      std::string tmp;
-      return string(tmp);
-    }
-    double tmp = 0;
-    return number(tmp);
-  }
-};
-
-bool parse_measurement(Scanner& sc, Measurement& m) {
-  if (!sc.expect('{')) return false;
-  if (sc.peek('}')) return sc.expect('}');
-  for (;;) {
-    std::string key;
-    if (!sc.string(key) || !sc.expect(':')) return false;
-    if (key == "name") {
-      if (!sc.string(m.name)) return false;
-    } else {
-      double v = 0;
-      if (key == "wall_s" || key == "items_per_s" || key == "events_per_s" ||
-          key == "datagrams_per_s" || key == "peak_rss_kb" ||
-          key == "iterations") {
-        if (!sc.number(v)) return false;
-        if (key == "wall_s") m.wall_s = v;
-        else if (key == "items_per_s") m.items_per_s = v;
-        else if (key == "events_per_s") m.events_per_s = v;
-        else if (key == "datagrams_per_s") m.datagrams_per_s = v;
-        else if (key == "peak_rss_kb") m.peak_rss_kb = static_cast<std::int64_t>(v);
-        else m.iterations = static_cast<std::int64_t>(v);
-      } else if (!sc.skip_scalar()) {
-        return false;
-      }
-    }
-    if (sc.peek(',')) {
-      if (!sc.expect(',')) return false;
-      continue;
-    }
-    return sc.expect('}');
-  }
+  constexpr bool opt = false;
+  return flatjson::get_str(o, "name", m.name, error, opt) &&
+         flatjson::get_dbl(o, "wall_s", m.wall_s, error, opt) &&
+         flatjson::get_dbl(o, "items_per_s", m.items_per_s, error, opt) &&
+         flatjson::get_dbl(o, "events_per_s", m.events_per_s, error, opt) &&
+         flatjson::get_dbl(o, "datagrams_per_s", m.datagrams_per_s, error,
+                           opt) &&
+         flatjson::get_i64(o, "peak_rss_kb", m.peak_rss_kb, error, opt) &&
+         flatjson::get_i64(o, "iterations", m.iterations, error, opt);
 }
 
 }  // namespace
 
 std::optional<Baseline> from_json(const std::string& text,
                                   std::string& error) {
-  Scanner sc{text, 0, {}};
+  flatjson::Value doc;
+  if (!flatjson::parse(text, doc, error)) return std::nullopt;
   Baseline b;
-  if (!sc.expect('{')) {
-    error = sc.error;
+  constexpr bool opt = false;
+  if (!flatjson::get_str(doc, "suite", b.suite, error, opt) ||
+      !flatjson::get_str(doc, "created", b.created, error, opt) ||
+      !flatjson::get_str(doc, "host", b.host, error, opt) ||
+      !flatjson::get_str(doc, "build", b.build, error, opt) ||
+      !flatjson::get_str(doc, "commit", b.commit, error, opt)) {
     return std::nullopt;
   }
-  for (;;) {
-    std::string key;
-    if (!sc.string(key) || !sc.expect(':')) {
-      error = sc.error;
+  if (const flatjson::Value* entries = doc.find("entries")) {
+    if (entries->kind != flatjson::Value::Kind::kArray) {
+      error = "field 'entries' is not an array";
       return std::nullopt;
     }
-    bool ok = true;
-    if (key == "suite") ok = sc.string(b.suite);
-    else if (key == "created") ok = sc.string(b.created);
-    else if (key == "host") ok = sc.string(b.host);
-    else if (key == "build") ok = sc.string(b.build);
-    else if (key == "commit") ok = sc.string(b.commit);
-    else if (key == "entries") {
-      ok = sc.expect('[');
-      if (ok && !sc.peek(']')) {
-        for (;;) {
-          Measurement m;
-          if (!parse_measurement(sc, m)) {
-            ok = false;
-            break;
-          }
-          b.entries.push_back(std::move(m));
-          if (sc.peek(',')) {
-            if (!sc.expect(',')) { ok = false; break; }
-            continue;
-          }
-          break;
-        }
-      }
-      if (ok) ok = sc.expect(']');
-    } else {
-      ok = sc.skip_scalar();
-    }
-    if (!ok) {
-      error = sc.error;
-      return std::nullopt;
-    }
-    if (sc.peek(',')) {
-      if (!sc.expect(',')) {
-        error = sc.error;
+    for (std::size_t i = 0; i < entries->array.size(); ++i) {
+      Measurement m;
+      if (!parse_measurement(entries->array[i], m, error)) {
+        error = "entries[" + std::to_string(i) + "]: " + error;
         return std::nullopt;
       }
-      continue;
+      b.entries.push_back(std::move(m));
     }
-    if (!sc.expect('}')) {
-      error = sc.error;
-      return std::nullopt;
-    }
-    return b;
   }
+  return b;
 }
 
 bool save_baseline_file(const Baseline& b, const std::string& path,

@@ -5,8 +5,8 @@
 // benchmark case. Baselines are committed as BENCH_<suite>.json at the repo
 // root so the performance trajectory is recorded next to the code it
 // measures, and perf::compare (compare.h) diffs two of them to gate
-// regressions. The format is plain JSON, hand-written and hand-parsed like
-// the trace codec (check/trace.cc) — no external dependency.
+// regressions. The format is plain JSON, written by hand and parsed with the
+// shared common/flatjson.h scanner — no external dependency.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +62,9 @@ std::string git_fingerprint();
 /// Pretty-printed JSON document (the BENCH_*.json format).
 std::string to_json(const Baseline& b);
 /// Parse a baseline document. Returns std::nullopt and sets `error` on
-/// malformed input; unknown keys are ignored (forward compatibility).
+/// malformed input (a bad value names its field: "entries[2]: field
+/// 'wall_s' is not a number"); unknown keys are ignored (forward
+/// compatibility).
 std::optional<Baseline> from_json(const std::string& text, std::string& error);
 
 bool save_baseline_file(const Baseline& b, const std::string& path,

@@ -14,6 +14,32 @@
 namespace lifeguard::harness {
 namespace {
 
+/// Sweeps the uniform victim count of timeline entry 0 (salt = count).
+Axis victims_axis(const std::vector<int>& counts) {
+  Axis a = Axis::custom("victims", {});
+  for (int c : counts) {
+    a.points.push_back({std::to_string(c), static_cast<std::uint64_t>(c),
+                        [c](Scenario& s) {
+                          s.timeline.entry(0).victims =
+                              fault::VictimSelector::uniform(c);
+                        }});
+  }
+  return a;
+}
+
+/// Sweeps the blocked span D of timeline entry 0's cycles (salt = us).
+Axis period_axis(const std::vector<Duration>& values) {
+  Axis a = Axis::custom("duration", {});
+  for (Duration d : values) {
+    a.points.push_back({std::to_string(d.us / 1000) + "ms",
+                        static_cast<std::uint64_t>(d.us),
+                        [d](Scenario& s) {
+                          s.timeline.entry(0).fault.period = d;
+                        }});
+  }
+  return a;
+}
+
 // A deliberately small campaign: 4 grid points x 2 reps of a 12-node
 // cluster, seconds of virtual time — fast enough for TSan yet exercising
 // the full grid/seed/aggregation path.
@@ -26,11 +52,12 @@ Campaign tiny_campaign() {
   s.cluster_size = 12;
   s.quiesce = sec(5);
   s.config = swim::Config::lifeguard();
-  s.anomaly = AnomalyPlan::cycling(2, msec(2000), msec(500));
+  s.timeline.add(sec(0), sec(8),
+                 fault::Fault::interval_block(msec(2000), msec(500)),
+                 fault::VictimSelector::uniform(2));
   s.run_length = sec(8);
   c.base = s;
-  c.axes = {Axis::victims({1, 2}),
-            Axis::duration({msec(1000), msec(3000)})};
+  c.axes = {victims_axis({1, 2}), period_axis({msec(1000), msec(3000)})};
   c.repetitions = 2;
   c.base_seed = 99;
   return c;
@@ -107,8 +134,8 @@ TEST(ExpandGrid, CartesianProductLastAxisFastest) {
   EXPECT_EQ(grid[1].labels, (std::vector<std::string>{"1", "3000ms"}));
   EXPECT_EQ(grid[2].labels, (std::vector<std::string>{"2", "1000ms"}));
   EXPECT_EQ(grid[3].labels, (std::vector<std::string>{"2", "3000ms"}));
-  EXPECT_EQ(grid[2].scenario.anomaly.victims, 2);
-  EXPECT_EQ(grid[1].scenario.anomaly.duration, msec(3000));
+  EXPECT_EQ(grid[2].scenario.timeline.entries()[0].victims.count, 2);
+  EXPECT_EQ(grid[1].scenario.timeline.entries()[0].fault.period, msec(3000));
   EXPECT_EQ(grid[3].salts,
             (std::vector<std::uint64_t>{2, 3000000}));
   for (const auto& p : grid) EXPECT_TRUE(p.scenario.validate().empty());
@@ -120,12 +147,13 @@ TEST(ExpandGrid, NoAxesYieldsSingleBasePoint) {
   const auto grid = expand_grid(c);
   ASSERT_EQ(grid.size(), 1u);
   EXPECT_TRUE(grid[0].labels.empty());
-  EXPECT_EQ(grid[0].scenario.anomaly.victims, 2);  // untouched base
+  EXPECT_EQ(grid[0].scenario.timeline.entries()[0].victims.count,
+            2);  // untouched base
 }
 
 TEST(ExpandGrid, ConfigAxisIsSeedPaired) {
   Campaign c = tiny_campaign();
-  c.axes = {Axis::victims({2}),
+  c.axes = {victims_axis({2}),
             Axis::configs({{"SWIM", swim::Config::swim_baseline()},
                            {"Lifeguard", swim::Config::lifeguard()}})};
   const auto grid = expand_grid(c);
@@ -152,11 +180,11 @@ TEST(Campaign, ValidateReportsActionableDefects) {
 
   // Per-grid-point scenario defects name the offending coordinates.
   Campaign bad = tiny_campaign();
-  bad.axes = {Axis::victims({2, 64})};  // 64 > cluster_size 12
+  bad.axes = {victims_axis({2, 64})};  // 64 > cluster_size 12
   errors = bad.validate();
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_NE(errors[0].find("grid point 1 (victims=64)"), std::string::npos);
-  EXPECT_NE(errors[0].find("anomaly.victims (64)"), std::string::npos);
+  EXPECT_NE(errors[0].find("resolves to 64 victims"), std::string::npos);
 
   EXPECT_THROW(run(bad), ScenarioError);
 }
@@ -263,7 +291,8 @@ TEST(CampaignSmoke, ParallelJobs4) {
   s.cluster_size = 10;
   s.quiesce = sec(3);
   s.config = swim::Config::lifeguard();
-  s.anomaly = AnomalyPlan::threshold(1, msec(1500));
+  s.timeline.add(sec(0), msec(1500), fault::Fault::block(),
+                 fault::VictimSelector::uniform(1));
   s.run_length = sec(5);
   c.base = s;
   c.repetitions = 4;
@@ -293,7 +322,8 @@ TEST(CampaignIsolation, TrialRegistriesNeverLeakAcrossRepetitions) {
   s.cluster_size = 10;
   s.quiesce = sec(3);
   s.config = swim::Config::lifeguard();
-  s.anomaly = AnomalyPlan::threshold(1, msec(1500));
+  s.timeline.add(sec(0), msec(1500), fault::Fault::block(),
+                 fault::VictimSelector::uniform(1));
   s.run_length = sec(5);
   c.base = s;
   c.repetitions = 3;

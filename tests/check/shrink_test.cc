@@ -138,23 +138,5 @@ TEST(Shrink, HealthyScenarioHasNothingToShrink) {
   EXPECT_EQ(r.runs, 1);
 }
 
-// An AnomalyPlan scenario is materialized into an explicit timeline before
-// shrinking, so the legacy single-slot shape shrinks too.
-TEST(Shrink, AnomalyPlanScenariosAreMaterialized) {
-  Scenario s;
-  s.name = "legacy-shape";
-  s.cluster_size = 12;
-  s.config = swim::Config::lifeguard();
-  s.quiesce = sec(10);
-  s.run_length = sec(30);
-  s.anomaly = harness::AnomalyPlan::threshold(3, sec(20));
-  s.checks = check::Spec::all();
-  s.checks.suspicion_cap = msec(1);
-  const check::ShrinkResult r = check::shrink(s);
-  ASSERT_TRUE(r.reproduced);
-  EXPECT_TRUE(r.minimal.timeline.size() >= 1);
-  EXPECT_EQ(r.minimal.anomaly.kind, harness::AnomalyKind::kNone);
-}
-
 }  // namespace
 }  // namespace lifeguard

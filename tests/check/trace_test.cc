@@ -78,7 +78,7 @@ TEST(GoldenTrace, PacketChaosScenarioReplaysBitForBit) {
 TEST(GoldenTrace, SeedPerturbationDiverges) {
   Scenario s = *ScenarioRegistry::builtin().find("partition-split-heal");
   s.cluster_size = 10;
-  s.anomaly.victims = 4;
+  s.timeline.entry(0).victims = fault::VictimSelector::uniform(4);
   s.run_length = sec(80);
 
   check::TraceRecorder recorder(s);
@@ -126,7 +126,7 @@ TEST(TraceFormat, SaveLoadRoundTripsHeaderAndEvents) {
   EXPECT_EQ(loaded->header.cluster_size, s.cluster_size);
   EXPECT_EQ(loaded->header.config_name, "Lifeguard");
   EXPECT_EQ(loaded->header.timeline,
-            check::timeline_specs(s.effective_timeline()));
+            check::timeline_specs(s.timeline));
   EXPECT_TRUE(loaded->header.checks.enabled);
   EXPECT_EQ(loaded->header.checks.suspicion_cap, msec(123));
   EXPECT_EQ(loaded->header.checks.invariants,
@@ -151,7 +151,7 @@ TEST(TraceFormat, TruncatedTraceIsRejected) {
 // Every fault kind's entry spec must reconstruct the entry exactly through
 // the public --fault grammar.
 TEST(TraceFormat, EntrySpecsRoundTripEveryFaultKind) {
-  sim::StressParams stress;
+  fault::StressParams stress;
   stress.block_min = msec(1500);
   stress.block_max = sec(30);
   stress.run_min = msec(2);

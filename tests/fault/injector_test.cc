@@ -1,6 +1,5 @@
-// FaultInjector end-to-end: golden-seed replay parity for the AnomalyPlan
-// shim, AnomalyPlan↔Timeline equivalence, composed timelines, and the
-// network-level fault kinds.
+// FaultInjector end-to-end: golden-seed replay parity for every process-level
+// fault kind, composed timelines, and the network-level fault kinds.
 #include "fault/injector.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 namespace lifeguard::fault {
 namespace {
 
-using harness::AnomalyPlan;
 using harness::RunResult;
 using harness::Scenario;
 
@@ -30,11 +28,11 @@ Scenario base_scenario(const char* name, int nodes, std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden-seed replay: these exact values were captured from the pre-Timeline
-// engine (the single-slot AnomalyPlan switch) at the seed of this PR. Every
-// AnomalyPlan now executes through to_timeline() + FaultInjector, and must
-// reproduce them bit-for-bit. If this test breaks, the shim has drifted —
-// fix the engine, do not re-capture the numbers.
+// Golden-seed replay: these exact values were captured from the engine
+// before fault timelines existed, when each kind had its own hand-written
+// schedule. Every kind now runs as a one-entry timeline through fault::lower
+// + FaultInjector, and must reproduce them bit-for-bit. If this test breaks,
+// the lowering has drifted — fix the engine, do not re-capture the numbers.
 
 struct Golden {
   const char* tag;
@@ -56,7 +54,7 @@ void expect_golden(const Scenario& s, const Golden& g) {
 
 TEST(GoldenSeedParity, ThresholdReplaysBitIdentically) {
   Scenario s = base_scenario("g-threshold", 16, 7101);
-  s.anomaly = AnomalyPlan::threshold(3, sec(16));
+  s.timeline.add(sec(0), sec(16), Fault::block(), VictimSelector::uniform(3));
   s.run_length = sec(40);
   expect_golden(s, {"threshold", 0, 0, 3148, 169245, {0, 15, 11}, 3, 3});
 }
@@ -64,69 +62,48 @@ TEST(GoldenSeedParity, ThresholdReplaysBitIdentically) {
 TEST(GoldenSeedParity, IntervalReplaysBitIdentically) {
   Scenario s = base_scenario("g-interval", 16, 7102);
   s.config = swim::Config::swim_baseline();
-  s.anomaly = AnomalyPlan::cycling(3, msec(8192), msec(64));
+  s.timeline.add(sec(0), sec(40), Fault::interval_block(msec(8192), msec(64)),
+                 VictimSelector::uniform(3));
   s.run_length = sec(40);
   expect_golden(s, {"interval", 3, 0, 5592, 307705, {14, 7, 12}, 3, 3});
 }
 
 TEST(GoldenSeedParity, StressReplaysBitIdentically) {
   Scenario s = base_scenario("g-stress", 16, 7103);
-  s.anomaly = AnomalyPlan::stressed(2);
+  s.timeline.add(sec(0), sec(40), Fault::stressed(),
+                 VictimSelector::uniform(2));
   s.run_length = sec(40);
   expect_golden(s, {"stress", 0, 0, 4954, 233631, {0, 8}, 2, 2});
 }
 
 TEST(GoldenSeedParity, PartitionReplaysBitIdentically) {
   Scenario s = base_scenario("g-partition", 12, 7104);
-  s.anomaly = AnomalyPlan::partition(4, sec(20));
+  s.timeline.add(sec(0), sec(20), Fault::partition(),
+                 VictimSelector::uniform(4));
   s.run_length = sec(50);
   expect_golden(s, {"partition", 11, 0, 2756, 132148, {11, 7, 4, 0}, 4, 4});
 }
 
 TEST(GoldenSeedParity, FlappingReplaysBitIdentically) {
   Scenario s = base_scenario("g-flapping", 16, 7105);
-  s.anomaly = AnomalyPlan::flapping(3, sec(8), msec(50));
+  s.timeline.add(sec(0), sec(40), Fault::flapping(sec(8), msec(50)),
+                 VictimSelector::uniform(3));
   s.run_length = sec(40);
   expect_golden(s, {"flapping", 1, 0, 7974, 362765, {9, 8, 0}, 3, 3});
 }
 
 TEST(GoldenSeedParity, ChurnReplaysBitIdentically) {
   Scenario s = base_scenario("g-churn", 12, 7106);
-  s.anomaly = AnomalyPlan::churn(2, sec(12), sec(20));
+  s.timeline.add(sec(0), sec(60), Fault::churn(sec(12), sec(20)),
+                 VictimSelector::uniform(2));
   s.run_length = sec(60);
   expect_golden(s, {"churn", 0, 0, 4139, 147992, {4, 6}, 2, 2});
 }
 
 TEST(GoldenSeedParity, HealthyBaselineReplaysBitIdentically) {
-  Scenario s = base_scenario("g-none", 12, 7107);
-  s.anomaly = AnomalyPlan::none();
+  Scenario s = base_scenario("g-none", 12, 7107);  // empty timeline
   s.run_length = sec(30);
   expect_golden(s, {"none", 0, 0, 1231, 50863, {}, 0, 0});
-}
-
-// ---------------------------------------------------------------------------
-// Shim equivalence: running the AnomalyPlan slot and running its
-// to_timeline() explicitly are the same program.
-
-TEST(ShimEquivalence, ExplicitTimelineMatchesAnomalyPlan) {
-  Scenario via_plan = base_scenario("shim", 14, 991);
-  via_plan.anomaly = AnomalyPlan::cycling(3, msec(4096), msec(128));
-  via_plan.run_length = sec(30);
-
-  Scenario via_timeline = via_plan;
-  via_timeline.timeline =
-      via_plan.anomaly.to_timeline(via_plan.run_length);
-  via_timeline.anomaly = AnomalyPlan::none();
-
-  const RunResult a = harness::run(via_plan);
-  const RunResult b = harness::run(via_timeline);
-  EXPECT_EQ(a.victims, b.victims);
-  EXPECT_EQ(a.fp_events, b.fp_events);
-  EXPECT_EQ(a.fp_healthy_events, b.fp_healthy_events);
-  EXPECT_EQ(a.first_detect, b.first_detect);
-  EXPECT_EQ(a.full_dissem, b.full_dissem);
-  EXPECT_EQ(a.msgs_sent, b.msgs_sent);
-  EXPECT_EQ(a.bytes_sent, b.bytes_sent);
 }
 
 // ---------------------------------------------------------------------------
@@ -147,9 +124,9 @@ TEST(ComposedTimeline, AllEntriesExecuteAndVictimsUnion) {
 }
 
 TEST(ComposedTimeline, SequencedFaultsBothLeaveTraces) {
-  // A partition, then churn strictly after the heal: inexpressible as one
-  // AnomalyPlan. The partition must drop cross-island packets and the churn
-  // must produce real dead declarations later.
+  // A partition, then churn strictly after the heal. The partition must
+  // drop cross-island packets and the churn must produce real dead
+  // declarations later.
   Scenario s = base_scenario("seq", 12, 515);
   s.timeline.add(sec(0), sec(15), Fault::partition(),
                  VictimSelector::uniform(4));
@@ -266,8 +243,7 @@ TEST(NetworkFaults, OverlaysAreRemovedWhenTheSpanEnds) {
   Timeline tl;
   tl.add(sec(0), sec(5), Fault::link_loss(0.9, 0.0),
          VictimSelector::nodes({2}));
-  const InjectionOutcome out =
-      FaultInjector().inject(sim, tl, sim.now(), sec(10));
+  const Schedule out = FaultInjector().inject(sim, tl, sim.now(), sec(10));
   EXPECT_EQ(out.victims, std::vector<int>{2});
   sim.run_for(sec(2));
   EXPECT_TRUE(sim.network().has_link_faults());
@@ -290,7 +266,7 @@ TEST(ClusterInjection, SimBackendInjectsUdpBackendRefuses) {
   cluster->run_for(sec(10));
   Timeline tl;
   tl.add(sec(0), sec(5), Fault::block(), VictimSelector::uniform(2));
-  const InjectionOutcome out = FaultInjector().inject(*cluster, tl, sec(10));
+  const Schedule out = FaultInjector().inject(*cluster, tl, sec(10));
   EXPECT_EQ(out.victims.size(), 2u);
   cluster->run_for(out.total_run);
 

@@ -128,8 +128,7 @@ TEST(Coverage, GoldenDigestForTable4FalsePositives) {
       harness::ScenarioRegistry::builtin().find("table4-false-positives");
   ASSERT_NE(s, nullptr);
   std::vector<fault::FaultKind> kinds;
-  const fault::Timeline tl = s->effective_timeline();
-  for (const fault::TimelineEntry& e : tl.entries()) {
+  for (const fault::TimelineEntry& e : s->timeline.entries()) {
     kinds.push_back(e.fault.kind);
   }
   CoverageCollector c(kinds);

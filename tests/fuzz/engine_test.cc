@@ -116,7 +116,7 @@ TEST(FuzzEngine, FindsAndShrinksEveryPlantedBug) {
     EXPECT_TRUE(hit->shrink.reproduced) << p.label;
 
     // Auto-shrunk to a human-readable reproducer: at most 3 entries.
-    EXPECT_LE(hit->reproducer.effective_timeline().size(), 3u)
+    EXPECT_LE(hit->reproducer.timeline.size(), 3u)
         << p.label << ": " << hit->reproducer.timeline.summary();
     EXPECT_TRUE(hit->reproducer.validate().empty()) << p.label;
     EXPECT_EQ(hit->reproducer.name.rfind("fuzz-" + p.invariant, 0), 0u)
@@ -227,8 +227,7 @@ TEST(FuzzEngine, CoverageReportIsMachineCheckedByReplayingTheCorpus) {
     ASSERT_TRUE(s.has_value()) << e.file << ": " << error;
     EXPECT_EQ(s->seed, e.seed) << e.file;
     std::vector<fault::FaultKind> kinds;
-    const fault::Timeline tl = s->effective_timeline();
-    for (const fault::TimelineEntry& te : tl.entries()) {
+    for (const fault::TimelineEntry& te : s->timeline.entries()) {
       kinds.push_back(te.fault.kind);
     }
     check::CoverageCollector collector(kinds);

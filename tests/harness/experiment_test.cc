@@ -1,22 +1,35 @@
-// Harness: experiment drivers produce sane, reproducible measurements.
-#include "harness/experiment.h"
-
+// Harness: the paper's §V experiment shapes — threshold (§V-D1), interval
+// (§V-D2) and CPU stress (Fig. 1) — produce sane, reproducible
+// measurements through harness::run.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "harness/campaign.h"
+#include "harness/scenario.h"
+
 namespace lifeguard::harness {
 namespace {
 
+/// A `nodes`-member cluster under one uniform-victim fault entry over
+/// `span`, observed for `run_length`.
+Scenario experiment(int nodes, const swim::Config& cfg, std::uint64_t seed,
+                    fault::Fault f, int victims, Duration span,
+                    Duration run_length) {
+  Scenario s;
+  s.name = "experiment";
+  s.cluster_size = nodes;
+  s.config = cfg;
+  s.seed = seed;
+  s.timeline.add(sec(0), span, f, fault::VictimSelector::uniform(victims));
+  s.run_length = run_length;
+  return s;
+}
+
 TEST(Experiment, ThresholdDetectsLongAnomalies) {
-  ThresholdParams p;
-  p.base.cluster_size = 64;
-  p.base.config = swim::Config::swim_baseline();
-  p.base.seed = 301;
-  p.concurrent = 4;
-  p.duration = msec(32768);
-  p.observe = sec(60);
-  const RunResult r = run_threshold(p);
+  const RunResult r =
+      run(experiment(64, swim::Config::swim_baseline(), 301,
+                     fault::Fault::block(), 4, msec(32768), sec(60)));
   ASSERT_EQ(r.victims.size(), 4u);
   // All four victims detected; latency ≈ probe (1-2 s) + timeout
   // (5·log10(64) ≈ 9 s).
@@ -33,29 +46,20 @@ TEST(Experiment, ThresholdDetectsLongAnomalies) {
 }
 
 TEST(Experiment, ThresholdShortAnomalyYieldsNoDetections) {
-  ThresholdParams p;
-  p.base.cluster_size = 64;
-  p.base.config = swim::Config::swim_baseline();
-  p.base.seed = 303;
-  p.concurrent = 4;
-  p.duration = msec(128);  // far below the suspicion timeout
-  p.observe = sec(40);
-  const RunResult r = run_threshold(p);
+  // 128 ms is far below the suspicion timeout.
+  const RunResult r =
+      run(experiment(64, swim::Config::swim_baseline(), 303,
+                     fault::Fault::block(), 4, msec(128), sec(40)));
   EXPECT_TRUE(r.first_detect.empty());
   EXPECT_EQ(r.fp_events, 0);
 }
 
 TEST(Experiment, ReproducibleForSameSeed) {
-  IntervalParams p;
-  p.base.cluster_size = 48;
-  p.base.config = swim::Config::swim_baseline();
-  p.base.seed = 305;
-  p.concurrent = 8;
-  p.duration = msec(16384);
-  p.interval = msec(4);
-  p.test_length = sec(60);
-  const RunResult a = run_interval(p);
-  const RunResult b = run_interval(p);
+  const Scenario s = experiment(
+      48, swim::Config::swim_baseline(), 305,
+      fault::Fault::interval_block(msec(16384), msec(4)), 8, sec(60), sec(60));
+  const RunResult a = run(s);
+  const RunResult b = run(s);
   EXPECT_EQ(a.fp_events, b.fp_events);
   EXPECT_EQ(a.msgs_sent, b.msgs_sent);
   EXPECT_EQ(a.bytes_sent, b.bytes_sent);
@@ -63,15 +67,9 @@ TEST(Experiment, ReproducibleForSameSeed) {
 }
 
 TEST(Experiment, VictimCountMatchesRequest) {
-  IntervalParams p;
-  p.base.cluster_size = 32;
-  p.base.config = swim::Config::lifeguard();
-  p.base.seed = 307;
-  p.concurrent = 5;
-  p.duration = msec(512);
-  p.interval = msec(256);
-  p.test_length = sec(20);
-  const RunResult r = run_interval(p);
+  const RunResult r = run(experiment(
+      32, swim::Config::lifeguard(), 307,
+      fault::Fault::interval_block(msec(512), msec(256)), 5, sec(20), sec(20)));
   EXPECT_EQ(r.victims.size(), 5u);
   std::set<int> distinct(r.victims.begin(), r.victims.end());
   EXPECT_EQ(distinct.size(), 5u);
@@ -80,13 +78,9 @@ TEST(Experiment, VictimCountMatchesRequest) {
 }
 
 TEST(Experiment, StressRunsAndReportsLoad) {
-  StressParams p;
-  p.base.cluster_size = 32;
-  p.base.config = swim::Config::lifeguard();
-  p.base.seed = 309;
-  p.stressed = 3;
-  p.test_length = sec(60);
-  const RunResult r = run_stress(p);
+  const RunResult r =
+      run(experiment(32, swim::Config::lifeguard(), 309,
+                     fault::Fault::stressed(), 3, sec(60), sec(60)));
   EXPECT_EQ(r.victims.size(), 3u);
   EXPECT_GT(r.msgs_sent, 0);
 }

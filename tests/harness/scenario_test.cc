@@ -1,5 +1,5 @@
-// Scenario API: validation messages, the built-in registry, the run()
-// engine, and parity between the legacy driver shims and run(Scenario).
+// Scenario API: validation messages, the built-in registry and the run()
+// engine.
 #include "harness/scenario.h"
 
 #include <gtest/gtest.h>
@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <type_traits>
+#include <utility>
 
-#include "harness/experiment.h"
+#include "fault/injector.h"
 #include "membership/backend.h"
 
 namespace lifeguard::harness {
@@ -28,10 +30,26 @@ Scenario tiny_valid() {
   s.cluster_size = 8;
   s.quiesce = sec(10);
   s.config = swim::Config::lifeguard();
-  s.anomaly = AnomalyPlan::threshold(2, sec(16));
+  s.timeline.add(sec(0), sec(16), fault::Fault::block(),
+                 fault::VictimSelector::uniform(2));
   s.run_length = sec(30);
   return s;
 }
+
+/// `s` with its one timeline entry replaced by `fault` over `span`.
+Scenario with_entry(Scenario s, fault::Fault fault, Duration span,
+                    int victims) {
+  s.timeline = fault::Timeline{};
+  s.timeline.add(sec(0), span, fault, fault::VictimSelector::uniform(victims));
+  return s;
+}
+
+// effective_timeline() must hand out the field itself: a returned copy
+// would leave range-for loops over effective_timeline().entries() reading
+// a destroyed temporary.
+static_assert(std::is_same_v<decltype(std::declval<const Scenario&>()
+                                          .effective_timeline()),
+                             const fault::Timeline&>);
 
 // ---------------------------------------------------------------------------
 // Validation
@@ -52,77 +70,53 @@ TEST(ScenarioValidation, MissingNameAndBadSizeAreBothReported) {
 
 TEST(ScenarioValidation, VictimCountMustFitCluster) {
   Scenario s = tiny_valid();
-  s.anomaly.victims = 12;
-  EXPECT_TRUE(mentions(s.validate(), "must be <= cluster_size (8)"));
-  s.anomaly.victims = 0;
-  EXPECT_TRUE(mentions(s.validate(), "use AnomalyKind::kNone"));
-}
-
-TEST(ScenarioValidation, NoneKindRejectsVictims) {
-  Scenario s = tiny_valid();
-  s.anomaly = AnomalyPlan::none();
-  s.anomaly.victims = 3;
-  EXPECT_TRUE(mentions(s.validate(), "must be 0 for kind 'none'"));
+  s.timeline.entry(0).victims = fault::VictimSelector::uniform(12);
+  EXPECT_TRUE(mentions(s.validate(), "more than cluster_size (8)"));
+  s.timeline.entry(0).victims = fault::VictimSelector::uniform(0);
+  EXPECT_TRUE(mentions(s.validate(), "victims count must be >= 1"));
 }
 
 TEST(ScenarioValidation, CyclingKindsNeedPositiveSpans) {
-  Scenario s = tiny_valid();
-  s.anomaly = AnomalyPlan::cycling(2, Duration{0}, Duration{0});
-  const auto errors = s.validate();
-  EXPECT_TRUE(mentions(errors, "anomaly.duration"));
-  EXPECT_TRUE(mentions(errors, "anomaly.interval"));
-  EXPECT_TRUE(mentions(errors, "blocked span D"));
+  for (const fault::Fault& f :
+       {fault::Fault::interval_block(Duration{0}, Duration{0}),
+        fault::Fault::flapping(sec(1), Duration{0})}) {
+    const Scenario s = with_entry(tiny_valid(), f, sec(30), 2);
+    EXPECT_TRUE(mentions(s.validate(), "period D > 0 and gap I > 0"))
+        << fault::fault_kind_name(f.kind);
+  }
 }
 
 TEST(ScenarioValidation, PartitionNeedsBothSidesAndInWindowHeal) {
-  Scenario s = tiny_valid();
-  s.anomaly = AnomalyPlan::partition(8, sec(10));
+  Scenario s = with_entry(tiny_valid(), fault::Fault::partition(), sec(10), 8);
   EXPECT_TRUE(mentions(s.validate(), "members on both sides"));
-  s.anomaly = AnomalyPlan::partition(4, sec(60));
-  EXPECT_TRUE(mentions(s.validate(), "must be <= run_length"));
+  // A split that outlasts the observation window is valid: the engine runs
+  // on until the heal, so the re-merge is always observed.
+  s = with_entry(tiny_valid(), fault::Fault::partition(), sec(60), 4);
+  EXPECT_TRUE(s.validate().empty());
+  EXPECT_GT(fault::FaultInjector::plan_total_run(s.timeline, s.run_length),
+            sec(60));
 }
 
 TEST(ScenarioValidation, ChurnReservesTheSeedNode) {
-  Scenario s = tiny_valid();
-  s.anomaly = AnomalyPlan::churn(8, sec(10), sec(10));
+  const Scenario s = with_entry(
+      tiny_valid(), fault::Fault::churn(sec(10), sec(10)), sec(30), 8);
   EXPECT_TRUE(mentions(s.validate(), "rejoin seed"));
 }
 
 TEST(ScenarioValidation, StressRangesMustBeOrdered) {
-  Scenario s = tiny_valid();
-  sim::StressParams sp;
+  fault::StressParams sp;
   sp.block_min = sec(10);
   sp.block_max = sec(2);
-  s.anomaly = AnomalyPlan::stressed(2, sp);
+  const Scenario s =
+      with_entry(tiny_valid(), fault::Fault::stressed(sp), sec(30), 2);
   EXPECT_TRUE(mentions(s.validate(), "block_min <= block_max"));
 }
 
-TEST(ScenarioValidation, AnomalyAndTimelineAreMutuallyExclusive) {
-  Scenario s = tiny_valid();  // carries a threshold AnomalyPlan
-  s.timeline.add(sec(0), sec(5), fault::Fault::block(),
-                 fault::VictimSelector::uniform(1));
-  EXPECT_TRUE(mentions(s.validate(), "sets both anomaly"));
-  s.anomaly = AnomalyPlan::none();
-  EXPECT_TRUE(s.validate().empty());
-}
-
 TEST(ScenarioValidation, TimelineDefectsAreSurfaced) {
-  Scenario s = tiny_valid();
-  s.anomaly = AnomalyPlan::none();
-  s.timeline.add(sec(0), sec(5), fault::Fault::partition(),
-                 fault::VictimSelector::uniform(8));  // whole 8-node cluster
+  const Scenario s =
+      with_entry(tiny_valid(), fault::Fault::partition(), sec(5), 8);
   EXPECT_TRUE(mentions(s.validate(), "timeline[0]"));
   EXPECT_TRUE(mentions(s.validate(), "both sides"));
-}
-
-TEST(ScenarioEffectiveTimeline, ShimProducesOneEntryPerPlan) {
-  Scenario s = tiny_valid();
-  const fault::Timeline tl = s.effective_timeline();
-  ASSERT_EQ(tl.size(), 1u);
-  EXPECT_EQ(tl.entries()[0].fault.kind, fault::FaultKind::kBlock);
-  EXPECT_EQ(tl.entries()[0].duration, sec(16));
-  s.anomaly = AnomalyPlan::none();
-  EXPECT_TRUE(s.effective_timeline().empty());
 }
 
 TEST(ScenarioValidation, NetworkLossMustBeProbability) {
@@ -165,16 +159,14 @@ TEST(ScenarioRegistry, BuiltinCatalogCoversPaperAndNewKinds) {
   EXPECT_GE(reg.find("partition-under-stress")->timeline.size(), 2u);
   EXPECT_GE(reg.find("churn-after-heal")->timeline.size(), 2u);
   EXPECT_GE(reg.find("packet-chaos")->timeline.size(), 3u);
-  std::set<AnomalyKind> kinds;
+  std::set<fault::FaultKind> kinds;
   for (const auto& s : reg.all()) {
     EXPECT_TRUE(s.validate().empty()) << s.name;
-    kinds.insert(s.anomaly.kind);
+    for (const auto& e : s.timeline.entries()) kinds.insert(e.fault.kind);
   }
-  // All paper kinds plus the three post-paper kinds.
-  EXPECT_GE(kinds.size(), 6u);
-  EXPECT_TRUE(kinds.contains(AnomalyKind::kPartition));
-  EXPECT_TRUE(kinds.contains(AnomalyKind::kFlapping));
-  EXPECT_TRUE(kinds.contains(AnomalyKind::kChurn));
+  // The paper's block / interval / stress kinds, the post-paper process
+  // kinds and every network kind.
+  EXPECT_EQ(kinds.size(), fault::all_fault_kinds().size());
 }
 
 TEST(ScenarioRegistry, RejectsDuplicatesAndInvalidEntries) {
@@ -204,30 +196,30 @@ TEST(ScenarioRegistry, FindAndNamesAgree) {
 TEST(ScenarioEngine, EveryBuiltinScenarioRunsAtTinyScale) {
   for (const Scenario& original : ScenarioRegistry::builtin().all()) {
     Scenario s = original;
-    // Shrink to seconds of virtual time while keeping the anomaly shape.
+    // Shrink to seconds of virtual time while keeping the fault shapes:
+    // every span fits a 40 s window and uniform draws take at most 2 of
+    // the 12 members (4 for a partition island).
     s.cluster_size = std::min(s.cluster_size, 12);
-    s.anomaly.victims = std::min(s.anomaly.victims, 2);
     s.quiesce = sec(10);
     s.run_length = std::min(s.run_length, sec(40));
-    if (s.anomaly.kind == AnomalyKind::kPartition) {
-      s.anomaly.duration = std::min(s.anomaly.duration, sec(20));
-      s.anomaly.victims = 4;  // keep a real island out of 12
+    for (std::size_t i = 0; i < s.timeline.size(); ++i) {
+      fault::TimelineEntry& e = s.timeline.entry(i);
+      e.duration = std::min(e.duration, s.run_length);
+      if (e.victims.mode == fault::VictimSelector::Mode::kUniform) {
+        e.victims.count = e.fault.kind == fault::FaultKind::kPartition
+                              ? 4
+                              : std::min(e.victims.count, 2);
+      }
     }
     ASSERT_TRUE(s.validate().empty()) << s.name;
 
     const RunResult r = run(s);
     EXPECT_EQ(r.scenario_name, s.name);
     EXPECT_EQ(r.cluster_size, s.cluster_size) << s.name;
-    if (s.timeline.empty()) {
-      EXPECT_EQ(r.victims.size(),
-                static_cast<std::size_t>(s.anomaly.victims))
-          << s.name;
-    } else {
-      // Composed scenarios: victims are the union across timeline entries.
-      EXPECT_FALSE(r.victims.empty()) << s.name;
-      EXPECT_LE(r.victims.size(), static_cast<std::size_t>(s.cluster_size))
-          << s.name;
-    }
+    // Victims are the union across timeline entries.
+    EXPECT_EQ(r.victims.empty(), s.timeline.empty()) << s.name;
+    EXPECT_LE(r.victims.size(), static_cast<std::size_t>(s.cluster_size))
+        << s.name;
     // The static control backend is a deliberate zero-message floor; every
     // real protocol must put datagrams on the wire.
     if (membership::base_name(s.membership) == "static") {
@@ -259,7 +251,8 @@ TEST(ScenarioEngine, ChurnVictimsRejoinByTheEnd) {
   s.cluster_size = 10;
   s.quiesce = sec(10);
   s.config = swim::Config::lifeguard();
-  s.anomaly = AnomalyPlan::churn(2, sec(15), sec(25));
+  s.timeline.add(sec(0), sec(80), fault::Fault::churn(sec(15), sec(25)),
+                 fault::VictimSelector::uniform(2));
   s.run_length = sec(80);
   s.seed = 51;
   const RunResult r = run(s);
@@ -268,72 +261,6 @@ TEST(ScenarioEngine, ChurnVictimsRejoinByTheEnd) {
   EXPECT_FALSE(std::count(r.victims.begin(), r.victims.end(), 0));
   // Crashes were real: survivors declared the churned members dead.
   EXPECT_FALSE(r.first_detect.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Legacy shims: identical results to the declarative path
-
-TEST(LegacyShims, ThresholdMatchesScenarioRun) {
-  ThresholdParams p;
-  p.base.cluster_size = 32;
-  p.base.config = swim::Config::swim_baseline();
-  p.base.seed = 401;
-  p.concurrent = 3;
-  p.duration = msec(32768);
-  p.observe = sec(50);
-  const RunResult via_shim = run_threshold(p);
-  const RunResult via_scenario = run(to_scenario(p));
-  EXPECT_EQ(via_shim.victims, via_scenario.victims);
-  EXPECT_EQ(via_shim.fp_events, via_scenario.fp_events);
-  EXPECT_EQ(via_shim.first_detect, via_scenario.first_detect);
-  EXPECT_EQ(via_shim.full_dissem, via_scenario.full_dissem);
-  EXPECT_EQ(via_shim.msgs_sent, via_scenario.msgs_sent);
-  EXPECT_EQ(via_shim.bytes_sent, via_scenario.bytes_sent);
-}
-
-TEST(LegacyShims, IntervalMatchesScenarioRun) {
-  IntervalParams p;
-  p.base.cluster_size = 32;
-  p.base.config = swim::Config::lifeguard();
-  p.base.seed = 403;
-  p.concurrent = 4;
-  p.duration = msec(8192);
-  p.interval = msec(128);
-  p.test_length = sec(40);
-  const RunResult via_shim = run_interval(p);
-  const RunResult via_scenario = run(to_scenario(p));
-  EXPECT_EQ(via_shim.victims, via_scenario.victims);
-  EXPECT_EQ(via_shim.fp_events, via_scenario.fp_events);
-  EXPECT_EQ(via_shim.msgs_sent, via_scenario.msgs_sent);
-  EXPECT_EQ(via_shim.bytes_sent, via_scenario.bytes_sent);
-}
-
-TEST(LegacyShims, StressMatchesScenarioRun) {
-  StressParams p;
-  p.base.cluster_size = 24;
-  p.base.config = swim::Config::lifeguard();
-  p.base.seed = 405;
-  p.stressed = 2;
-  p.test_length = sec(40);
-  const RunResult via_shim = run_stress(p);
-  const RunResult via_scenario = run(to_scenario(p));
-  EXPECT_EQ(via_shim.victims, via_scenario.victims);
-  EXPECT_EQ(via_shim.fp_events, via_scenario.fp_events);
-  EXPECT_EQ(via_shim.msgs_sent, via_scenario.msgs_sent);
-}
-
-TEST(LegacyShims, IntervalWithZeroVictimsIsAHealthyBaseline) {
-  IntervalParams p;
-  p.base.cluster_size = 16;
-  p.base.config = swim::Config::swim_baseline();
-  p.base.seed = 407;
-  p.concurrent = 0;
-  p.test_length = sec(30);
-  const Scenario s = to_scenario(p);
-  EXPECT_EQ(s.anomaly.kind, AnomalyKind::kNone);
-  const RunResult r = run_interval(p);
-  EXPECT_EQ(r.fp_events, 0);
-  EXPECT_TRUE(r.victims.empty());
 }
 
 }  // namespace

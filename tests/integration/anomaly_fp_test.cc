@@ -5,23 +5,36 @@
 
 #include <set>
 
-#include "harness/experiment.h"
+#include "harness/scenario.h"
 
 namespace lifeguard {
 namespace {
 
+/// The §V-D2 interval experiment: `concurrent` members cycle blocked for
+/// `duration` / open for `interval` over a 120 s window (none when 0).
+harness::Scenario interval_scenario(int nodes, const swim::Config& cfg,
+                                    int concurrent, Duration duration,
+                                    Duration interval, Duration length,
+                                    std::uint64_t seed) {
+  harness::Scenario s;
+  s.name = "interval-fp";
+  s.cluster_size = nodes;
+  s.config = cfg;
+  s.seed = seed;
+  if (concurrent > 0) {
+    s.timeline.add(sec(0), length,
+                   fault::Fault::interval_block(duration, interval),
+                   fault::VictimSelector::uniform(concurrent));
+  }
+  s.run_length = length;
+  return s;
+}
+
 harness::RunResult run(const swim::Config& cfg, int concurrent,
                        Duration duration, Duration interval,
                        std::uint64_t seed) {
-  harness::IntervalParams p;
-  p.base.cluster_size = 64;
-  p.base.config = cfg;
-  p.base.seed = seed;
-  p.concurrent = concurrent;
-  p.duration = duration;
-  p.interval = interval;
-  p.test_length = sec(120);
-  return harness::run_interval(p);
+  return harness::run(interval_scenario(64, cfg, concurrent, duration,
+                                        interval, sec(120), seed));
 }
 
 TEST(AnomalyFalsePositives, SwimProducesThemLifeguardSuppressesThem) {
@@ -78,17 +91,11 @@ TEST(AnomalyFalsePositives, NoAnomaliesNoFalsePositives) {
 }
 
 TEST(AnomalyFalsePositives, VictimsRecoverAfterExperiment) {
-  harness::IntervalParams p;
-  p.base.cluster_size = 48;
-  p.base.config = swim::Config::lifeguard();
-  p.base.seed = 141;
-  p.concurrent = 8;
-  p.duration = msec(8192);
-  p.interval = msec(256);
-  p.test_length = sec(60);
-  // run_interval drains briefly after the last cycle; afterwards the cluster
-  // must heal completely given a little more time. Re-run manually here.
-  const auto r = harness::run_interval(p);
+  // The run drains briefly after the last cycle; afterwards the cluster
+  // must heal completely given a little more time.
+  const auto r = harness::run(
+      interval_scenario(48, swim::Config::lifeguard(), 8, msec(8192),
+                        msec(256), sec(60), 141));
   EXPECT_EQ(r.cluster_size, 48);
   EXPECT_EQ(r.victims.size(), 8u);
 }

@@ -95,7 +95,7 @@ class DetectLatencySink : public check::TraceSink {
 TEST(LiveCluster, ParitySmokeCrashRestartMatchesTheSimulator) {
   REQUIRE_WORKER_BINARY();
   harness::Scenario s = cataloged("live-crash-restart");
-  ASSERT_EQ(s.effective_timeline().entries().size(), 1u);
+  ASSERT_EQ(s.timeline.entries().size(), 1u);
   const int victim = 3;  // explicit in the catalog entry
 
   DetectLatencySink sim_detect(victim);

@@ -84,7 +84,8 @@ TEST(GoldenParity, CheckedRunWithMetricsSampling) {
   s.summary = "golden";
   s.cluster_size = 12;
   s.config = swim::Config::lifeguard();
-  s.anomaly = harness::AnomalyPlan::threshold(2, sec(16));
+  s.timeline.add(sec(0), sec(16), fault::Fault::block(),
+                 fault::VictimSelector::uniform(2));
   s.quiesce = sec(15);
   s.run_length = sec(60);
   s.checks = check::Spec::all();
@@ -116,7 +117,8 @@ TEST(GoldenParity, ChurnRestartsRebuildNodesThroughTheBackend) {
   s.summary = "golden";
   s.cluster_size = 16;
   s.config = swim::Config::lifeguard();
-  s.anomaly = harness::AnomalyPlan::churn(3, sec(10), sec(20));
+  s.timeline.add(sec(0), sec(60), fault::Fault::churn(sec(10), sec(20)),
+                 fault::VictimSelector::uniform(3));
   s.quiesce = sec(15);
   s.run_length = sec(60);
   s.seed = 3;

@@ -109,6 +109,26 @@ TEST(PerfBaseline, MalformedDocumentsAreRejectedWithAnError) {
       from_json("{\"suite\": \"unterminated", error).has_value());
 }
 
+// Every known numeric field is parsed strictly: a malformed value is a
+// rejection naming the field, never a silently truncated or wrapped number.
+TEST(PerfBaseline, MalformedNumbersAreRejectedNamingTheField) {
+  struct Case {
+    const char* field;
+    const char* value;
+  };
+  for (const Case& c : {Case{"wall_s", "1.5.5"},        // not 1.5
+                        Case{"peak_rss_kb", "12-34"},   // not 12
+                        Case{"iterations", "1e300"}}) {  // not INT64_MIN
+    const std::string doc = std::string(R"({"entries": [{"name": "x", ")") +
+                            c.field + "\": " + c.value + "}]}";
+    std::string error;
+    EXPECT_FALSE(from_json(doc, error).has_value()) << doc;
+    EXPECT_NE(error.find(c.field), std::string::npos)
+        << c.field << ": " << error;
+    EXPECT_NE(error.find("entries[0]"), std::string::npos) << error;
+  }
+}
+
 TEST(PerfBaseline, FileRoundTrip) {
   const Baseline b = sample_baseline();
   const std::string path =

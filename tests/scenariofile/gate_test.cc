@@ -18,7 +18,8 @@ Scenario small_scenario() {
   s.summary = "gate test fixture";
   s.cluster_size = 8;
   s.config = swim::Config::lifeguard();
-  s.anomaly = AnomalyPlan::threshold(2, sec(12));
+  s.timeline.add(sec(0), sec(12), fault::Fault::block(),
+                 fault::VictimSelector::uniform(2));
   s.quiesce = sec(10);
   s.run_length = sec(30);
   s.checks = check::Spec::all();

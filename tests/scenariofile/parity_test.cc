@@ -111,7 +111,7 @@ TEST(ScenarioFileParity, CampaignArtifactsMatchAcrossLoadAndJobsLevels) {
   c.name = "filed-campaign";
   c.base = *ScenarioRegistry::builtin().find("partition-split-heal");
   c.base.cluster_size = 12;
-  c.base.anomaly.victims = 4;
+  c.base.timeline.entry(0).victims = fault::VictimSelector::uniform(4);
   c.base.run_length = sec(90);
   c.base.checks = check::Spec::all();
   c.repetitions = 4;

@@ -28,7 +28,7 @@ using fault::VictimSelector;
 /// One representative Fault per kind, with every kind-specific parameter
 /// set to a non-default value so a dropped key cannot hide.
 std::vector<Fault> every_fault() {
-  sim::StressParams stress;
+  fault::StressParams stress;
   stress.block_min = msec(100);
   stress.block_max = sec(2);
   stress.run_min = msec(50);
@@ -86,8 +86,7 @@ TEST(ScenarioFileRoundTrip, EveryRegistryScenarioIsAToJsonFixpoint) {
     ASSERT_TRUE(loaded.has_value()) << s.name << ": " << error;
     EXPECT_EQ(ScenarioFile::to_json(*loaded), doc)
         << s.name << " did not round-trip";
-    // The loaded scenario carries the timeline explicitly (the AnomalyPlan
-    // shim was rendered through its effective timeline), and stays valid.
+    // The loaded scenario carries the timeline and stays valid.
     EXPECT_TRUE(loaded->validate().empty()) << s.name;
     EXPECT_EQ(loaded->name, s.name);
     EXPECT_EQ(loaded->seed, s.seed);

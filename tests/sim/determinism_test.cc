@@ -3,9 +3,10 @@
 // debugging and experiment-pairing workflow in this repo rests on.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
-#include "harness/experiment.h"
+#include "harness/scenario.h"
 
 namespace lifeguard {
 namespace {
@@ -14,6 +15,13 @@ struct Scenario {
   const char* config;
   const char* anomaly;
 };
+
+// Without this gtest prints the parameter as the bytes of its two pointers,
+// which change with the load address, so the listed test names (and the
+// ctest names derived from them) would differ from build to build.
+void PrintTo(const Scenario& s, std::ostream* os) {
+  *os << s.config << "/" << s.anomaly;
+}
 
 swim::Config config_of(const std::string& name) {
   if (name == "swim") return swim::Config::swim_baseline();
@@ -27,36 +35,24 @@ class Determinism : public ::testing::TestWithParam<Scenario> {};
 
 std::tuple<std::int64_t, std::int64_t, std::int64_t, std::size_t, std::size_t>
 fingerprint(const Scenario& s) {
-  const swim::Config cfg = config_of(s.config);
-  harness::RunResult r;
+  harness::Scenario h;
+  h.name = "determinism";
+  h.cluster_size = 48;
+  h.config = config_of(s.config);
+  h.seed = 4040;
+  h.run_length = sec(40);
   if (std::string(s.anomaly) == "interval") {
-    harness::IntervalParams p;
-    p.base.cluster_size = 48;
-    p.base.config = cfg;
-    p.base.seed = 4040;
-    p.concurrent = 6;
-    p.duration = msec(8192);
-    p.interval = msec(16);
-    p.test_length = sec(40);
-    r = harness::run_interval(p);
+    h.timeline.add(sec(0), sec(40),
+                   fault::Fault::interval_block(msec(8192), msec(16)),
+                   fault::VictimSelector::uniform(6));
   } else if (std::string(s.anomaly) == "threshold") {
-    harness::ThresholdParams p;
-    p.base.cluster_size = 48;
-    p.base.config = cfg;
-    p.base.seed = 4040;
-    p.concurrent = 4;
-    p.duration = msec(16384);
-    p.observe = sec(40);
-    r = harness::run_threshold(p);
+    h.timeline.add(sec(0), msec(16384), fault::Fault::block(),
+                   fault::VictimSelector::uniform(4));
   } else {
-    harness::StressParams p;
-    p.base.cluster_size = 48;
-    p.base.config = cfg;
-    p.base.seed = 4040;
-    p.stressed = 4;
-    p.test_length = sec(40);
-    r = harness::run_stress(p);
+    h.timeline.add(sec(0), sec(40), fault::Fault::stressed(),
+                   fault::VictimSelector::uniform(4));
   }
+  const harness::RunResult r = harness::run(h);
   return {r.msgs_sent, r.bytes_sent, r.fp_events, r.first_detect.size(),
           r.full_dissem.size()};
 }
@@ -82,17 +78,18 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(DeterminismExtra, DifferentSeedsDiverge) {
-  harness::IntervalParams p;
-  p.base.cluster_size = 32;
-  p.base.config = swim::Config::lifeguard();
-  p.concurrent = 4;
-  p.duration = msec(4096);
-  p.interval = msec(64);
-  p.test_length = sec(30);
-  p.base.seed = 1;
-  const auto a = harness::run_interval(p);
-  p.base.seed = 2;
-  const auto b = harness::run_interval(p);
+  harness::Scenario s;
+  s.name = "seed-divergence";
+  s.cluster_size = 32;
+  s.config = swim::Config::lifeguard();
+  s.timeline.add(sec(0), sec(30),
+                 fault::Fault::interval_block(msec(4096), msec(64)),
+                 fault::VictimSelector::uniform(4));
+  s.run_length = sec(30);
+  s.seed = 1;
+  const auto a = harness::run(s);
+  s.seed = 2;
+  const auto b = harness::run(s);
   // Message counts colliding across seeds would suggest the seed is unused.
   EXPECT_NE(a.msgs_sent, b.msgs_sent);
   EXPECT_NE(a.victims, b.victims);
