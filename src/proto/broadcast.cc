@@ -17,8 +17,8 @@ void BroadcastQueue::queue(const std::string& member,
   invalidate(member);
   const Rank rank{0, next_id_++};
   min_frame_size_ = std::min(min_frame_size_, frame.size());
-  entries_.emplace(rank, Entry{member, std::move(frame)});
-  by_key_.emplace(member, rank);
+  KeySlot& slot = *by_key_.emplace(member, rank).first;
+  entries_.emplace(rank, Entry{&slot, std::move(frame)});
 }
 
 void BroadcastQueue::invalidate(const std::string& member) {
@@ -66,11 +66,12 @@ std::vector<std::vector<std::uint8_t>> BroadcastQueue::get_broadcasts(
   for (auto it : selected) {
     const Rank bumped{it->first.transmits + 1, it->first.enqueue_id};
     auto node = entries_.extract(it);
+    KeySlot* slot = node.mapped().slot;
     if (bumped.transmits >= limit) {
-      by_key_.erase(node.mapped().key);  // reached its retransmit limit
+      by_key_.erase(slot->first);  // reached its retransmit limit
       continue;
     }
-    by_key_[node.mapped().key] = bumped;
+    slot->second = bumped;
     node.key() = bumped;
     entries_.insert(std::move(node));
   }

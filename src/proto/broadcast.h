@@ -54,10 +54,6 @@ class BroadcastQueue {
   int max_transmits() const { return max_transmits_; }
 
  private:
-  struct Entry {
-    std::string key;
-    std::vector<std::uint8_t> frame;
-  };
   /// Selection rank: fewest transmits first, then newest (largest enqueue
   /// id) first. (transmits, enqueue_id) pairs are unique, so this is a total
   /// order — keeping entries in a map sorted by it replaces the old
@@ -73,6 +69,14 @@ class BroadcastQueue {
       if (a.transmits != b.transmits) return a.transmits < b.transmits;
       return a.enqueue_id > b.enqueue_id;
     }
+  };
+  /// The entry's element in `by_key_`: its key and current rank. Element
+  /// addresses survive rehashing, so get_broadcasts writes a bumped rank
+  /// through this pointer instead of hashing the key again.
+  using KeySlot = std::pair<const std::string, Rank>;
+  struct Entry {
+    KeySlot* slot;
+    std::vector<std::uint8_t> frame;
   };
 
   int retransmit_mult_;
