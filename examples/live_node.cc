@@ -77,11 +77,8 @@ class SelfSampler {
       return (dt > 0 && d > 0) ? d / dt : 0.0;
     };
 
-    double suspect = 0, dead = 0;
-    for (const swim::Member* m : node_.members().all()) {
-      if (m->state == swim::MemberState::kSuspect) suspect += 1;
-      if (m->state == swim::MemberState::kDead) dead += 1;
-    }
+    const double suspect = node_.suspect_count();
+    const double dead = node_.dead_count();
     const Metrics& m = node_.metrics();
     double rtt_count = 0, rtt_sum = 0;
     if (const auto it = m.histograms().find("probe.rtt_us");

@@ -1,63 +1,184 @@
 #include "swim/membership.h"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 
 namespace lifeguard::swim {
+
+// ---- IdSet ----
+
+void MembershipTable::IdSet::assign(Id id, bool in) {
+  if (in == contains(id)) return;
+  if (!in) {
+    erase(id);
+    return;
+  }
+  if (at.size() <= id) at.resize(static_cast<std::size_t>(id) + 1, kNone);
+  at[id] = static_cast<Id>(ids.size());
+  ids.push_back(id);
+}
+
+void MembershipTable::IdSet::erase(Id id) {
+  if (!contains(id)) return;
+  const Id last = ids.back();
+  ids[at[id]] = last;
+  at[last] = at[id];
+  ids.pop_back();
+  at[id] = kNone;
+}
+
+void MembershipTable::IdSet::swap(std::size_t p, std::size_t q) {
+  std::swap(ids[p], ids[q]);
+  at[ids[p]] = static_cast<Id>(p);
+  at[ids[q]] = static_cast<Id>(q);
+}
+
+void MembershipTable::IdSet::rename(Id from, Id to) {
+  if (!contains(from)) return;
+  ids[at[from]] = to;
+  at[to] = at[from];
+  at[from] = kNone;
+}
+
+// ---- name index ----
+
+std::uint32_t MembershipTable::hash_name(const std::string& name) {
+  return static_cast<std::uint32_t>(std::hash<std::string>{}(name));
+}
+
+std::size_t MembershipTable::bucket_of(const std::string& name,
+                                       std::uint32_t hash) const {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Bucket& b = index_[i];
+    if (b.id == kNone || (b.hash == hash && slots_[b.id].name == name)) {
+      return i;
+    }
+  }
+}
+
+MembershipTable::Id MembershipTable::lookup(const std::string& name) const {
+  if (index_.empty()) return kNone;
+  return index_[bucket_of(name, hash_name(name))].id;
+}
+
+void MembershipTable::grow_index() {
+  const std::size_t capacity = std::max<std::size_t>(16, 2 * index_.size());
+  std::vector<Bucket> old =
+      std::exchange(index_, std::vector<Bucket>(capacity));
+  const std::size_t mask = index_.size() - 1;
+  for (const Bucket& b : old) {
+    if (b.id == kNone) continue;
+    std::size_t i = b.hash & mask;
+    while (index_[i].id != kNone) i = (i + 1) & mask;
+    index_[i] = b;
+  }
+}
+
+void MembershipTable::unindex(std::size_t pos) {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = (pos + 1) & mask; index_[i].id != kNone;
+       i = (i + 1) & mask) {
+    // Shift the entry back into the hole unless that would put it before
+    // its home bucket on the probe path.
+    const std::size_t home = index_[i].hash & mask;
+    if (((i - home) & mask) >= ((i - pos) & mask)) {
+      index_[pos] = index_[i];
+      pos = i;
+    }
+  }
+  index_[pos] = Bucket{};
+}
+
+// ---- table ----
 
 MembershipTable::MembershipTable(std::string self_name)
     : self_(std::move(self_name)) {}
 
 Member* MembershipTable::find(const std::string& name) {
-  const auto it = members_.find(name);
-  return it == members_.end() ? nullptr : &it->second;
+  const Id id = lookup(name);
+  return id == kNone ? nullptr : &slots_[id];
 }
 
 const Member* MembershipTable::find(const std::string& name) const {
-  const auto it = members_.find(name);
-  return it == members_.end() ? nullptr : &it->second;
+  const Id id = lookup(name);
+  return id == kNone ? nullptr : &slots_[id];
 }
 
 bool MembershipTable::contains(const std::string& name) const {
-  return members_.contains(name);
+  return lookup(name) != kNone;
 }
 
-std::vector<const Member*> MembershipTable::all() const {
-  std::vector<const Member*> out;
-  out.reserve(members_.size());
-  for (const auto& [_, m] : members_) out.push_back(&m);
-  return out;
+void MembershipTable::track(Id id) {
+  if (id == self_id_) return;
+  const MemberState s = slots_[id].state;
+  active_.assign(id, is_active(s));
+  dead_.assign(id, s == MemberState::kDead);
 }
 
 Member& MembershipTable::add(Member m, Rng& rng) {
-  auto [it, inserted] = members_.emplace(m.name, std::move(m));
-  if (inserted && is_active(it->second.state)) ++active_;
-  if (inserted && it->first != self_) {
-    // Random-position insertion keeps expected first-detection latency equal
-    // to uniform random selection (paper §III-A).
-    const std::size_t pos =
-        static_cast<std::size_t>(rng.uniform(probe_order_.size() + 1));
-    probe_order_.insert(probe_order_.begin() + static_cast<std::ptrdiff_t>(pos),
-                        &it->first);
-    if (pos < probe_index_) ++probe_index_;
+  const std::uint32_t hash = hash_name(m.name);
+  if (!index_.empty()) {
+    const Id known = index_[bucket_of(m.name, hash)].id;
+    if (known != kNone) return slots_[known];
   }
-  return it->second;
+  if (2 * (slots_.size() + 1) > index_.size()) grow_index();
+  const Id id = static_cast<Id>(slots_.size());
+  index_[bucket_of(m.name, hash)] = Bucket{id, hash};
+  slots_.push_back(std::move(m));
+  if (slots_[id].name == self_) {
+    self_id_ = id;
+    return slots_[id];
+  }
+  track(id);
+  // Random-position insertion keeps expected first-detection latency equal
+  // to uniform random selection (paper §III-A).
+  const std::size_t pos =
+      static_cast<std::size_t>(rng.uniform(probe_order_.size() + 1));
+  probe_order_.insert(probe_order_.begin() + static_cast<std::ptrdiff_t>(pos),
+                      id);
+  if (pos < probe_index_) ++probe_index_;
+  return slots_[id];
 }
 
 void MembershipTable::set_state(Member& m, MemberState s, TimePoint now) {
-  active_ += static_cast<int>(is_active(s)) - static_cast<int>(is_active(m.state));
   m.state = s;
   m.state_change = now;
+  track(static_cast<Id>(&m - slots_.data()));
 }
 
 void MembershipTable::remove(const std::string& name) {
-  const auto it = members_.find(name);
-  if (it == members_.end()) return;
-  if (is_active(it->second.state)) --active_;
-  // Probe entries point at the stored key: drop them before the member.
-  std::erase_if(probe_order_,
-                [&](const std::string* p) { return *p == name; });
-  members_.erase(it);
-  if (probe_index_ > probe_order_.size()) probe_index_ = 0;
+  if (index_.empty()) return;
+  const std::size_t pos = bucket_of(name, hash_name(name));
+  const Id id = index_[pos].id;
+  if (id == kNone) return;
+  unindex(pos);
+  active_.erase(id);
+  dead_.erase(id);
+  if (id == self_id_) self_id_ = kNone;
+  const auto it = std::find(probe_order_.begin(), probe_order_.end(), id);
+  if (it != probe_order_.end()) {
+    // A removed entry before the cursor shifts the rest of the pass down by
+    // one; the cursor follows, so no member of this pass goes unprobed.
+    if (static_cast<std::size_t>(it - probe_order_.begin()) < probe_index_) {
+      --probe_index_;
+    }
+    probe_order_.erase(it);
+  }
+
+  // Keep the slots dense: the last member moves into the freed id.
+  const Id last = static_cast<Id>(slots_.size() - 1);
+  if (id != last) {
+    const std::string& moved = slots_[last].name;
+    index_[bucket_of(moved, hash_name(moved))].id = id;
+    active_.rename(last, id);
+    dead_.rename(last, id);
+    std::replace(probe_order_.begin(), probe_order_.end(), last, id);
+    if (self_id_ == last) self_id_ = id;
+    slots_[id] = std::move(slots_[last]);
+  }
+  slots_.pop_back();
 }
 
 Member* MembershipTable::next_probe_target(Rng& rng) {
@@ -70,17 +191,64 @@ Member* MembershipTable::next_probe_target(Rng& rng) {
       probe_index_ = 0;
       if (probe_order_.empty()) return nullptr;
     }
-    const std::string& name = *probe_order_[probe_index_++];
-    Member* m = find(name);
-    if (m != nullptr && m->name != self_ && is_active(m->state)) return m;
+    Member& m = slots_[probe_order_[probe_index_++]];
+    if (is_active(m.state)) return &m;
   }
   return nullptr;
 }
 
+// ---- random selection ----
+
+std::vector<Member*> MembershipTable::sample(int k, Rng& rng, IdSet& set,
+                                             std::size_t end,
+                                             std::vector<Id> extra) {
+  const std::size_t total = end + extra.size();
+  const std::size_t want =
+      std::min(static_cast<std::size_t>(std::max(k, 0)), total);
+  std::vector<Member*> out;
+  out.reserve(want);
+  for (std::size_t i = 0; i < want; ++i) {
+    const std::size_t j =
+        i + static_cast<std::size_t>(rng.uniform(total - i));
+    // Position i is never read again, so only j must receive i's id. Within
+    // the set that is a swap; an `extra` position can simply be overwritten,
+    // which keeps `set.ids` a permutation of the set.
+    Id picked;
+    if (j < end) {
+      set.swap(i, j);
+      picked = set.ids[i];
+    } else {
+      picked = extra[j - end];
+      extra[j - end] = i < end ? set.ids[i] : extra[i - end];
+    }
+    out.push_back(&slots_[picked]);
+  }
+  return out;
+}
+
 std::vector<Member*> MembershipTable::random_active(
     int k, Rng& rng, const std::vector<std::string>& exclude) {
-  return random_members(k, rng, exclude,
-                        [](const Member& m) { return is_active(m.state); });
+  // Park excluded members past the end of the candidate range.
+  std::size_t end = active_.ids.size();
+  for (const std::string& name : exclude) {
+    const Id id = lookup(name);
+    if (!active_.contains(id) || active_.at[id] >= end) continue;
+    active_.swap(active_.at[id], --end);
+  }
+  return sample(k, rng, active_, end, {});
+}
+
+std::vector<Member*> MembershipTable::random_active_or_recently_dead(
+    int k, Rng& rng, TimePoint now, Duration dead_window) {
+  std::vector<Id> recent;
+  for (const Id id : dead_.ids) {
+    if (now - slots_[id].state_change < dead_window) recent.push_back(id);
+  }
+  return sample(k, rng, active_, active_.ids.size(), std::move(recent));
+}
+
+std::vector<Member*> MembershipTable::random_dead(int k, Rng& rng) {
+  return sample(k, rng, dead_, dead_.ids.size(), {});
 }
 
 }  // namespace lifeguard::swim

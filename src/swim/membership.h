@@ -5,13 +5,18 @@
 // a randomly ordered list, new members are inserted at a random position, and
 // the list is reshuffled after each full pass. This bounds worst-case
 // first-detection latency while preserving the expected-case analysis.
+//
+// Members live in dense slots addressed by a table-local id. A flat
+// open-addressing index maps names to ids, and two maintained id sets (the
+// active members and the dead ones, self excluded) let every uniform random
+// pick (gossip targets, ping-req relays, push-pull and reconnect peers) cost
+// O(k) instead of a scan of all n members.
 #pragma once
 
-#include <algorithm>
-#include <functional>
-#include <optional>
+#include <cstdint>
+#include <ranges>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,6 +32,9 @@ class MembershipTable {
   explicit MembershipTable(std::string self_name);
 
   // ---- lookup ----
+  /// The stored record, or nullptr. The pointer is invalidated by a later
+  /// add(), which may grow the slot vector, and by remove(), which moves the
+  /// last slot into the freed one.
   Member* find(const std::string& name);
   const Member* find(const std::string& name) const;
   bool contains(const std::string& name) const;
@@ -34,20 +42,38 @@ class MembershipTable {
 
   /// Number of known members in active states (alive or suspect), including
   /// self. This is the `n` used for gossip retransmit and suspicion scaling.
-  /// O(1): maintained incrementally by add/set_state/remove — the piggyback
-  /// path asks on every outbound message, and a per-message O(n) scan was
-  /// the simulator's single largest cost at cluster sizes ≥ 512.
-  int num_active() const { return active_; }
-  /// All known members (any state), unspecified order.
-  std::vector<const Member*> all() const;
-  std::size_t size() const { return members_.size(); }
+  /// O(1): the piggyback path asks on every outbound message.
+  int num_active() const {
+    const bool self_active =
+        self_id_ != kNone && is_active(slots_[self_id_].state);
+    return static_cast<int>(active_.ids.size()) + (self_active ? 1 : 0);
+  }
+  /// All known members (any state), in slot order.
+  std::span<const Member> all() const { return slots_; }
+  std::size_t size() const { return slots_.size(); }
+  /// Members in an active state, self excluded, in no particular order.
+  auto active() const {
+    return active_.ids | std::views::transform([this](Id id) -> const Member& {
+             return slots_[id];
+           });
+  }
+  /// Members in state dead (failed, not left), self excluded, in no
+  /// particular order.
+  auto dead() const {
+    return dead_.ids | std::views::transform([this](Id id) -> const Member& {
+             return slots_[id];
+           });
+  }
 
   // ---- mutation ----
-  /// Insert a new member. Active members also enter the probe list at a
-  /// random position (SWIM's join rule). Returns the stored record.
+  /// Insert a new member (or return the stored one if the name is known).
+  /// Members other than self also enter the probe list at a random position
+  /// (SWIM's join rule). The returned reference is invalidated like find()'s
+  /// pointer: by the next add() or remove().
   Member& add(Member m, Rng& rng);
-  /// Update state; maintains the active count. Does not touch probe order
-  /// (dead members are skipped lazily at selection time).
+  /// Update state; moves the member between the active and dead sets. Does
+  /// not touch probe order (inactive members are skipped lazily at selection
+  /// time).
   void set_state(Member& m, MemberState s, TimePoint now);
   /// Drop a member entirely (dead-reclaim housekeeping).
   void remove(const std::string& name);
@@ -59,53 +85,74 @@ class MembershipTable {
   Member* next_probe_target(Rng& rng);
 
   // ---- random selection ----
-  /// Up to `k` distinct members satisfying `pred`, chosen uniformly,
-  /// excluding self and any name in `exclude`. Templated so hot-path
-  /// predicates (called once per member per selection) inline instead of
-  /// paying a std::function dispatch; candidate order and Rng draws are
-  /// identical for any predicate representation.
-  template <typename Pred>
-  std::vector<Member*> random_members(int k, Rng& rng,
-                                      const std::vector<std::string>& exclude,
-                                      const Pred& pred) {
-    std::vector<Member*> candidates;
-    candidates.reserve(members_.size());
-    for (auto& [name, m] : members_) {
-      if (name == self_) continue;
-      if (std::find(exclude.begin(), exclude.end(), name) != exclude.end())
-        continue;
-      if (pred(m)) candidates.push_back(&m);
-    }
-    // Partial Fisher–Yates: uniform k-subset in O(k) swaps.
-    std::vector<Member*> out;
-    const int want = std::min<int>(k, static_cast<int>(candidates.size()));
-    out.reserve(static_cast<std::size_t>(std::max(want, 0)));
-    for (int i = 0; i < want; ++i) {
-      const auto j =
-          static_cast<std::size_t>(i) +
-          static_cast<std::size_t>(
-              rng.uniform(candidates.size() - static_cast<std::size_t>(i)));
-      std::swap(candidates[static_cast<std::size_t>(i)], candidates[j]);
-      out.push_back(candidates[static_cast<std::size_t>(i)]);
-    }
-    return out;
-  }
+  // Each returns up to `k` distinct members chosen uniformly, never self:
+  // a partial Fisher–Yates whose pick i of C candidates draws uniform(C − i).
 
-  /// Convenience: k random active members.
+  /// k random active members, excluding any name in `exclude`.
+  /// O(k + |exclude|).
   std::vector<Member*> random_active(int k, Rng& rng,
                                      const std::vector<std::string>& exclude);
+  /// k random members that are active, or dead for less than `dead_window`
+  /// at `now` (memberlist's gossip-to-the-dead). O(k + |dead|).
+  std::vector<Member*> random_active_or_recently_dead(int k, Rng& rng,
+                                                      TimePoint now,
+                                                      Duration dead_window);
+  /// k random dead members. O(k).
+  std::vector<Member*> random_dead(int k, Rng& rng);
 
  private:
+  using Id = std::uint32_t;
+  static constexpr Id kNone = ~Id{0};
+
+  /// Ids in arbitrary order with O(1) insert, erase and membership test:
+  /// `ids` lists the members, `at[id]` is each one's position in `ids`
+  /// (kNone if absent).
+  struct IdSet {
+    std::vector<Id> ids;
+    std::vector<Id> at;
+    bool contains(Id id) const { return id < at.size() && at[id] != kNone; }
+    /// Insert or erase `id` so that membership equals `in`.
+    void assign(Id id, bool in);
+    void erase(Id id);
+    void swap(std::size_t p, std::size_t q);
+    /// The member with id `from` now has id `to` (which is not in the set).
+    void rename(Id from, Id to);
+  };
+  /// Name-index bucket: the member's id and 32 bits of its name's hash, so
+  /// a probe compares strings only on a hash match.
+  struct Bucket {
+    Id id = kNone;
+    std::uint32_t hash = 0;
+  };
+
+  static std::uint32_t hash_name(const std::string& name);
+  /// Position of `name`'s bucket, or of the empty bucket that ends its probe
+  /// run. `index_` must be non-empty.
+  std::size_t bucket_of(const std::string& name, std::uint32_t hash) const;
+  Id lookup(const std::string& name) const;
+  void grow_index();
+  /// Backward-shift deletion of the bucket at `pos` (no tombstones).
+  void unindex(std::size_t pos);
+  /// Puts a non-self member into the sets its state calls for.
+  void track(Id id);
+  /// The first `k` positions of a partial Fisher–Yates over the sequence
+  /// `set.ids[0, end)` followed by `extra`. Positions in `set` are swapped in
+  /// place (the set's order is arbitrary); `extra` is scratch.
+  std::vector<Member*> sample(int k, Rng& rng, IdSet& set, std::size_t end,
+                              std::vector<Id> extra);
+
   std::string self_;
-  std::unordered_map<std::string, Member> members_;
-  /// Round-robin order as pointers into `members_` keys (node-stable across
-  /// rehash; remove() drops entries before erasing the member). Pointers
-  /// keep the random-position join insert an 8-byte memmove per slot — at
-  /// big-cluster join-storm rates the string version's O(n) string moves per
-  /// add were a measurable quadratic term.
-  std::vector<const std::string*> probe_order_;
+  Id self_id_ = kNone;
+  /// Member records by id. Dense: remove() moves the last slot into the gap.
+  std::vector<Member> slots_;
+  /// Open-addressing name → id index (linear probing, power-of-two size, at
+  /// most half full).
+  std::vector<Bucket> index_;
+  IdSet active_;
+  IdSet dead_;
+  /// Round-robin probe order as ids (self never appears).
+  std::vector<Id> probe_order_;
   std::size_t probe_index_ = 0;
-  int active_ = 0;
 };
 
 }  // namespace lifeguard::swim

@@ -3,6 +3,7 @@
 // anti-entropy in node_sync.cc.
 #include "swim/node.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace lifeguard::swim {
@@ -171,16 +172,11 @@ void Node::gossip_tick() {
 void Node::gossip_round() {
   if (bcast_.empty()) return;
 
-  const TimePoint now = rt_.now();
   // Gossip reaches active members plus the recently dead, so a falsely
   // declared node still hears of its death and can refute (memberlist's
   // gossip-to-the-dead).
-  auto targets = table_.random_members(
-      cfg_.gossip_fanout, rt_.rng(), {}, [&](const Member& m) {
-        if (is_active(m.state)) return true;
-        return m.state == MemberState::kDead &&
-               now - m.state_change < cfg_.gossip_to_dead;
-      });
+  auto targets = table_.random_active_or_recently_dead(
+      cfg_.gossip_fanout, rt_.rng(), rt_.now(), cfg_.gossip_to_dead);
   for (Member* t : targets) {
     if (bcast_.empty()) break;
     send_gossip(t->addr);
@@ -221,9 +217,7 @@ void Node::reconnect_tick() {
   // A member that failed (not left) may be on the far side of a healed
   // partition: offer it a full state exchange. If it is genuinely dead the
   // request simply goes unanswered.
-  auto dead = table_.random_members(1, rt_.rng(), {}, [](const Member& m) {
-    return m.state == MemberState::kDead;
-  });
+  auto dead = table_.random_dead(1, rt_.rng());
   if (dead.empty()) return;
   proto::PushPull req;
   req.is_response = false;
@@ -241,10 +235,10 @@ void Node::housekeeping_tick() {
                                      [this] { housekeeping_tick(); });
   const TimePoint now = rt_.now();
   std::vector<std::string> reclaim;
-  for (const Member* m : table_.all()) {
-    if ((m->state == MemberState::kDead || m->state == MemberState::kLeft) &&
-        now - m->state_change >= cfg_.dead_reclaim_after) {
-      reclaim.push_back(m->name);
+  for (const Member& m : table_.all()) {
+    if (!is_active(m.state) &&
+        now - m.state_change >= cfg_.dead_reclaim_after) {
+      reclaim.push_back(m.name);
     }
   }
   for (const auto& name : reclaim) {
@@ -388,26 +382,20 @@ std::optional<MemberState> Node::state_of(const std::string& member) const {
 std::vector<std::string> Node::active_view() const {
   std::vector<std::string> out;
   out.reserve(static_cast<std::size_t>(table_.num_active()));
-  for (const Member* m : table_.all()) {
-    if (is_active(m->state)) out.push_back(m->name);
+  if (const Member* self = table_.find(name_);
+      self != nullptr && is_active(self->state)) {
+    out.push_back(name_);
   }
+  for (const Member& m : table_.active()) out.push_back(m.name);
   return out;
 }
 
 int Node::suspect_count() const {
-  int n = 0;
-  for (const Member* m : table_.all()) {
-    n += m->state == MemberState::kSuspect ? 1 : 0;
-  }
-  return n;
+  return static_cast<int>(std::ranges::count_if(
+      table_.active(),
+      [](const Member& m) { return m.state == MemberState::kSuspect; }));
 }
 
-int Node::dead_count() const {
-  int n = 0;
-  for (const Member* m : table_.all()) {
-    n += m->state == MemberState::kDead ? 1 : 0;
-  }
-  return n;
-}
+int Node::dead_count() const { return static_cast<int>(table_.dead().size()); }
 
 }  // namespace lifeguard::swim

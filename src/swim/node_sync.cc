@@ -12,14 +12,13 @@ namespace lifeguard::swim {
 
 std::vector<proto::MemberSnapshot> Node::snapshot_state() const {
   std::vector<proto::MemberSnapshot> out;
-  const auto all = table_.all();
-  out.reserve(all.size());
-  for (const Member* m : all) {
+  out.reserve(table_.size());
+  for (const Member& m : table_.all()) {
     proto::MemberSnapshot s;
-    s.name = m->name;
-    s.addr = m->addr;
-    s.incarnation = m->incarnation;
-    s.state = static_cast<std::uint8_t>(m->state);
+    s.name = m.name;
+    s.addr = m.addr;
+    s.incarnation = m.incarnation;
+    s.state = static_cast<std::uint8_t>(m.state);
     out.push_back(std::move(s));
   }
   return out;

@@ -28,11 +28,16 @@ Scenario base_scenario(const char* name, int nodes, std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden-seed replay: these exact values were captured from the engine
+// Golden-seed replay: these values were first captured from the engine
 // before fault timelines existed, when each kind had its own hand-written
-// schedule. Every kind now runs as a one-entry timeline through fault::lower
-// + FaultInjector, and must reproduce them bit-for-bit. If this test breaks,
-// the lowering has drifted — fix the engine, do not re-capture the numbers.
+// schedule; every kind now runs as a one-entry timeline through fault::lower
+// + FaultInjector and must reproduce them bit-for-bit. They were re-captured
+// once, on purpose, when the membership table moved to dense slots: its
+// uniform picks (gossip targets, relays, push-pull peers) now draw from
+// maintained id sets instead of hash-map order, so the same Rng draws land
+// on different members. The 24-repetition metric distributions did not move
+// (docs/benchmarks.md). If this test breaks, the lowering has drifted — fix
+// the engine, do not re-capture the numbers.
 
 struct Golden {
   const char* tag;
@@ -56,7 +61,7 @@ TEST(GoldenSeedParity, ThresholdReplaysBitIdentically) {
   Scenario s = base_scenario("g-threshold", 16, 7101);
   s.timeline.add(sec(0), sec(16), Fault::block(), VictimSelector::uniform(3));
   s.run_length = sec(40);
-  expect_golden(s, {"threshold", 0, 0, 3148, 169245, {0, 15, 11}, 3, 3});
+  expect_golden(s, {"threshold", 0, 0, 2976, 170168, {0, 15, 11}, 3, 3});
 }
 
 TEST(GoldenSeedParity, IntervalReplaysBitIdentically) {
@@ -65,7 +70,7 @@ TEST(GoldenSeedParity, IntervalReplaysBitIdentically) {
   s.timeline.add(sec(0), sec(40), Fault::interval_block(msec(8192), msec(64)),
                  VictimSelector::uniform(3));
   s.run_length = sec(40);
-  expect_golden(s, {"interval", 3, 0, 5592, 307705, {14, 7, 12}, 3, 3});
+  expect_golden(s, {"interval", 3, 0, 5528, 297882, {14, 7, 12}, 3, 3});
 }
 
 TEST(GoldenSeedParity, StressReplaysBitIdentically) {
@@ -73,7 +78,7 @@ TEST(GoldenSeedParity, StressReplaysBitIdentically) {
   s.timeline.add(sec(0), sec(40), Fault::stressed(),
                  VictimSelector::uniform(2));
   s.run_length = sec(40);
-  expect_golden(s, {"stress", 0, 0, 4954, 233631, {0, 8}, 2, 2});
+  expect_golden(s, {"stress", 0, 0, 4861, 228974, {0, 8}, 2, 2});
 }
 
 TEST(GoldenSeedParity, PartitionReplaysBitIdentically) {
@@ -81,7 +86,7 @@ TEST(GoldenSeedParity, PartitionReplaysBitIdentically) {
   s.timeline.add(sec(0), sec(20), Fault::partition(),
                  VictimSelector::uniform(4));
   s.run_length = sec(50);
-  expect_golden(s, {"partition", 11, 0, 2756, 132148, {11, 7, 4, 0}, 4, 4});
+  expect_golden(s, {"partition", 10, 0, 2702, 135562, {11, 7, 4, 0}, 4, 4});
 }
 
 TEST(GoldenSeedParity, FlappingReplaysBitIdentically) {
@@ -89,7 +94,7 @@ TEST(GoldenSeedParity, FlappingReplaysBitIdentically) {
   s.timeline.add(sec(0), sec(40), Fault::flapping(sec(8), msec(50)),
                  VictimSelector::uniform(3));
   s.run_length = sec(40);
-  expect_golden(s, {"flapping", 1, 0, 7974, 362765, {9, 8, 0}, 3, 3});
+  expect_golden(s, {"flapping", 0, 0, 8105, 355252, {9, 8, 0}, 3, 3});
 }
 
 TEST(GoldenSeedParity, ChurnReplaysBitIdentically) {
@@ -97,13 +102,13 @@ TEST(GoldenSeedParity, ChurnReplaysBitIdentically) {
   s.timeline.add(sec(0), sec(60), Fault::churn(sec(12), sec(20)),
                  VictimSelector::uniform(2));
   s.run_length = sec(60);
-  expect_golden(s, {"churn", 0, 0, 4139, 147992, {4, 6}, 2, 2});
+  expect_golden(s, {"churn", 0, 0, 3967, 142346, {4, 6}, 2, 2});
 }
 
 TEST(GoldenSeedParity, HealthyBaselineReplaysBitIdentically) {
   Scenario s = base_scenario("g-none", 12, 7107);  // empty timeline
   s.run_length = sec(30);
-  expect_golden(s, {"none", 0, 0, 1231, 50863, {}, 0, 0});
+  expect_golden(s, {"none", 0, 0, 1276, 52409, {}, 0, 0});
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 // Golden-seed bit-parity for the swim backend behind the membership seam.
 //
-// The expected values below were captured by running these exact scenarios
-// BEFORE swim::Node moved behind membership::Backend (when the simulator
-// constructed Nodes directly). The refactor's contract is bit-parity: the
-// same Rng draw order, the same event stream, the same trace bytes. Any
-// drift here — one extra Rng draw in a constructor, a reordered fork, an
-// extra sampler emission — changes these numbers and fails loudly.
+// The expected values below were first captured by running these exact
+// scenarios BEFORE swim::Node moved behind membership::Backend (when the
+// simulator constructed Nodes directly). The refactor's contract is
+// bit-parity: the same Rng draw order, the same event stream, the same
+// trace bytes. Any drift here — one extra Rng draw in a constructor, a
+// reordered fork, an extra sampler emission — changes these numbers and
+// fails loudly. They were re-captured once, on purpose, when the membership
+// table moved to dense slots and its uniform picks stopped following
+// hash-map order (docs/benchmarks.md, "The first deliberate re-golden").
 //
 // The trace digest is FNV-1a 64 over the full save_trace() output, so it
 // covers the header (config echo, checks, membership), every membership
@@ -57,22 +60,22 @@ TEST(GoldenParity, PartitionSplitHealRegistryScenario) {
       harness::ScenarioRegistry::builtin().find("partition-split-heal");
   ASSERT_NE(s, nullptr);
   const Captured c = capture(*s);
-  EXPECT_EQ(c.result.fp_events, 18);
+  EXPECT_EQ(c.result.fp_events, 26);
   EXPECT_EQ(c.result.fp_healthy_events, 0);
-  EXPECT_EQ(c.result.msgs_sent, 7660);
-  EXPECT_EQ(c.result.bytes_sent, 386362);
+  EXPECT_EQ(c.result.msgs_sent, 7711);
+  EXPECT_EQ(c.result.bytes_sent, 397225);
   const std::vector<double> first_detect = {
-      26.433776999999999, 8.5650370000000002, 8.2032600000000002,
-      16.513822999999999, 7.5465400000000002, 7.7139879999999996,
-      14.750838,          16.513822999999999};
+      16.316441000000001, 10.440968,          7.5465400000000002,
+      15.199389999999999, 7.4505400000000002, 7.4409679999999998,
+      15.429940999999999, 16.977868999999998};
   const std::vector<double> full_dissem = {
-      29.930029000000001, 8.8576709999999999, 8.683249,
-      25.420369000000001, 7.8827210000000001, 8.1143839999999994,
-      15.018610000000001, 26.407181999999999};
+      17.245404000000001, 11.063345,          8.2053809999999991,
+      15.292059999999999, 7.7442719999999996, 7.5873340000000002,
+      16.150531000000001, 26.407450999999998};
   EXPECT_EQ(c.result.first_detect, first_detect);
   EXPECT_EQ(c.result.full_dissem, full_dissem);
-  EXPECT_EQ(c.trace_events, 774u);
-  EXPECT_EQ(c.trace_digest, 16283597949118844276ull);
+  EXPECT_EQ(c.trace_events, 800u);
+  EXPECT_EQ(c.trace_digest, 16345360116190418353ull);
 }
 
 TEST(GoldenParity, CheckedRunWithMetricsSampling) {
@@ -94,18 +97,18 @@ TEST(GoldenParity, CheckedRunWithMetricsSampling) {
   const Captured c = capture(s);
   EXPECT_EQ(c.result.fp_events, 0);
   EXPECT_EQ(c.result.fp_healthy_events, 0);
-  EXPECT_EQ(c.result.msgs_sent, 2883);
-  EXPECT_EQ(c.result.bytes_sent, 111146);
-  const std::vector<double> first_detect = {7.0122790000000004,
-                                            8.9703130000000009};
-  const std::vector<double> full_dissem = {7.2458640000000001,
-                                           9.1145209999999999};
+  EXPECT_EQ(c.result.msgs_sent, 2946);
+  EXPECT_EQ(c.result.bytes_sent, 115327);
+  const std::vector<double> first_detect = {6.8928859999999998,
+                                            8.2517849999999999};
+  const std::vector<double> full_dissem = {7.0307259999999996,
+                                           8.5134419999999995};
   EXPECT_EQ(c.result.first_detect, first_detect);
   EXPECT_EQ(c.result.full_dissem, full_dissem);
   EXPECT_EQ(c.result.checks.total_violations, 0);
   EXPECT_EQ(c.result.series.size(), 2400u);
-  EXPECT_EQ(c.trace_events, 2648u);
-  EXPECT_EQ(c.trace_digest, 13680031495120145778ull);
+  EXPECT_EQ(c.trace_events, 2642u);
+  EXPECT_EQ(c.trace_digest, 13160642880555304535ull);
 }
 
 TEST(GoldenParity, ChurnRestartsRebuildNodesThroughTheBackend) {
@@ -125,16 +128,16 @@ TEST(GoldenParity, ChurnRestartsRebuildNodesThroughTheBackend) {
   const Captured c = capture(s);
   EXPECT_EQ(c.result.fp_events, 0);
   EXPECT_EQ(c.result.fp_healthy_events, 0);
-  EXPECT_EQ(c.result.msgs_sent, 6280);
-  EXPECT_EQ(c.result.bytes_sent, 256276);
-  const std::vector<double> first_detect = {27.705603, 16.823867,
-                                            21.572320000000001};
-  const std::vector<double> full_dissem = {27.86046, 17.005338999999999,
-                                           21.673715999999999};
+  EXPECT_EQ(c.result.msgs_sent, 6467);
+  EXPECT_EQ(c.result.bytes_sent, 266167);
+  const std::vector<double> first_detect = {27.738073, 15.544086999999999,
+                                            21.377628999999999};
+  const std::vector<double> full_dissem = {27.949489, 15.858150999999999,
+                                           21.729011};
   EXPECT_EQ(c.result.first_detect, first_detect);
   EXPECT_EQ(c.result.full_dissem, full_dissem);
-  EXPECT_EQ(c.trace_events, 619u);
-  EXPECT_EQ(c.trace_digest, 7732788344126815014ull);
+  EXPECT_EQ(c.trace_events, 593u);
+  EXPECT_EQ(c.trace_digest, 13035817324022135376ull);
 }
 
 }  // namespace

@@ -122,6 +122,77 @@ TEST(Membership, RemoveDropsFromProbeOrder) {
   }
 }
 
+TEST(Membership, RemoveBeforeTheCursorSkipsNoTarget) {
+  // Reclaiming a member already probed in this pass shifts the rest of the
+  // probe list down by one. The members still due must all be probed before
+  // the pass ends (paper §III-A: every member once per pass).
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(seed);
+    MembershipTable t("self");
+    t.add(mk("self"), rng);
+    for (int i = 0; i < 6; ++i) t.add(mk("m" + std::to_string(i)), rng);
+    std::set<std::string> due;
+    for (int i = 0; i < 6; ++i) due.insert("m" + std::to_string(i));
+    std::string first;
+    for (int i = 0; i < 3; ++i) {
+      const std::string name = t.next_probe_target(rng)->name;
+      if (i == 0) first = name;
+      due.erase(name);
+    }
+    t.remove(first);
+    std::set<std::string> rest;
+    for (int i = 0; i < 3; ++i) rest.insert(t.next_probe_target(rng)->name);
+    EXPECT_EQ(rest, due) << "seed " << seed;
+  }
+}
+
+TEST(Membership, SlotsIndexAndSetsStayConsistentUnderChurn) {
+  // Random adds, state changes and removes (which move the last slot into
+  // the freed one) against a plain map model of the table.
+  Rng rng(11);
+  MembershipTable t("self");
+  std::map<std::string, MemberState> model;
+  const MemberState kStates[] = {MemberState::kAlive, MemberState::kSuspect,
+                                 MemberState::kDead, MemberState::kLeft};
+  for (int step = 0; step < 4000; ++step) {
+    const std::string name = "m" + std::to_string(rng.uniform(40));
+    const std::string who = rng.chance(0.05) ? "self" : name;
+    const auto op = rng.uniform(3);
+    if (op == 0) {
+      const MemberState s = kStates[rng.uniform(4)];
+      if (!model.contains(who)) model[who] = s;
+      t.add(mk(who, s), rng);
+    } else if (op == 1 && model.contains(who)) {
+      const MemberState s = kStates[rng.uniform(4)];
+      model[who] = s;
+      t.set_state(*t.find(who), s, TimePoint{});
+    } else if (op == 2) {
+      model.erase(who);
+      t.remove(who);
+    }
+
+    ASSERT_EQ(t.size(), model.size()) << "step " << step;
+    int active = 0;
+    std::set<std::string> want_active, want_dead;
+    for (const auto& [n, s] : model) {
+      const Member* m = t.find(n);
+      ASSERT_NE(m, nullptr) << n << " at step " << step;
+      ASSERT_EQ(m->name, n);
+      ASSERT_EQ(m->state, s) << n << " at step " << step;
+      active += is_active(s) ? 1 : 0;
+      if (n == "self") continue;
+      if (is_active(s)) want_active.insert(n);
+      if (s == MemberState::kDead) want_dead.insert(n);
+    }
+    ASSERT_EQ(t.num_active(), active) << "step " << step;
+    std::set<std::string> got_active, got_dead;
+    for (const Member& m : t.active()) got_active.insert(m.name);
+    for (const Member& m : t.dead()) got_dead.insert(m.name);
+    ASSERT_EQ(got_active, want_active) << "step " << step;
+    ASSERT_EQ(got_dead, want_dead) << "step " << step;
+  }
+}
+
 TEST(Membership, RandomMembersExcludesAndDeduplicates) {
   Rng rng(7);
   MembershipTable t("self");
@@ -174,11 +245,67 @@ TEST(Membership, PredicateFiltering) {
   t.add(mk("self"), rng);
   t.add(mk("alive1"), rng);
   t.add(mk("dead1", MemberState::kDead), rng);
-  auto picks = t.random_members(5, rng, {}, [](const Member& m) {
-    return m.state == MemberState::kDead;
-  });
+  auto picks = t.random_dead(5, rng);
   ASSERT_EQ(picks.size(), 1u);
   EXPECT_EQ(picks[0]->name, "dead1");
+}
+
+TEST(Membership, GossipTargetsAddRecentlyDeadOnly) {
+  Rng rng(12);
+  MembershipTable t("self");
+  t.add(mk("self"), rng);
+  t.add(mk("alive"), rng);
+  t.add(mk("suspect", MemberState::kSuspect), rng);
+  t.add(mk("left", MemberState::kLeft), rng);
+  Member& old_dead = t.add(mk("old-dead"), rng);
+  t.set_state(old_dead, MemberState::kDead, TimePoint{} + sec(10));
+  Member& new_dead = t.add(mk("new-dead"), rng);
+  t.set_state(new_dead, MemberState::kDead, TimePoint{} + sec(80));
+
+  const TimePoint now = TimePoint{} + sec(100);
+  for (int round = 0; round < 20; ++round) {
+    std::set<std::string> names;
+    for (Member* m : t.random_active_or_recently_dead(10, rng, now, sec(30))) {
+      names.insert(m->name);
+    }
+    EXPECT_EQ(names,
+              (std::set<std::string>{"alive", "suspect", "new-dead"}));
+  }
+}
+
+TEST(Membership, GossipTargetsAreDistinctAndRoughlyUniform) {
+  // The sample spans the active set and the recently dead: picking all of
+  // them returns each exactly once, and single picks are uniform across the
+  // two groups.
+  Rng rng(13);
+  MembershipTable t("self");
+  t.add(mk("self"), rng);
+  for (int i = 0; i < 4; ++i) t.add(mk("a" + std::to_string(i)), rng);
+  for (int i = 0; i < 4; ++i) {
+    Member& d = t.add(mk("d" + std::to_string(i)), rng);
+    t.set_state(d, MemberState::kDead, TimePoint{});
+  }
+  for (int round = 0; round < 50; ++round) {
+    std::multiset<std::string> names;
+    for (Member* m : t.random_active_or_recently_dead(8, rng, TimePoint{},
+                                                      sec(1))) {
+      names.insert(m->name);
+    }
+    EXPECT_EQ(names.size(), 8u);
+    EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(), 8u);
+  }
+  std::map<std::string, int> counts;
+  constexpr int kRounds = 8000;
+  for (int i = 0; i < kRounds; ++i) {
+    for (Member* m : t.random_active_or_recently_dead(1, rng, TimePoint{},
+                                                      sec(1))) {
+      ++counts[m->name];
+    }
+  }
+  EXPECT_EQ(counts.size(), 8u);
+  for (const auto& [name, c] : counts) {
+    EXPECT_NEAR(c, kRounds / 8, kRounds / 8 / 4) << name;
+  }
 }
 
 TEST(MemberState, NamesAndActivity) {
