@@ -3,6 +3,7 @@
 // blanket invariants a membership library owes its users.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "sim/simulator.h"
@@ -15,6 +16,14 @@ struct Case {
   bool lifeguard;
   double loss;
 };
+
+// Without this gtest prints the parameter as its raw bytes, struct padding
+// included, so the listed test names (and the ctest names derived from
+// them) would differ from build to build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "n" << c.cluster << (c.lifeguard ? "/lifeguard" : "/swim")
+      << "/loss" << c.loss;
+}
 
 class Robustness : public ::testing::TestWithParam<Case> {};
 

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "harness/scenario.h"
@@ -36,6 +37,12 @@ struct Golden {
   std::int64_t fp, fp_healthy, msgs, bytes;
   std::size_t first_detect, full_dissem;
 };
+
+// Without this gtest prints the parameter as its raw bytes, which include
+// the `scenario` pointer and so change with the load address: the listed
+// test names (and the ctest names derived from them) would differ from
+// build to build.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.scenario; }
 
 // Re-captured with the dense-slot membership table (see header).
 constexpr Golden kGoldens[] = {
