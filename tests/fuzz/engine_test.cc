@@ -14,8 +14,9 @@
 // each plant and shrink it to a reproducer of at most 3 timeline entries
 // whose replay carries the identical verdict. The artifact tests pin that
 // every emitted byte is jobs-invariant and that coverage.json is
-// machine-checked evidence: re-running the committed corpus reproduces the
-// per-file digests and their union is exactly the reported coverage set.
+// machine-checked evidence: re-running a fresh corpus, and the committed
+// scenarios/fuzz-corpus, reproduces the per-file digests, and their union is
+// exactly the reported coverage set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -200,6 +201,33 @@ TEST(FuzzEngine, EmittedReproducersLoadValidateAndReplayTheirViolation) {
   fs::remove_all(dir);
 }
 
+/// Re-runs every corpus scenario listed in `report`: its coverage digest
+/// must match the report, its discovery-order merge must add exactly the
+/// recorded number of new keys, and the union must be the reported coverage
+/// set. Trials outside the corpus contributed nothing by construction.
+void expect_corpus_replays(const fs::path& dir,
+                           const fuzz::CoverageReport& report) {
+  std::string error;
+  fuzz::CoverageMap map;
+  for (const fuzz::CoverageReport::CorpusEntry& e : report.corpus) {
+    const auto s = harness::ScenarioFile::load((dir / e.file).string(),
+                                               error);
+    ASSERT_TRUE(s.has_value()) << e.file << ": " << error;
+    EXPECT_EQ(s->seed, e.seed) << e.file;
+    std::vector<fault::FaultKind> kinds;
+    for (const fault::TimelineEntry& te : s->timeline.entries()) {
+      kinds.push_back(te.fault.kind);
+    }
+    check::CoverageCollector collector(kinds);
+    (void)harness::run(*s, {&collector});
+    const std::vector<std::uint64_t> keys = collector.keys();
+    EXPECT_EQ(check::CoverageCollector::digest_of(keys), e.digest) << e.file;
+    EXPECT_EQ(map.merge(keys), e.new_keys) << e.file;
+  }
+  EXPECT_EQ(map.size(), report.coverage_keys);
+  EXPECT_EQ(map.digest(), report.coverage_digest);
+}
+
 TEST(FuzzEngine, CoverageReportIsMachineCheckedByReplayingTheCorpus) {
   const fs::path dir = fs::path(::testing::TempDir()) / "fuzz-corpus-check";
   fs::remove_all(dir);
@@ -215,30 +243,22 @@ TEST(FuzzEngine, CoverageReportIsMachineCheckedByReplayingTheCorpus) {
   EXPECT_EQ(report->fuzz_seed, budget().seed);
   EXPECT_EQ(report->trials, budget().trials);
   ASSERT_FALSE(report->corpus.empty());
-
-  // Re-run every corpus scenario: its coverage digest must match the
-  // report, its discovery-order merge must add exactly the recorded number
-  // of new keys, and the union must be the reported coverage set. Trials
-  // outside the corpus contributed nothing by construction.
-  fuzz::CoverageMap map;
-  for (const fuzz::CoverageReport::CorpusEntry& e : report->corpus) {
-    const auto s = harness::ScenarioFile::load((dir / e.file).string(),
-                                               error);
-    ASSERT_TRUE(s.has_value()) << e.file << ": " << error;
-    EXPECT_EQ(s->seed, e.seed) << e.file;
-    std::vector<fault::FaultKind> kinds;
-    for (const fault::TimelineEntry& te : s->timeline.entries()) {
-      kinds.push_back(te.fault.kind);
-    }
-    check::CoverageCollector collector(kinds);
-    (void)harness::run(*s, {&collector});
-    const std::vector<std::uint64_t> keys = collector.keys();
-    EXPECT_EQ(check::CoverageCollector::digest_of(keys), e.digest) << e.file;
-    EXPECT_EQ(map.merge(keys), e.new_keys) << e.file;
-  }
-  EXPECT_EQ(map.size(), report->coverage_keys);
-  EXPECT_EQ(map.digest(), report->coverage_digest);
+  expect_corpus_replays(dir, *report);
   fs::remove_all(dir);
+}
+
+TEST(FuzzEngine, CommittedCorpusReplaysItsCoverageReport) {
+  // The committed corpus is the evidence docs/fuzzing.md cites for what
+  // the 2000-trial search reached. A protocol change that moves any entry's
+  // coverage fails here until the corpus is regenerated.
+  const fs::path dir =
+      fs::path(LIFEGUARD_SOURCE_DIR) / "scenarios" / "fuzz-corpus";
+  std::string error;
+  const auto report =
+      fuzz::load_coverage_report((dir / "coverage.json").string(), error);
+  ASSERT_TRUE(report.has_value()) << error;
+  ASSERT_FALSE(report->corpus.empty());
+  expect_corpus_replays(dir, *report);
 }
 
 TEST(FuzzCoverageReport, CodecRoundTripsExactly) {
