@@ -71,9 +71,9 @@ class MembershipTable {
   /// (SWIM's join rule). The returned reference is invalidated like find()'s
   /// pointer: by the next add() or remove().
   Member& add(Member m, Rng& rng);
-  /// Update state; moves the member between the active and dead sets. Does
-  /// not touch probe order (inactive members are skipped lazily at selection
-  /// time).
+  /// Update state; moves the member between the active and dead sets. `m`
+  /// must be a record of this table (from find or add). Does not touch probe
+  /// order (inactive members are skipped lazily at selection time).
   void set_state(Member& m, MemberState s, TimePoint now);
   /// Drop a member entirely (dead-reclaim housekeeping).
   void remove(const std::string& name);
