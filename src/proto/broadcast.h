@@ -75,7 +75,7 @@ class BroadcastQueue {
   /// through this pointer instead of hashing the key again.
   using KeySlot = std::pair<const std::string, Rank>;
   struct Entry {
-    KeySlot* slot;
+    KeySlot* slot = nullptr;
     std::vector<std::uint8_t> frame;
   };
 

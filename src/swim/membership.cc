@@ -213,7 +213,7 @@ std::vector<Member*> MembershipTable::sample(int k, Rng& rng, IdSet& set,
     // Position i is never read again, so only j must receive i's id. Within
     // the set that is a swap; an `extra` position can simply be overwritten,
     // which keeps `set.ids` a permutation of the set.
-    Id picked;
+    Id picked = kNone;
     if (j < end) {
       set.swap(i, j);
       picked = set.ids[i];
@@ -228,7 +228,8 @@ std::vector<Member*> MembershipTable::sample(int k, Rng& rng, IdSet& set,
 
 std::vector<Member*> MembershipTable::random_active(
     int k, Rng& rng, const std::vector<std::string>& exclude) {
-  // Park excluded members past the end of the candidate range.
+  // Park excluded members past the end of the candidate range (a name
+  // listed twice is already parked).
   std::size_t end = active_.ids.size();
   for (const std::string& name : exclude) {
     const Id id = lookup(name);

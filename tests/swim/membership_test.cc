@@ -148,7 +148,8 @@ TEST(Membership, RemoveBeforeTheCursorSkipsNoTarget) {
 
 TEST(Membership, SlotsIndexAndSetsStayConsistentUnderChurn) {
   // Random adds, state changes and removes (which move the last slot into
-  // the freed one) against a plain map model of the table.
+  // the freed one) against a plain map model of the table, with a probe
+  // after every step.
   Rng rng(11);
   MembershipTable t("self");
   std::map<std::string, MemberState> model;
@@ -190,6 +191,14 @@ TEST(Membership, SlotsIndexAndSetsStayConsistentUnderChurn) {
     for (const Member& m : t.dead()) got_dead.insert(m.name);
     ASSERT_EQ(got_active, want_active) << "step " << step;
     ASSERT_EQ(got_dead, want_dead) << "step " << step;
+    // The probe order follows the moved ids too.
+    const Member* target = t.next_probe_target(rng);
+    if (want_active.empty()) {
+      ASSERT_EQ(target, nullptr) << "step " << step;
+    } else {
+      ASSERT_NE(target, nullptr) << "step " << step;
+      ASSERT_TRUE(want_active.contains(target->name)) << "step " << step;
+    }
   }
 }
 
@@ -210,6 +219,20 @@ TEST(Membership, RandomMembersExcludesAndDeduplicates) {
       EXPECT_NE(m->name, "m1");
     }
     EXPECT_EQ(names.size(), 3u);  // distinct
+  }
+}
+
+TEST(Membership, RandomActiveIgnoresRepeatedExcludes) {
+  Rng rng(14);
+  MembershipTable t("self");
+  t.add(mk("self"), rng);
+  for (const char* name : {"a", "b", "c"}) t.add(mk(name), rng);
+  for (int round = 0; round < 50; ++round) {
+    std::set<std::string> names;
+    for (Member* m : t.random_active(5, rng, {"a", "self", "a"})) {
+      names.insert(m->name);
+    }
+    EXPECT_EQ(names, (std::set<std::string>{"b", "c"}));
   }
 }
 
