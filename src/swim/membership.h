@@ -137,7 +137,8 @@ class MembershipTable {
   void track(Id id);
   /// The first `k` positions of a partial Fisher–Yates over the sequence
   /// `set.ids[0, end)` followed by `extra`. Positions in `set` are swapped in
-  /// place (the set's order is arbitrary); `extra` is scratch.
+  /// place (the set's order is arbitrary); `extra` is a by-value copy the
+  /// draw may overwrite.
   std::vector<Member*> sample(int k, Rng& rng, IdSet& set, std::size_t end,
                               std::vector<Id> extra);
 
