@@ -19,6 +19,12 @@ void BufWriter::raw(std::span<const std::uint8_t> bytes) {
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
 }
 
+void BufWriter::patch_u16(std::size_t offset, std::uint16_t v) {
+  if (offset + 2 > buf_.size()) return;
+  buf_[offset] = static_cast<std::uint8_t>(v);
+  buf_[offset + 1] = static_cast<std::uint8_t>(v >> 8);
+}
+
 void BufWriter::patch_u32(std::size_t offset, std::uint32_t v) {
   if (offset + 4 > buf_.size()) return;
   for (std::size_t i = 0; i < 4; ++i) {

@@ -41,7 +41,9 @@ class BufWriter {
   std::span<const std::uint8_t> bytes() const { return buf_; }
   std::vector<std::uint8_t> take() && { return std::move(buf_); }
 
-  /// Patch a previously written u32 at `offset` (used for length fixups).
+  /// Patch a previously written u16/u32 at `offset` (used for length and
+  /// count fixups). An out-of-range offset is a no-op.
+  void patch_u16(std::size_t offset, std::uint16_t v);
   void patch_u32(std::size_t offset, std::uint32_t v);
 
  private:

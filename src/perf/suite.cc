@@ -120,8 +120,11 @@ Measurement bench_broadcast_queue(const SuiteOptions& opt) {
       // drained by MTU-budget selections like the per-message piggyback.
       q.queue("member-" + std::to_string(i % 64), frame);
       if (i % 4 == 0) {
-        auto out = q.get_broadcasts(2, 1400, 128);
-        if (out.empty() && i > 64) throw std::runtime_error("empty select");
+        proto::CompoundWriter out;
+        q.append_broadcasts(out, 2, 1400, 128);
+        if (out.count() == 0 && i > 64) {
+          throw std::runtime_error("empty select");
+        }
       }
     }
   });

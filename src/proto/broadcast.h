@@ -12,13 +12,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace lifeguard::proto {
+
+class CompoundWriter;
 
 /// λ·⌈log10(n+1)⌉ with multiplier λ. n is the number of known members.
 int retransmit_limit(int retransmit_mult, int n);
@@ -27,26 +27,36 @@ class BroadcastQueue {
  public:
   explicit BroadcastQueue(int retransmit_mult)
       : retransmit_mult_(retransmit_mult) {}
+  // Entries point at keys inside by_key_'s nodes: a move keeps those nodes,
+  // a copy would leave the copy's entries pointing into the original.
+  BroadcastQueue(const BroadcastQueue&) = delete;
+  BroadcastQueue& operator=(const BroadcastQueue&) = delete;
+  BroadcastQueue(BroadcastQueue&&) = default;
+  BroadcastQueue& operator=(BroadcastQueue&&) = default;
 
   /// Queue `frame` (an encoded message) keyed by `member`. Replaces any
   /// queued broadcast with the same key.
   void queue(const std::string& member, std::vector<std::uint8_t> frame);
 
-  /// Select frames to piggyback: greedily packs frames (fewest transmits
-  /// first) whose size + `per_frame_overhead` fits within `byte_budget`.
-  /// Increments transmit counts and drops frames that reached the limit for
-  /// cluster size `n`. Returned frames are copies (the queue may drop its own
-  /// storage).
+  /// Select frames to piggyback and append them to `out`: greedily packs
+  /// frames (fewest transmits first) whose size + `per_frame_overhead_base`
+  /// + compound length prefix fits within `byte_budget`. Increments transmit
+  /// counts and drops frames that reached the limit for cluster size `n`.
+  void append_broadcasts(CompoundWriter& out,
+                         std::size_t per_frame_overhead_base,
+                         std::size_t byte_budget, int n);
+
+  /// As append_broadcasts, returning copies of the selected frames.
   std::vector<std::vector<std::uint8_t>> get_broadcasts(
       std::size_t per_frame_overhead_base, std::size_t byte_budget, int n);
 
   /// Remove a queued broadcast about `member` (e.g. superseded externally).
   void invalidate(const std::string& member);
 
-  std::size_t pending() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
+  std::size_t pending() const { return by_key_.size(); }
+  bool empty() const { return by_key_.empty(); }
 
-  /// Total frames handed out by get_broadcasts (telemetry).
+  /// Total frames handed out by the selection (telemetry).
   std::int64_t total_transmits() const { return total_transmits_; }
   /// Highest per-update transmit count ever reached (telemetry; the
   /// checking layer asserts it never exceeds retransmit_limit at the
@@ -54,43 +64,51 @@ class BroadcastQueue {
   int max_transmits() const { return max_transmits_; }
 
  private:
-  /// Selection rank: fewest transmits first, then newest (largest enqueue
-  /// id) first. (transmits, enqueue_id) pairs are unique, so this is a total
-  /// order — keeping entries in a map sorted by it replaces the old
-  /// stable_sort-per-get_broadcasts (and the O(queue) erase_if per queue())
-  /// with O(log m) updates, selecting the exact same frames in the exact
-  /// same order.
-  struct Rank {
-    int transmits = 0;
-    std::uint64_t enqueue_id = 0;  // newer = larger
-  };
-  struct RankLess {
-    bool operator()(const Rank& a, const Rank& b) const {
-      if (a.transmits != b.transmits) return a.transmits < b.transmits;
-      return a.enqueue_id > b.enqueue_id;
-    }
-  };
-  /// The entry's element in `by_key_`: its key and current rank. Element
-  /// addresses survive rehashing, so get_broadcasts writes a bumped rank
-  /// through this pointer instead of hashing the key again.
-  using KeySlot = std::pair<const std::string, Rank>;
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+
+  /// One queued update in a slot of `entries_`. `prev`/`next` link it into
+  /// the list of its transmit count; a free slot's `next` links the free
+  /// list.
   struct Entry {
-    KeySlot* slot = nullptr;
     std::vector<std::uint8_t> frame;
+    std::uint64_t enqueue_id = 0;        // newer = larger
+    const std::string* key = nullptr;    // its by_key_ element's key
+    int transmits = 0;
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
   };
+
+  /// Head of the list of entries transmitted `transmits` times.
+  std::uint32_t& head(int transmits);
+  /// Links `slot` into its count's list after `prev` (kNil: at the head).
+  void link_after(std::uint32_t prev, std::uint32_t slot);
+  void unlink(std::uint32_t slot);
+  /// Erases `slot`'s key and frees the slot (its frame storage with it).
+  void erase(std::uint32_t slot);
+  /// Releases the slot storage once the queue is empty.
+  void release_if_drained();
 
   int retransmit_mult_;
   std::uint64_t next_id_ = 1;
   std::int64_t total_transmits_ = 0;
   int max_transmits_ = 0;
   /// Lower bound on the smallest queued frame size (never raised while the
-  /// queue is non-empty; reset when it drains). Lets get_broadcasts stop
+  /// queue is non-empty; reset when it drains). Lets the selection stop
   /// scanning once no conceivable frame fits the remaining budget.
   std::size_t min_frame_size_ = SIZE_MAX;
-  std::map<Rank, Entry, RankLess> entries_;
-  /// Member key → current rank (entries are unique per key: queue()
-  /// invalidates before inserting).
-  std::unordered_map<std::string, Rank> by_key_;
+  /// Entry slots; released whenever the queue drains, so an idle queue
+  /// keeps no high-water storage.
+  std::vector<Entry> entries_;
+  std::uint32_t free_ = kNil;
+  /// heads_[t]: the list of entries transmitted t times, newest first.
+  /// Walking the lists in count order is the selection order (fewest
+  /// transmits, then newest), and a transmit moves an entry to the next
+  /// list without re-sorting anything.
+  std::vector<std::uint32_t> heads_;
+  /// Member key → slot (entries are unique per key).
+  std::unordered_map<std::string, std::uint32_t> by_key_;
+  /// Slots selected by the current append_broadcasts, in selection order.
+  std::vector<std::uint32_t> selected_;
 };
 
 }  // namespace lifeguard::proto

@@ -216,25 +216,33 @@ std::optional<Message> decode(BufReader& r) {
   return out;
 }
 
-std::vector<std::uint8_t> pack_compound(
-    const std::vector<std::vector<std::uint8_t>>& frames) {
-  return pack_compound(frames, {});
+CompoundWriter::CompoundWriter(std::vector<std::uint8_t> reuse)
+    : w_(std::move(reuse)) {
+  w_.u8(static_cast<std::uint8_t>(MsgType::kCompound));
+  w_.u16(0);  // frame count, patched by add()
+}
+
+void CompoundWriter::add(std::span<const std::uint8_t> frame) {
+  w_.varint(frame.size());
+  if (count_ == 0) first_frame_ = w_.size();
+  w_.raw(frame);
+  ++count_;
+  w_.patch_u16(1, static_cast<std::uint16_t>(count_));
+}
+
+std::vector<std::uint8_t> CompoundWriter::take() && {
+  std::vector<std::uint8_t> out = std::move(w_).take();
+  if (count_ == 1) {
+    out.erase(out.begin(),
+              out.begin() + static_cast<std::ptrdiff_t>(first_frame_));
+  }
+  return out;
 }
 
 std::vector<std::uint8_t> pack_compound(
-    const std::vector<std::vector<std::uint8_t>>& frames,
-    std::vector<std::uint8_t> reuse) {
-  if (frames.size() == 1) {
-    reuse.assign(frames.front().begin(), frames.front().end());
-    return reuse;
-  }
-  BufWriter w(std::move(reuse));
-  w.u8(static_cast<std::uint8_t>(MsgType::kCompound));
-  w.u16(static_cast<std::uint16_t>(frames.size()));
-  for (const auto& f : frames) {
-    w.varint(f.size());
-    w.raw(f);
-  }
+    const std::vector<std::vector<std::uint8_t>>& frames) {
+  CompoundWriter w;
+  for (const auto& f : frames) w.add(f);
   return std::move(w).take();
 }
 

@@ -127,17 +127,36 @@ std::optional<Message> decode(BufReader& r);
 
 // ---- Compound containers -------------------------------------------------
 
-/// Builds a compound datagram from pre-encoded message frames. A single frame
-/// is emitted without the compound wrapper (memberlist does the same).
+/// Assembles a compound datagram frame by frame, copying each frame once,
+/// straight into the datagram. A single frame is emitted without the
+/// compound wrapper (memberlist does the same); zero frames give an empty
+/// container.
+class CompoundWriter {
+ public:
+  /// Assembles in `reuse`'s storage (cleared first). Pass
+  /// Runtime::acquire_buffer() to recycle delivered-datagram capacity
+  /// instead of allocating per packet.
+  explicit CompoundWriter(std::vector<std::uint8_t> reuse = {});
+
+  /// Appends one pre-encoded message frame.
+  void add(std::span<const std::uint8_t> frame);
+  std::size_t count() const { return count_; }
+  /// The frames so far as a compound container, wrapped even when there is
+  /// only one (unpack_compound splits it back into the frames).
+  std::span<const std::uint8_t> wrapped() const { return w_.bytes(); }
+  /// The finished datagram.
+  std::vector<std::uint8_t> take() &&;
+
+ private:
+  BufWriter w_;
+  std::size_t count_ = 0;
+  std::size_t first_frame_ = 0;  // offset of the first frame's bytes
+};
+
+/// Builds a compound datagram from pre-encoded message frames
+/// (CompoundWriter over a list).
 std::vector<std::uint8_t> pack_compound(
     const std::vector<std::vector<std::uint8_t>>& frames);
-
-/// As above, but assembles the datagram in `reuse`'s storage (cleared
-/// first). Pass Runtime::acquire_buffer() to recycle delivered-datagram
-/// capacity instead of allocating per packet.
-std::vector<std::uint8_t> pack_compound(
-    const std::vector<std::vector<std::uint8_t>>& frames,
-    std::vector<std::uint8_t> reuse);
 
 /// Splits a datagram into message frames. A non-compound datagram yields one
 /// frame. Returns false on malformed input.

@@ -292,36 +292,36 @@ void Node::send_message(const Address& to, Channel ch,
                         const std::string* ping_target) {
   BufWriter cw(64);
   proto::encode(control, cw);
-  std::vector<std::uint8_t> control_frame = std::move(cw).take();
+  const std::vector<std::uint8_t> control_frame = std::move(cw).take();
 
-  std::size_t budget = 0;
+  proto::CompoundWriter datagram(rt_.acquire_buffer());
   const std::size_t base =
       control_frame.size() + proto::kCompoundHeaderBytes +
       proto::compound_frame_overhead(control_frame.size());
-  if (base < cfg_.max_packet_bytes) budget = cfg_.max_packet_bytes - base;
-
-  std::vector<std::vector<std::uint8_t>> frames;
-  if (budget > 0) {
-    frames = piggyback_->select(budget, table_.num_active(), ping_target);
+  if (base < cfg_.max_packet_bytes) {
+    piggyback_->select(datagram, cfg_.max_packet_bytes - base,
+                       table_.num_active(), ping_target);
   }
   // Gossip first, control last: a buddy-carried suspect about the ping
   // target is then processed before the ping, so the ack can already carry
   // the refutation.
-  frames.push_back(std::move(control_frame));
-  auto datagram = proto::pack_compound(frames, rt_.acquire_buffer());
-  count_sent(proto::msg_type_name(proto::message_type(control)),
-             datagram.size(), ch);
-  rt_.send(to, std::move(datagram), ch);
+  datagram.add(control_frame);
+  auto bytes = std::move(datagram).take();
+  count_sent(proto::msg_type_name(proto::message_type(control)), bytes.size(),
+             ch);
+  rt_.send(to, std::move(bytes), ch);
 }
 
 void Node::send_gossip(const Address& to) {
-  auto frames =
-      piggyback_->select(cfg_.max_packet_bytes - proto::kCompoundHeaderBytes,
-                         table_.num_active(), nullptr);
-  if (frames.empty()) return;
-  auto datagram = proto::pack_compound(frames, rt_.acquire_buffer());
-  count_sent("gossip", datagram.size(), Channel::kUdp);
-  rt_.send(to, std::move(datagram), Channel::kUdp);
+  if (cfg_.max_packet_bytes <= proto::kCompoundHeaderBytes) return;
+  proto::CompoundWriter datagram(rt_.acquire_buffer());
+  piggyback_->select(datagram,
+                     cfg_.max_packet_bytes - proto::kCompoundHeaderBytes,
+                     table_.num_active(), nullptr);
+  if (datagram.count() == 0) return;
+  auto bytes = std::move(datagram).take();
+  count_sent("gossip", bytes.size(), Channel::kUdp);
+  rt_.send(to, std::move(bytes), Channel::kUdp);
 }
 
 void Node::count_sent(const char* type, std::size_t bytes, Channel ch) {

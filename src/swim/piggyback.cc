@@ -4,28 +4,27 @@
 
 namespace lifeguard::swim {
 
-std::vector<std::vector<std::uint8_t>> DefaultPiggyback::select(
-    std::size_t byte_budget, int n, const std::string* /*ping_target*/) {
-  return queue_.get_broadcasts(0, byte_budget, n);
+void DefaultPiggyback::select(proto::CompoundWriter& out,
+                              std::size_t byte_budget, int n,
+                              const std::string* /*ping_target*/) {
+  queue_.append_broadcasts(out, 0, byte_budget, n);
 }
 
-std::vector<std::vector<std::uint8_t>> BuddyPiggyback::select(
-    std::size_t byte_budget, int n, const std::string* ping_target) {
-  std::vector<std::vector<std::uint8_t>> out;
+void BuddyPiggyback::select(proto::CompoundWriter& out,
+                            std::size_t byte_budget, int n,
+                            const std::string* ping_target) {
   std::size_t used = 0;
   if (ping_target != nullptr) {
     if (auto frame = priority_frame_(*ping_target)) {
-      used = frame->size() + proto::compound_frame_overhead(frame->size());
-      if (used <= byte_budget) {
-        out.push_back(std::move(*frame));
-      } else {
-        used = 0;
+      const std::size_t cost =
+          frame->size() + proto::compound_frame_overhead(frame->size());
+      if (cost <= byte_budget) {
+        out.add(*frame);
+        used = cost;
       }
     }
   }
-  auto rest = queue_.get_broadcasts(0, byte_budget - used, n);
-  for (auto& f : rest) out.push_back(std::move(f));
-  return out;
+  queue_.append_broadcasts(out, 0, byte_budget - used, n);
 }
 
 }  // namespace lifeguard::swim

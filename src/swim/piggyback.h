@@ -23,11 +23,12 @@ class PiggybackSelector {
  public:
   virtual ~PiggybackSelector() = default;
 
-  /// Frames to append to an outgoing packet. `byte_budget` is the remaining
-  /// room in the packet; `n` the active cluster size (for retransmit limits);
-  /// `ping_target` is non-null iff the packet is a ping to that member.
-  virtual std::vector<std::vector<std::uint8_t>> select(
-      std::size_t byte_budget, int n, const std::string* ping_target) = 0;
+  /// Appends the frames to piggyback on an outgoing packet to `out`.
+  /// `byte_budget` is the remaining room in the packet; `n` the active
+  /// cluster size (for retransmit limits); `ping_target` is non-null iff the
+  /// packet is a ping to that member.
+  virtual void select(proto::CompoundWriter& out, std::size_t byte_budget,
+                      int n, const std::string* ping_target) = 0;
 };
 
 /// SWIM's policy: drain the broadcast queue, fewest-transmits first.
@@ -35,8 +36,8 @@ class DefaultPiggyback : public PiggybackSelector {
  public:
   explicit DefaultPiggyback(proto::BroadcastQueue& queue) : queue_(queue) {}
 
-  std::vector<std::vector<std::uint8_t>> select(
-      std::size_t byte_budget, int n, const std::string* ping_target) override;
+  void select(proto::CompoundWriter& out, std::size_t byte_budget, int n,
+              const std::string* ping_target) override;
 
  protected:
   proto::BroadcastQueue& queue_;
@@ -53,8 +54,8 @@ class BuddyPiggyback : public DefaultPiggyback {
   BuddyPiggyback(proto::BroadcastQueue& queue, PriorityFrameFn priority_frame)
       : DefaultPiggyback(queue), priority_frame_(std::move(priority_frame)) {}
 
-  std::vector<std::vector<std::uint8_t>> select(
-      std::size_t byte_budget, int n, const std::string* ping_target) override;
+  void select(proto::CompoundWriter& out, std::size_t byte_budget, int n,
+              const std::string* ping_target) override;
 
  private:
   PriorityFrameFn priority_frame_;

@@ -1,6 +1,9 @@
 // Compound (piggyback container) packing and unpacking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "proto/wire.h"
 
 namespace lifeguard::proto {
@@ -72,6 +75,75 @@ TEST(Compound, UnpackRejectsTruncatedContainer) {
     EXPECT_FALSE(unpack_compound(
         std::span<const std::uint8_t>(packed.data(), len), out))
         << "length " << len;
+  }
+}
+
+/// The list packer the assembler replaced, kept as the byte reference.
+std::vector<std::uint8_t> reference_pack(
+    const std::vector<std::vector<std::uint8_t>>& frames) {
+  if (frames.size() == 1) return frames.front();
+  BufWriter w;
+  w.u8(static_cast<std::uint8_t>(MsgType::kCompound));
+  w.u16(static_cast<std::uint16_t>(frames.size()));
+  for (const auto& f : frames) {
+    w.varint(f.size());
+    w.raw(f);
+  }
+  return std::move(w).take();
+}
+
+std::vector<std::uint8_t> assemble(
+    const std::vector<std::vector<std::uint8_t>>& frames,
+    std::vector<std::uint8_t> reuse = {}) {
+  CompoundWriter w(std::move(reuse));
+  for (const auto& f : frames) w.add(f);
+  EXPECT_EQ(w.count(), frames.size());
+  return std::move(w).take();
+}
+
+std::vector<std::vector<std::vector<std::uint8_t>>> parity_cases() {
+  // 150 bytes of name: a frame past 127 bytes takes a two-byte prefix.
+  const auto big = frame(Suspect{std::string(150, 'x'), 7, "y"});
+  EXPECT_GE(big.size(), 128u);
+  std::vector<std::vector<std::uint8_t>> many;
+  for (int i = 0; i < 40; ++i) {
+    many.push_back(i % 7 == 3 ? big : frame(Ack{static_cast<std::uint32_t>(i),
+                                                "n" + std::to_string(i)}));
+  }
+  return {{},
+          {frame(Ack{1, "a"})},
+          {big},
+          {frame(Ack{1, "a"}), big},
+          many};
+}
+
+TEST(CompoundWriter, MatchesTheListPackerByteForByte) {
+  for (const auto& frames : parity_cases()) {
+    SCOPED_TRACE(std::to_string(frames.size()) + " frames");
+    EXPECT_EQ(assemble(frames), reference_pack(frames));
+    EXPECT_EQ(pack_compound(frames), reference_pack(frames));
+  }
+}
+
+TEST(CompoundWriter, ReusedBufferStartsEmpty) {
+  for (const auto& frames : parity_cases()) {
+    SCOPED_TRACE(std::to_string(frames.size()) + " frames");
+    std::vector<std::uint8_t> reuse(600, 0xee);  // stale bytes and capacity
+    EXPECT_EQ(assemble(frames, std::move(reuse)), reference_pack(frames));
+  }
+}
+
+TEST(CompoundWriter, WrappedViewSplitsBackIntoTheFrames) {
+  for (const auto& frames : parity_cases()) {
+    SCOPED_TRACE(std::to_string(frames.size()) + " frames");
+    CompoundWriter w;
+    for (const auto& f : frames) w.add(f);
+    std::vector<std::span<const std::uint8_t>> out;
+    ASSERT_TRUE(unpack_compound(w.wrapped(), out));
+    ASSERT_EQ(out.size(), frames.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_TRUE(std::ranges::equal(out[i], frames[i])) << "frame " << i;
+    }
   }
 }
 

@@ -15,11 +15,24 @@ std::vector<std::uint8_t> suspect_frame(const std::string& member) {
   return std::move(w).take();
 }
 
+/// The frames `pb` appends to an empty datagram, in order.
+std::vector<std::vector<std::uint8_t>> select(PiggybackSelector& pb,
+                                              std::size_t byte_budget, int n,
+                                              const std::string* ping_target) {
+  proto::CompoundWriter out;
+  pb.select(out, byte_budget, n, ping_target);
+  std::vector<std::span<const std::uint8_t>> spans;
+  EXPECT_TRUE(proto::unpack_compound(out.wrapped(), spans));
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (const auto f : spans) frames.emplace_back(f.begin(), f.end());
+  return frames;
+}
+
 TEST(DefaultPiggyback, DrainsQueue) {
   proto::BroadcastQueue q(4);
   q.queue("a", suspect_frame("a"));
   DefaultPiggyback pb(q);
-  auto frames = pb.select(1000, 10, nullptr);
+  auto frames = select(pb, 1000, 10, nullptr);
   EXPECT_EQ(frames.size(), 1u);
 }
 
@@ -27,7 +40,7 @@ TEST(DefaultPiggyback, IgnoresPingTarget) {
   proto::BroadcastQueue q(4);
   DefaultPiggyback pb(q);
   const std::string target = "t";
-  EXPECT_TRUE(pb.select(1000, 10, &target).empty());
+  EXPECT_TRUE(select(pb, 1000, 10, &target).empty());
 }
 
 TEST(BuddyPiggyback, PrependsSuspectFrameForPingTarget) {
@@ -42,7 +55,7 @@ TEST(BuddyPiggyback, PrependsSuspectFrameForPingTarget) {
   });
 
   const std::string target = "suspected";
-  auto frames = pb.select(1000, 10, &target);
+  auto frames = select(pb, 1000, 10, &target);
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(priority_calls, 1);
   // The buddy frame must come FIRST so the target refutes before acking.
@@ -59,7 +72,7 @@ TEST(BuddyPiggyback, NoPriorityFrameForUnsuspectedTarget) {
     return std::nullopt;
   });
   const std::string target = "healthy";
-  EXPECT_TRUE(pb.select(1000, 10, &target).empty());
+  EXPECT_TRUE(select(pb, 1000, 10, &target).empty());
 }
 
 TEST(BuddyPiggyback, NonPingPacketsSkipPriority) {
@@ -70,7 +83,7 @@ TEST(BuddyPiggyback, NonPingPacketsSkipPriority) {
     ++calls;
     return std::nullopt;
   });
-  (void)pb.select(1000, 10, nullptr);
+  (void)select(pb, 1000, 10, nullptr);
   EXPECT_EQ(calls, 0);
 }
 
@@ -83,7 +96,7 @@ TEST(BuddyPiggyback, PriorityFrameRespectsBudget) {
   });
   const std::string target = "t";
   // Budget too small for the 100-byte priority frame: dropped gracefully.
-  EXPECT_TRUE(pb.select(20, 10, &target).empty());
+  EXPECT_TRUE(select(pb, 20, 10, &target).empty());
 }
 
 TEST(BuddyPiggyback, GuaranteedEvenWhenQueueSaturated) {
@@ -99,7 +112,7 @@ TEST(BuddyPiggyback, GuaranteedEvenWhenQueueSaturated) {
     return suspect_frame(t);
   });
   const std::string target = "victim";
-  auto frames = pb.select(200, 128, &target);
+  auto frames = select(pb, 200, 128, &target);
   ASSERT_FALSE(frames.empty());
   BufReader r(frames[0]);
   const auto msg = proto::decode(r);
