@@ -72,6 +72,7 @@ std::vector<std::string> Scenario::validate() const {
          "] must satisfy 0 <= latency_min <= latency_max");
   }
 
+  for (const std::string& e : config.validate()) fail("config." + e);
   for (std::string& e : checks.validate()) fail(std::move(e));
 
   {

@@ -215,6 +215,10 @@ std::optional<swim::Config> decode_config(std::string_view s,
     return true;
   });
   if (!ok) return std::nullopt;
+  if (const auto errors = c.validate(); !errors.empty()) {
+    error = "config: " + errors.front();
+    return std::nullopt;
+  }
   return c;
 }
 

@@ -53,7 +53,8 @@ std::optional<Address> parse_address(std::string_view s);
 /// Encode every swim::Config field as comma-joined key=val (durations in
 /// microseconds, bools as 0/1), fit for a single argv token. decode_config
 /// starts from a default Config, applies each pair, and rejects unknown or
-/// malformed keys so a version-skewed worker fails loudly at spawn.
+/// malformed keys so a version-skewed worker fails loudly at spawn, and
+/// out-of-range values (swim::Config::validate) naming the field.
 std::string encode_config(const swim::Config& c);
 std::optional<swim::Config> decode_config(std::string_view s,
                                           std::string& error);

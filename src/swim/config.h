@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/types.h"
 
@@ -107,6 +108,13 @@ struct Config {
   /// "Custom" or anything unknown. Single source of the name->preset map
   /// (trace replay and tooling resolve presets through this).
   static std::optional<Config> from_table1_name(std::string_view name);
+
+  /// Empty when every field is in range; otherwise one message per bad
+  /// field, naming it. Zero stays legal where a field documents it as
+  /// "disabled" (push-pull, reconnect, join retry, dead reclaim). Every
+  /// input boundary that builds a Config (scenario files, live control
+  /// lines) checks it.
+  std::vector<std::string> validate() const;
 
   /// Field-wise equality (all members are plain values).
   bool operator==(const Config&) const = default;

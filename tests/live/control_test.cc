@@ -74,6 +74,25 @@ TEST(LiveControl, ConfigRejectsUnknownKey) {
   EXPECT_NE(error.find("zz"), std::string::npos) << error;
 }
 
+TEST(LiveControl, ConfigRejectsOutOfRangeValuesNamingTheField) {
+  // Each parses, but would spin the worker at one instant (intervals) or
+  // wrap the gossip budget (a packet smaller than the compound header).
+  const std::pair<const char*, const char*> cases[] = {
+      {"gi=0", "gossip_interval"},
+      {"pi=-1000", "probe_interval"},
+      {"mpb=2", "max_packet_bytes"},
+      {"sb=0.5", "suspicion_beta"},
+  };
+  for (const auto& [line, field] : cases) {
+    std::string error;
+    EXPECT_FALSE(decode_config(line, error).has_value()) << line;
+    EXPECT_NE(error.find(field), std::string::npos) << line << ": " << error;
+  }
+  // Zero is "disabled" for the periodic exchanges, not an error.
+  std::string error;
+  EXPECT_TRUE(decode_config("ppi=0,ri=0,jri=0", error).has_value()) << error;
+}
+
 TEST(LiveControl, HelloRoundTrip) {
   std::string error;
   const auto msg = parse_worker_msg(hello_line(4, 12345, 40001), error);

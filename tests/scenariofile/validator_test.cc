@@ -45,6 +45,28 @@ TEST(ScenarioFileValidator, OutOfRangeValueSurfacesScenarioValidation) {
   expect_rejected("\"nodes\": 1", {"cluster_size (1)"});
 }
 
+TEST(ScenarioFileValidator, OutOfRangeConfigOverridesAreNamed) {
+  // Each parses, but zero intervals would spin the simulator at one virtual
+  // instant and a packet smaller than the compound header would wrap the
+  // gossip budget.
+  expect_rejected("\"config_overrides\": {\"gossip_interval_us\": 0}",
+                  {"config.gossip_interval (0 us) must be > 0"});
+  expect_rejected("\"config_overrides\": {\"probe_interval_us\": -5}",
+                  {"config.probe_interval (-5 us) must be > 0"});
+  expect_rejected("\"config_overrides\": {\"max_packet_bytes\": 2}",
+                  {"config.max_packet_bytes (2) must be >= 3"});
+  // Zero is "disabled" for the periodic exchanges, not an error.
+  std::string error;
+  EXPECT_TRUE(ScenarioFile::from_json(
+                  "{\"type\": \"scenario\", \"version\": 1, \"name\": \"t\", "
+                  "\"config_overrides\": {\"push_pull_interval_us\": 0, "
+                  "\"reconnect_interval_us\": 0, "
+                  "\"join_retry_interval_us\": 0}}",
+                  error)
+                  .has_value())
+      << error;
+}
+
 TEST(ScenarioFileValidator, TrailingColonMembershipSpecIsActionable) {
   expect_rejected("\"membership\": \"central:\"",
                   {"bad membership spec 'central:'",
