@@ -24,6 +24,7 @@
 #include <string>
 
 #include "check/events.h"
+#include "check/tap.h"
 #include "check/trace.h"
 #include "live/control.h"
 #include "net/fault_filter.h"
@@ -34,22 +35,6 @@
 using namespace lifeguard;
 
 namespace {
-
-check::TraceEventKind member_event_kind(swim::EventType t) {
-  switch (t) {
-    case swim::EventType::kJoin:
-      return check::TraceEventKind::kJoin;
-    case swim::EventType::kAlive:
-      return check::TraceEventKind::kAlive;
-    case swim::EventType::kSuspect:
-      return check::TraceEventKind::kSuspect;
-    case swim::EventType::kFailed:
-      return check::TraceEventKind::kFailed;
-    case swim::EventType::kLeft:
-      return check::TraceEventKind::kLeft;
-  }
-  return check::TraceEventKind::kJoin;
-}
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -193,15 +178,7 @@ int main(int argc, char** argv) {
   // Every membership transition this node observes goes up as an EV line,
   // straight off the loop thread the EventBus fires on.
   auto sub = node.subscribe([&writer](const swim::MemberEvent& me) {
-    check::TraceEvent e;
-    e.at = me.at;
-    e.kind = member_event_kind(me.type);
-    e.node = check::node_index_of(me.reporter);
-    e.peer = check::node_index_of(me.member);
-    e.origin = check::node_index_of(me.origin);
-    e.incarnation = me.incarnation;
-    e.originated = me.originated;
-    writer.write_line(live::event_msg_line(e));
+    writer.write_line(live::event_msg_line(check::trace_event_of(me)));
   });
 
   rt.start(&node);
@@ -279,7 +256,7 @@ int main(int argc, char** argv) {
         }
         case live::Command::Kind::kFaultAdd: {
           const int token = cmd->token;
-          const net::NetemFilter::Overlay overlay = cmd->overlay;
+          const fault::LinkFault overlay = cmd->overlay;
           rt.post([&filter, token, overlay] {
             filter.add_overlay(token, overlay);
           });

@@ -288,10 +288,12 @@ void list_catalog_markdown() {
       "(`harness::ScenarioRegistry::builtin()`), runnable with\n"
       "`scenario_runner --scenario NAME` (flags override fields; see\n"
       "`scenario_runner --list` for the live view and README.md for the\n"
-      "workflow). The fault-timeline column uses the `--fault` grammar\n"
-      "(`KIND@AT:DUR,key=val`; see `src/fault/fault.h`). Every entry is\n"
-      "also committed as versioned JSON under `scenarios/` with baseline\n"
-      "metric bands in `scenarios/baselines.json` — run one with\n"
+      "workflow). The fault-timeline column is a one-line summary for\n"
+      "reading (`fault::Timeline::summary()`: kind, onset+span, victims\n"
+      "and the kind's main parameters), not the `--fault` grammar, which\n"
+      "does not accept it. The full timeline of each entry is committed\n"
+      "as versioned JSON in `scenarios/NAME.json`, with baseline metric\n"
+      "bands in `scenarios/baselines.json` — run one with\n"
       "`scenario_runner --scenario-file scenarios/NAME.json`, and see\n"
       "[scenario-files.md](scenario-files.md) for the file format and the\n"
       "baseline-gate policy.\n"

@@ -8,22 +8,6 @@ namespace lifeguard::check {
 
 namespace {
 
-TraceEventKind member_event_kind(swim::EventType t) {
-  switch (t) {
-    case swim::EventType::kJoin:
-      return TraceEventKind::kJoin;
-    case swim::EventType::kAlive:
-      return TraceEventKind::kAlive;
-    case swim::EventType::kSuspect:
-      return TraceEventKind::kSuspect;
-    case swim::EventType::kFailed:
-      return TraceEventKind::kFailed;
-    case swim::EventType::kLeft:
-      return TraceEventKind::kLeft;
-  }
-  return TraceEventKind::kJoin;
-}
-
 TraceEventKind sim_event_kind(sim::SimEventKind k) {
   switch (k) {
     case sim::SimEventKind::kCrash:
@@ -69,23 +53,42 @@ bool is_probe_span(sim::SimEventKind k) {
 
 }  // namespace
 
+TraceEvent trace_event_of(const swim::MemberEvent& me) {
+  TraceEvent e;
+  e.at = me.at;
+  switch (me.type) {
+    case swim::EventType::kJoin:
+      e.kind = TraceEventKind::kJoin;
+      break;
+    case swim::EventType::kAlive:
+      e.kind = TraceEventKind::kAlive;
+      break;
+    case swim::EventType::kSuspect:
+      e.kind = TraceEventKind::kSuspect;
+      break;
+    case swim::EventType::kFailed:
+      e.kind = TraceEventKind::kFailed;
+      break;
+    case swim::EventType::kLeft:
+      e.kind = TraceEventKind::kLeft;
+      break;
+  }
+  e.node = node_index_of(me.reporter);
+  e.peer = node_index_of(me.member);
+  e.origin = node_index_of(me.origin);
+  e.incarnation = me.incarnation;
+  e.originated = me.originated;
+  return e;
+}
+
 EventTap::EventTap(sim::Simulator& sim, std::vector<TraceSink*> sinks)
     : sim_(sim), sinks_(std::move(sinks)) {
   for (const TraceSink* s : sinks_) {
     any_wants_datagrams_ = any_wants_datagrams_ || s->wants_datagrams();
     any_wants_probe_spans_ = any_wants_probe_spans_ || s->wants_probe_spans();
   }
-  bus_sub_ = sim.event_bus().subscribe([this](const swim::MemberEvent& me) {
-    TraceEvent e;
-    e.at = me.at;
-    e.kind = member_event_kind(me.type);
-    e.node = node_index_of(me.reporter);
-    e.peer = node_index_of(me.member);
-    e.origin = node_index_of(me.origin);
-    e.incarnation = me.incarnation;
-    e.originated = me.originated;
-    forward(e);
-  });
+  bus_sub_ = sim.event_bus().subscribe(
+      [this](const swim::MemberEvent& me) { forward(trace_event_of(me)); });
   sim_tap_token_ = sim.add_sim_tap([this](const sim::SimEvent& se) {
     if (se.kind == sim::SimEventKind::kDatagram && !any_wants_datagrams_) {
       return;

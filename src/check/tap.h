@@ -21,6 +21,11 @@ class Simulator;
 
 namespace lifeguard::check {
 
+/// One membership transition as a TraceEvent: the kind and fields copied,
+/// member names turned into node indices (node_index_of). The simulator's
+/// tap and the live tier's workers both convert through it.
+TraceEvent trace_event_of(const swim::MemberEvent& me);
+
 class EventTap {
  public:
   /// Subscribes to `sim`'s event bus and sim-event tap; every event is

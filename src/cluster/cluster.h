@@ -114,10 +114,8 @@ class ClusterBuilder {
   ClusterBuilder& msg_proc_cost(Duration cost);
   /// Simulated kernel receive-buffer bound per node (kSim only).
   ClusterBuilder& recv_buffer_bytes(std::size_t bytes);
-  /// Retain only failure events in the per-node recordings (kSim only; see
-  /// sim::SimParams::record_failures_only). The harness engine enables this:
-  /// its metric extraction reads nothing else, and a big cluster's O(n²)
-  /// join storm then never materializes as stored events.
+  /// No-op, kept only because perfbench/lgbench.cc calls it: the simulator
+  /// keeps no per-node event logs; every event flows on the cluster bus.
   ClusterBuilder& record_failures_only(bool on);
   /// Membership backend spec (kSim only; see membership::BackendRegistry):
   /// "swim" (default), "central", "central:miss=N", "static". The UDP

@@ -132,6 +132,30 @@ Fault Fault::reorder(double probability, Duration spread) {
   return f;
 }
 
+LinkFault link_fault_of(const Fault& f) {
+  LinkFault lf;
+  switch (f.kind) {
+    case FaultKind::kLinkLoss:
+      lf.egress_loss = f.egress_loss;
+      lf.ingress_loss = f.ingress_loss;
+      break;
+    case FaultKind::kLatency:
+      lf.extra_latency = f.extra_latency;
+      lf.jitter = f.jitter;
+      break;
+    case FaultKind::kDuplicate:
+      lf.duplicate_p = f.probability;
+      break;
+    case FaultKind::kReorder:
+      lf.reorder_p = f.probability;
+      lf.reorder_spread = f.spread;
+      break;
+    default:
+      break;  // process-level kinds carry no link math
+  }
+  return lf;
+}
+
 // ---------------------------------------------------------------------------
 // VictimSelector
 

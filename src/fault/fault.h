@@ -107,6 +107,39 @@ struct Fault {
   static Fault reorder(double probability, Duration spread);
 };
 
+/// What a network-level Fault installs on each victim's links for its span:
+/// one value for both backends (sim::Network in the simulator,
+/// net::NetemFilter in a live worker). Several on one node combine
+/// independently — loss/duplicate/reorder probabilities compose as
+/// 1 - Π(1 - pᵢ), latencies add, the reorder spread takes the max — and each
+/// backend keeps its own composition code (the simulator's Rng draw order
+/// is part of every golden).
+struct LinkFault {
+  /// Extra drop probability for datagrams the node sends / receives.
+  double egress_loss = 0.0;
+  double ingress_loss = 0.0;
+  /// Added one-way delay, plus uniform jitter in [0, jitter] per datagram.
+  Duration extra_latency{};
+  Duration jitter{};
+  /// Probability a UDP datagram is delivered twice.
+  double duplicate_p = 0.0;
+  /// Probability a UDP datagram is held back an extra uniform
+  /// [0, reorder_spread] — enough to land behind later traffic.
+  double reorder_p = 0.0;
+  Duration reorder_spread{};
+
+  /// True when the value perturbs anything.
+  bool any() const {
+    return egress_loss > 0.0 || ingress_loss > 0.0 ||
+           !extra_latency.is_zero() || !jitter.is_zero() ||
+           duplicate_p > 0.0 || reorder_p > 0.0;
+  }
+};
+
+/// The link fault `f` installs; process-level kinds carry no link math and
+/// yield an empty one.
+LinkFault link_fault_of(const Fault& f);
+
 // ---------------------------------------------------------------------------
 // Victim selection
 

@@ -65,33 +65,9 @@ namespace {
 struct SimFaultState {
   Schedule plan;
   PartitionClaims partitions;
-  std::vector<sim::LinkFault> link_faults;
+  std::vector<LinkFault> link_faults;
   std::vector<std::vector<std::pair<int, int>>> link_tokens;
 };
-
-sim::LinkFault link_fault_of(const Fault& f) {
-  sim::LinkFault lf;
-  switch (f.kind) {
-    case FaultKind::kLinkLoss:
-      lf.egress_loss = f.egress_loss;
-      lf.ingress_loss = f.ingress_loss;
-      break;
-    case FaultKind::kLatency:
-      lf.extra_latency = f.extra_latency;
-      lf.jitter = f.jitter;
-      break;
-    case FaultKind::kDuplicate:
-      lf.duplicate_p = f.probability;
-      break;
-    case FaultKind::kReorder:
-      lf.reorder_p = f.probability;
-      lf.reorder_spread = f.spread;
-      break;
-    default:
-      break;  // process-level kinds carry no link math
-  }
-  return lf;
-}
 
 void apply(sim::Simulator& sim, const Action& a, SimFaultState& state) {
   const auto entry = static_cast<std::size_t>(a.entry);

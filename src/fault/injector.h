@@ -6,7 +6,7 @@
 //   * inject(sim::Simulator&) lowers the Timeline with the simulator's own
 //     Rng (fault/schedule.h) and schedules one event-queue callback per
 //     action. Partition entries get a distinct partition group each; network
-//     kinds install and remove sim::LinkFault overlays at span boundaries.
+//     kinds install and remove fault::LinkFault overlays at span boundaries.
 //
 // The live tier executes the same lowered schedule with signals and the
 // userspace netem shim (live/runner.cc); see DESIGN.md ("Fault layer").

@@ -141,8 +141,8 @@ std::vector<GridPoint> expand_grid(const Campaign& c);
 /// Per-trial seed derivation: a SplitMix64 chain over the base seed, each
 /// axis salt in axis order, and the repetition index. Depends only on the
 /// campaign descriptor — never on thread scheduling — so every trial replays
-/// bit-identically at any `jobs` level. sweep.h's legacy run_seed() is this
-/// chain with salts {c, d_us, i_us}.
+/// bit-identically at any `jobs` level. The interval and threshold sweeps
+/// (sweep.h) salt it with {c, d_us, i_us}.
 std::uint64_t trial_seed(std::uint64_t base,
                          const std::vector<std::uint64_t>& salts, int rep);
 

@@ -1,7 +1,5 @@
 #include "harness/scenario.h"
 
-#include <algorithm>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -9,10 +7,10 @@
 #include "check/tap.h"
 #include "cluster/cluster.h"
 #include "fault/injector.h"
+#include "harness/accounting.h"
 #include "membership/backend.h"
 #include "obs/sampler.h"
 #include "sim/simulator.h"
-#include "swim/events.h"
 
 namespace lifeguard::harness {
 
@@ -102,77 +100,11 @@ ScenarioError::ScenarioError(std::vector<std::string> errors)
 // ---------------------------------------------------------------------------
 // Engine
 
-namespace {
-
-/// Collect FP / FP⁻ counts and latency samples from the per-node event logs
-/// (accounting per §V-F1/F2): an FP event is a node *originating* a dead
-/// declaration (its own suspicion timeout) about a member outside the victim
-/// set; FP⁻ additionally requires the originator itself to be outside it.
-void extract_results(sim::Simulator& sim, const std::vector<int>& victims,
-                     TimePoint anomaly_start, RunResult& out) {
-  std::set<std::string> victim_names;
-  std::set<int> victim_set(victims.begin(), victims.end());
-  for (int v : victims) victim_names.insert("node-" + std::to_string(v));
-
-  // --- false positives ---
-  for (int i = 0; i < sim.size(); ++i) {
-    const bool reporter_is_victim = victim_set.contains(i);
-    for (const auto& e : sim.events(i).events()) {
-      if (e.type != swim::EventType::kFailed || !e.originated) continue;
-      if (e.at < anomaly_start) continue;
-      if (victim_names.contains(e.member)) continue;  // true-ish positive
-      ++out.fp_events;
-      if (!reporter_is_victim) ++out.fp_healthy_events;
-    }
-  }
-
-  // --- detection / dissemination latency for the anomalous members ---
-  for (int v : victims) {
-    const std::string name = "node-" + std::to_string(v);
-    double first = -1.0;
-    bool all_healthy_marked = true;
-    double last_healthy_mark = -1.0;
-    for (int i = 0; i < sim.size(); ++i) {
-      if (i == v) continue;
-      double mark = -1.0;  // first time node i marked `name` failed
-      for (const auto& e : sim.events(i).events()) {
-        if (e.type != swim::EventType::kFailed || e.member != name) continue;
-        if (e.at < anomaly_start) continue;
-        const double t = (e.at - anomaly_start).seconds();
-        if (mark < 0) mark = t;
-        if (e.originated && (first < 0 || t < first)) first = t;
-      }
-      if (!victim_set.contains(i)) {
-        if (mark < 0) {
-          all_healthy_marked = false;
-        } else {
-          last_healthy_mark = std::max(last_healthy_mark, mark);
-        }
-      }
-    }
-    if (first >= 0) out.first_detect.push_back(first);
-    if (first >= 0 && all_healthy_marked && last_healthy_mark >= 0) {
-      out.full_dissem.push_back(last_healthy_mark);
-    }
-  }
-
-  // --- load ---
-  out.metrics = sim.aggregate_metrics();
-  out.msgs_sent = out.metrics.counter_value("net.msgs_sent");
-  out.bytes_sent = out.metrics.counter_value("net.bytes_sent");
-}
-
-}  // namespace
-
 RunResult run(const Scenario& s, const std::vector<check::TraceSink*>& sinks) {
   if (auto errors = s.validate(); !errors.empty()) {
     throw ScenarioError(std::move(errors));
   }
 
-  // Failure-only recording: extract_results reads nothing but kFailed
-  // events, so this is metric-identical — and it keeps a big-* scenario's
-  // O(n²) join storm out of memory. Checks and traces ride the EventBus and
-  // see the full stream either way.
   auto cluster = ClusterBuilder()
                      .size(s.cluster_size)
                      .config(s.config)
@@ -180,23 +112,25 @@ RunResult run(const Scenario& s, const std::vector<check::TraceSink*>& sinks) {
                      .network(s.network)
                      .msg_proc_cost(s.msg_proc_cost)
                      .recv_buffer_bytes(s.recv_buffer_bytes)
-                     .record_failures_only(true)
                      .membership(s.membership)
                      .build();
   sim::Simulator& sim = *cluster->simulator();
 
-  // The checking layer observes the whole run (including the quiesce — a
-  // trace replays from virtual time zero), so the tap attaches before
-  // start(). Observers never perturb the run: no Rng draws, no mutation.
+  // The sinks observe the whole run (including the quiesce — a trace
+  // replays from virtual time zero), so the tap attaches before start().
+  // The failure accounting rides the same stream and counts from the
+  // injection on. Observers never perturb the run: no Rng draws, no
+  // mutation.
+  FailureAccounting accounting(s.cluster_size);
   std::optional<check::Checker> checker;
   std::vector<check::TraceSink*> all_sinks = sinks;
+  all_sinks.push_back(&accounting);
   if (s.checks.enabled) {
     checker.emplace(s.checks, s.config, s.cluster_size, s.membership);
     checker->bind(&sim);
     all_sinks.push_back(&*checker);
   }
-  std::optional<check::EventTap> tap;
-  if (!all_sinks.empty()) tap.emplace(sim, all_sinks);
+  const check::EventTap tap(sim, all_sinks);
 
   // Telemetry snapshots (obs::Sampler): scheduled before start() so the first
   // tick lands exactly one interval into virtual time — a replayed run's
@@ -215,13 +149,17 @@ RunResult run(const Scenario& s, const std::vector<check::TraceSink*>& sinks) {
   const TimePoint start = sim.now();
   const fault::Schedule outcome =
       fault::FaultInjector().inject(sim, s.timeline, start, s.run_length);
+  accounting.begin(start, outcome.victims);
   sim.run_until(start + outcome.total_run);
 
   RunResult out;
   out.scenario_name = s.name;
   out.cluster_size = s.cluster_size;
   out.victims = outcome.victims;
-  extract_results(sim, outcome.victims, start, out);
+  accounting.fill(out);
+  out.metrics = sim.aggregate_metrics();
+  out.msgs_sent = out.metrics.counter_value("net.msgs_sent");
+  out.bytes_sent = out.metrics.counter_value("net.bytes_sent");
   if (sampler) out.series = sampler->take_series();
   if (checker) {
     checker->finish(sim.now());

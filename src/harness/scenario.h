@@ -157,8 +157,9 @@ struct RunResult {
 };
 
 /// The engine: validate, build a simulated cluster through ClusterBuilder,
-/// quiesce, inject the fault timeline, observe, and extract the paper's
-/// metrics. Throws ScenarioError when validate() is non-empty.
+/// quiesce, inject the fault timeline, observe, and count the paper's
+/// metrics off the merged event stream (FailureAccounting, accounting.h).
+/// Throws ScenarioError when validate() is non-empty.
 ///
 /// `sinks` observe the merged simulator + membership event stream (see
 /// check/events.h) for the whole run — pass a check::TraceRecorder to

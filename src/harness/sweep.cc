@@ -74,15 +74,6 @@ Grid threshold_grid(const ReproOptions& opt) {
   return g;
 }
 
-std::uint64_t run_seed(std::uint64_t base, int c, std::int64_t d_us,
-                       std::int64_t i_us, int rep) {
-  return trial_seed(base,
-                    {static_cast<std::uint64_t>(c),
-                     static_cast<std::uint64_t>(d_us),
-                     static_cast<std::uint64_t>(i_us)},
-                    rep);
-}
-
 namespace {
 
 /// Adapts the ProgressFn callback onto the Reporter interface.
@@ -146,8 +137,8 @@ Axis span_axis(std::string name, const std::vector<Duration>& values,
 IntervalSweepResult sweep_interval(const swim::Config& cfg, const Grid& grid,
                                    std::uint64_t seed_base,
                                    const ProgressFn& progress, int jobs) {
-  // The grid as a campaign: victims/duration/interval axes whose salts are
-  // exactly the run_seed() coordinates, so every config sees the same
+  // The grid as a campaign: victims/duration/interval axes salt the trial
+  // seed with {c, d_us, i_us} (trial_seed), so every config sees the same
   // schedule at the same grid point and repetition.
   Campaign camp;
   camp.name = "sweep-interval";
@@ -196,8 +187,8 @@ ThresholdSweepResult sweep_threshold(const swim::Config& cfg, const Grid& grid,
   camp.base = grid_base("sweep-threshold", grid, cfg, fault::Fault::block(),
                         sec(16), grid.observe);
   // The trailing single-point axis contributes nothing to the scenario but
-  // keeps the salt chain {c, d_us, 0} — the run_seed(base, c, d_us, 0, rep)
-  // coordinates the threshold grid has always used.
+  // keeps the salt chain {c, d_us, 0} — the trial_seed(base, {c, d_us, 0},
+  // rep) coordinates the threshold grid has always used.
   camp.axes = {victims_axis(grid.concurrency),
                Axis::timeline_duration(0, grid.durations),
                Axis::custom("interval", {{"0ms", 0, {}}})};

@@ -94,9 +94,4 @@ ThresholdSweepResult sweep_threshold(const swim::Config& cfg, const Grid& grid,
 /// Stderr progress meter ("label: 12/36 runs") for bench binaries.
 ProgressFn stderr_progress(std::string label);
 
-/// Per-run seed derivation, stable across configurations (paired runs).
-/// Equals campaign trial_seed(base, {c, d_us, i_us}, rep).
-std::uint64_t run_seed(std::uint64_t base, int c, std::int64_t d_us,
-                       std::int64_t i_us, int rep);
-
 }  // namespace lifeguard::harness

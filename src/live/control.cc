@@ -317,7 +317,7 @@ std::string start_line(const std::optional<Address>& join) {
   return "START " + (join ? format_address(*join) : std::string("-"));
 }
 
-std::string fault_add_line(int token, const net::NetemFilter::Overlay& o) {
+std::string fault_add_line(int token, const fault::LinkFault& o) {
   return "FAULT add " + std::to_string(token) + " el=" +
          fmt_double(o.egress_loss) + " il=" + fmt_double(o.ingress_loss) +
          " lat=" + fmt_us(o.extra_latency) + " jit=" + fmt_us(o.jitter) +

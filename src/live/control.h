@@ -38,7 +38,7 @@
 
 #include "check/events.h"
 #include "common/types.h"
-#include "net/fault_filter.h"
+#include "fault/fault.h"
 #include "swim/config.h"
 
 namespace lifeguard::live {
@@ -107,12 +107,12 @@ struct Command {
   Kind kind = Kind::kStop;
   std::optional<Address> join;        ///< kStart; nullopt = act as the seed
   int token = 0;                      ///< kFaultAdd/kFaultPart/kFaultDel
-  net::NetemFilter::Overlay overlay;  ///< kFaultAdd
+  fault::LinkFault overlay;           ///< kFaultAdd
   std::vector<Address> peers;         ///< kFaultPart
 };
 
 std::string start_line(const std::optional<Address>& join);
-std::string fault_add_line(int token, const net::NetemFilter::Overlay& o);
+std::string fault_add_line(int token, const fault::LinkFault& o);
 std::string fault_part_line(int token, const std::vector<Address>& peers);
 std::string fault_del_line(int token);
 std::string stats_request_line();

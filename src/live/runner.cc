@@ -14,6 +14,7 @@
 #include "check/invariant.h"
 #include "common/rng.h"
 #include "fault/schedule.h"
+#include "harness/accounting.h"
 #include "live/control.h"
 #include "live/merge.h"
 #include "live/process.h"
@@ -33,93 +34,6 @@ constexpr int kMaxLiveCluster = 128;
 /// Reserved netem token for the runner-managed partition block sets (fault
 /// timeline entry tokens are small indices; this cannot collide).
 constexpr int kPartitionToken = 1 << 20;
-
-/// Replicates the sim engine's extract_results accounting (§V-F1/F2) off
-/// the merged trace stream: FP / FP⁻ counts and per-victim detection /
-/// dissemination latency, identical definitions, different event source.
-class StreamMetrics final : public check::TraceSink {
- public:
-  StreamMetrics(int cluster_size, const std::vector<int>& victims)
-      : n_(cluster_size),
-        victim_set_(static_cast<std::size_t>(cluster_size), false),
-        first_mark_(static_cast<std::size_t>(cluster_size) *
-                        static_cast<std::size_t>(cluster_size),
-                    -1) {
-    for (int v : victims) {
-      if (v >= 0 && v < n_) victim_set_[static_cast<std::size_t>(v)] = true;
-    }
-  }
-
-  /// Events before this instant (the quiesce) don't count, matching the
-  /// sim's anomaly_start cutoff.
-  void set_anomaly_start(TimePoint t) { start_ = t; }
-
-  void on_trace_event(const check::TraceEvent& e) override {
-    if (e.kind != check::TraceEventKind::kFailed || e.at < start_) return;
-    const int reporter = e.node;
-    const int subject = e.peer;
-    if (reporter < 0 || reporter >= n_ || subject < 0 || subject >= n_) return;
-    if (!victim_set_[static_cast<std::size_t>(subject)]) {
-      if (e.originated) {
-        ++fp_events_;
-        if (!victim_set_[static_cast<std::size_t>(reporter)]) {
-          ++fp_healthy_events_;
-        }
-      }
-      return;
-    }
-    if (reporter == subject) return;
-    std::int64_t& mark = first_mark_[static_cast<std::size_t>(reporter) *
-                                         static_cast<std::size_t>(n_) +
-                                     static_cast<std::size_t>(subject)];
-    if (mark < 0) mark = e.at.us;
-    if (e.originated) {
-      auto [it, inserted] = first_originated_.try_emplace(subject, e.at.us);
-      if (!inserted && e.at.us < it->second) it->second = e.at.us;
-    }
-  }
-
-  void finalize(const std::vector<int>& victims,
-                harness::RunResult& out) const {
-    out.fp_events = fp_events_;
-    out.fp_healthy_events = fp_healthy_events_;
-    for (int v : victims) {
-      const auto orig = first_originated_.find(v);
-      if (orig == first_originated_.end()) continue;
-      out.first_detect.push_back(
-          (TimePoint{orig->second} - start_).seconds());
-      bool all_healthy_marked = true;
-      std::int64_t last_healthy_mark = -1;
-      for (int i = 0; i < n_; ++i) {
-        if (i == v || victim_set_[static_cast<std::size_t>(i)]) continue;
-        const std::int64_t mark =
-            first_mark_[static_cast<std::size_t>(i) *
-                            static_cast<std::size_t>(n_) +
-                        static_cast<std::size_t>(v)];
-        if (mark < 0) {
-          all_healthy_marked = false;
-        } else {
-          last_healthy_mark = std::max(last_healthy_mark, mark);
-        }
-      }
-      if (all_healthy_marked && last_healthy_mark >= 0) {
-        out.full_dissem.push_back(
-            (TimePoint{last_healthy_mark} - start_).seconds());
-      }
-    }
-  }
-
- private:
-  int n_;
-  TimePoint start_{};
-  std::vector<bool> victim_set_;
-  /// first_mark_[reporter * n + victim]: when `reporter` first marked
-  /// `victim` failed (us; -1 = never).
-  std::vector<std::int64_t> first_mark_;
-  std::map<int, std::int64_t> first_originated_;  ///< victim -> earliest us
-  std::int64_t fp_events_ = 0;
-  std::int64_t fp_healthy_events_ = 0;
-};
 
 /// Collects the workers' kMetricSample EV lines off the merged stream into
 /// an obs::Series, so a live RunResult carries the same telemetry shape as a
@@ -178,15 +92,15 @@ class LiveRun {
  public:
   LiveRun(const harness::Scenario& s, const RunOptions& opts,
           const std::vector<check::TraceSink*>& sinks)
-      : s_(s), opts_(opts), plan_rng_(s.seed ^ 0x11fe9ad5u) {
+      : s_(s), opts_(opts), plan_rng_(s.seed ^ 0x11fe9ad5u),
+        accounting_(s.cluster_size) {
     plan_ = fault::lower(s.timeline, s.cluster_size, s.run_length, plan_rng_);
-    metrics_ = std::make_unique<StreamMetrics>(s.cluster_size, plan_.victims);
     sinks_ = sinks;
     if (s.checks.enabled) {
       checker_.emplace(s.checks, s.config, s.cluster_size);
       sinks_.push_back(&*checker_);
     }
-    sinks_.push_back(metrics_.get());
+    sinks_.push_back(&accounting_);
     if (s.metrics_interval > Duration{0}) sinks_.push_back(&series_);
     merger_.emplace(sinks_);
     seed_state_ = s.seed;
@@ -251,7 +165,7 @@ class LiveRun {
   const RunOptions& opts_;
   Rng plan_rng_;
   fault::Schedule plan_;
-  std::unique_ptr<StreamMetrics> metrics_;
+  harness::FailureAccounting accounting_;
   SeriesCollector series_;
   std::optional<check::Checker> checker_;
   std::vector<check::TraceSink*> sinks_;
@@ -267,7 +181,7 @@ class LiveRun {
   /// Active partition claims and per-node active netem overlays, so a
   /// respawned worker can be brought back up to the current fault state.
   fault::PartitionClaims partitions_;
-  std::map<int, std::map<int, net::NetemFilter::Overlay>> active_netem_;
+  std::map<int, std::map<int, fault::LinkFault>> active_netem_;
 
   TimePoint last_disturbance_{};
   bool disturbed_ = false;
@@ -395,9 +309,8 @@ void LiveRun::execute_action(const fault::Action& a) {
       recompute_partitions();
       break;
     case ActionKind::kLinkFaultAdd: {
-      const net::NetemFilter::Overlay overlay =
-          net::NetemFilter::overlay_from_fault(
-              s_.timeline.entries()[static_cast<std::size_t>(a.entry)].fault);
+      const fault::LinkFault overlay = fault::link_fault_of(
+          s_.timeline.entries()[static_cast<std::size_t>(a.entry)].fault);
       for (int v : a.nodes) {
         active_netem_[v][a.entry] = overlay;
         if (NodeProcess* p = proc(v)) {
@@ -609,7 +522,7 @@ harness::RunResult LiveRun::execute() {
   const TimePoint t_start = now_rt();
   const TimePoint t_inject = t_start + s_.quiesce;
   const TimePoint t_end = t_inject + plan_.total_run;
-  metrics_->set_anomaly_start(t_inject);
+  accounting_.begin(t_inject, plan_.victims);
 
   std::size_t next_action = 0;
   while (true) {
@@ -639,7 +552,7 @@ harness::RunResult LiveRun::execute() {
   out.scenario_name = s_.name;
   out.cluster_size = s_.cluster_size;
   out.victims = plan_.victims;
-  metrics_->finalize(plan_.victims, out);
+  accounting_.fill(out);
   for (const auto& slot : slots_) {
     if (!slot.have_stats) continue;
     out.msgs_sent += static_cast<std::int64_t>(slot.stats.msgs_sent);

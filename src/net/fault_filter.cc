@@ -4,31 +4,7 @@
 
 namespace lifeguard::net {
 
-NetemFilter::Overlay NetemFilter::overlay_from_fault(const fault::Fault& f) {
-  Overlay o;
-  switch (f.kind) {
-    case fault::FaultKind::kLinkLoss:
-      o.egress_loss = f.egress_loss;
-      o.ingress_loss = f.ingress_loss;
-      break;
-    case fault::FaultKind::kLatency:
-      o.extra_latency = f.extra_latency;
-      o.jitter = f.jitter;
-      break;
-    case fault::FaultKind::kDuplicate:
-      o.duplicate_p = f.probability;
-      break;
-    case fault::FaultKind::kReorder:
-      o.reorder_p = f.probability;
-      o.reorder_spread = f.spread;
-      break;
-    default:
-      break;  // process-level kinds carry no packet math
-  }
-  return o;
-}
-
-void NetemFilter::add_overlay(int token, const Overlay& o) {
+void NetemFilter::add_overlay(int token, const fault::LinkFault& o) {
   remove(token);
   overlays_.emplace_back(token, o);
 }
@@ -58,9 +34,9 @@ namespace {
 /// summed latency + per-overlay jitter, composed reorder delay and composed
 /// duplication. Both plan shapes have the same four fields.
 template <typename Plan, typename LossOf>
-Plan apply_overlays(const std::vector<std::pair<int, NetemFilter::Overlay>>&
-                        overlays,
-                    Channel channel, Rng& rng, LossOf loss_of) {
+Plan apply_overlays(
+    const std::vector<std::pair<int, fault::LinkFault>>& overlays,
+    Channel channel, Rng& rng, LossOf loss_of) {
   Plan plan;
   const bool udp = channel == Channel::kUdp;
   Duration reorder_spread{};
@@ -103,7 +79,8 @@ EgressPlan NetemFilter::on_egress(const Address& to, Channel channel,
   (void)bytes;
   if (blocked(to)) return EgressPlan{.drop = true};
   return apply_overlays<EgressPlan>(
-      overlays_, channel, rng, [](const Overlay& o) { return o.egress_loss; });
+      overlays_, channel, rng,
+      [](const fault::LinkFault& o) { return o.egress_loss; });
 }
 
 IngressPlan NetemFilter::on_ingress(const Address& from, Channel channel,
@@ -111,7 +88,8 @@ IngressPlan NetemFilter::on_ingress(const Address& from, Channel channel,
   (void)bytes;
   if (blocked(from)) return IngressPlan{.drop = true};
   return apply_overlays<IngressPlan>(
-      overlays_, channel, rng, [](const Overlay& o) { return o.ingress_loss; });
+      overlays_, channel, rng,
+      [](const fault::LinkFault& o) { return o.ingress_loss; });
 }
 
 }  // namespace lifeguard::net

@@ -72,24 +72,9 @@ class FaultFilter {
 /// the runtime's threading model — mutate via UdpRuntime::post.
 class NetemFilter : public FaultFilter {
  public:
-  /// One installed network-fault overlay (a link_loss / latency / duplicate
-  /// / reorder timeline entry, lowered).
-  struct Overlay {
-    double egress_loss = 0.0;
-    double ingress_loss = 0.0;
-    Duration extra_latency{};
-    Duration jitter{};
-    double duplicate_p = 0.0;
-    double reorder_p = 0.0;
-    Duration reorder_spread{};
-  };
-
-  /// Lower one network-level fault::Fault into an overlay. Process-level
-  /// kinds produce an empty overlay (they are signals, not packet math).
-  static Overlay overlay_from_fault(const fault::Fault& f);
-
-  /// Install an overlay under `token`; replaces an existing same-token one.
-  void add_overlay(int token, const Overlay& o);
+  /// Install an overlay (a lowered link_loss / latency / duplicate / reorder
+  /// timeline entry) under `token`; replaces an existing same-token one.
+  void add_overlay(int token, const fault::LinkFault& o);
   /// Install a partition block set: datagrams to or from any of `peers` are
   /// dropped on both channels until the token is removed.
   void add_block_set(int token, std::vector<Address> peers);
@@ -107,7 +92,7 @@ class NetemFilter : public FaultFilter {
  private:
   bool blocked(const Address& peer) const;
 
-  std::vector<std::pair<int, Overlay>> overlays_;
+  std::vector<std::pair<int, fault::LinkFault>> overlays_;
   std::vector<std::pair<int, std::vector<Address>>> blocks_;
 };
 

@@ -156,7 +156,6 @@ Measurement bench_agent_dispatch(const SuiteOptions& opt) {
   constexpr std::int64_t kBatch = 100'000;
   sim::SimParams p;
   p.seed = 11;
-  p.record_failures_only = true;
   sim::Simulator sim(16, swim::Config::lifeguard(), p);
   sim.start_all();
   sim.run_for(sec(10));
@@ -181,7 +180,6 @@ Measurement bench_cluster(int n, std::int64_t virtual_s) {
   Measurement m;
   sim::SimParams p;
   p.seed = 7;
-  p.record_failures_only = true;  // the harness engine's configuration
   sim::Simulator sim(n, swim::Config::lifeguard(), p);
   const double start = now_s();
   sim.start_all();
@@ -201,7 +199,6 @@ Measurement bench_cluster_anomaly(const SuiteOptions& opt) {
   Measurement m;
   sim::SimParams p;
   p.seed = 9;
-  p.record_failures_only = true;
   sim::Simulator sim(64, swim::Config::swim_baseline(), p);
   const std::int64_t virtual_s = opt.quick ? 15 : 30;
   const double start = now_s();

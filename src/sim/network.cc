@@ -16,7 +16,7 @@ Duration Network::sample_link_latency(int from_node, int to_node, Channel ch) {
   for (int node : {from_node, to_node}) {
     const auto i = static_cast<std::size_t>(node);
     if (i >= faults_.size() || overlay_on_[i] == 0) continue;
-    const LinkFault& f = faults_[i].effective;
+    const fault::LinkFault& f = faults_[i].effective;
     d += f.extra_latency;
     if (f.jitter > Duration{0}) {
       d += Duration{rng_.uniform_range(0, f.jitter.us)};
@@ -77,7 +77,7 @@ void Network::set_partition(int node, int group) {
 void Network::heal() { std::fill(groups_.begin(), groups_.end(), 0); }
 
 void Network::recombine(NodeFaults& nf) {
-  LinkFault eff;
+  fault::LinkFault eff;
   double keep_egress = 1.0, keep_ingress = 1.0, keep_dup = 1.0, keep_ro = 1.0;
   for (const auto& [token, f] : nf.overlays) {
     (void)token;
@@ -96,7 +96,7 @@ void Network::recombine(NodeFaults& nf) {
   nf.effective = eff;
 }
 
-int Network::add_link_fault(int node, const LinkFault& f) {
+int Network::add_link_fault(int node, const fault::LinkFault& f) {
   const auto i = static_cast<std::size_t>(node);
   if (i >= faults_.size()) return 0;
   const int token = next_token_++;
@@ -125,7 +125,7 @@ void Network::remove_link_fault(int node, int token) {
 void Network::clear_link_faults() {
   for (auto& nf : faults_) {
     nf.overlays.clear();
-    nf.effective = LinkFault{};
+    nf.effective = fault::LinkFault{};
   }
   std::fill(overlay_on_.begin(), overlay_on_.end(), 0);
   active_overlays_ = 0;

@@ -21,6 +21,7 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/types.h"
+#include "fault/fault.h"
 
 namespace lifeguard::sim {
 
@@ -29,31 +30,6 @@ struct NetworkParams {
   Duration latency_max = msec(2);
   /// Probability an individual UDP datagram is dropped.
   double udp_loss = 0.0;
-};
-
-/// One link-fault overlay: what a fault::Timeline network entry installs on
-/// each victim for its span. Several overlays on one node combine
-/// independently (loss/duplicate/reorder probabilities compose as
-/// 1 - Π(1 - pᵢ); latencies add; the reorder spread takes the max).
-struct LinkFault {
-  /// Extra drop probability for datagrams the node sends / receives.
-  double egress_loss = 0.0;
-  double ingress_loss = 0.0;
-  /// Added one-way delay, plus uniform jitter in [0, jitter] per datagram.
-  Duration extra_latency{};
-  Duration jitter{};
-  /// Probability a UDP datagram is delivered twice.
-  double duplicate_p = 0.0;
-  /// Probability a UDP datagram is held back an extra uniform
-  /// [0, reorder_spread] — enough to land behind later traffic.
-  double reorder_p = 0.0;
-  Duration reorder_spread{};
-
-  bool any() const {
-    return egress_loss > 0.0 || ingress_loss > 0.0 ||
-           !extra_latency.is_zero() || !jitter.is_zero() ||
-           duplicate_p > 0.0 || reorder_p > 0.0;
-  }
 };
 
 class Network {
@@ -90,13 +66,13 @@ class Network {
 
   // ---- link-fault overlays ----
   /// Install an overlay on `node`; returns a token for remove_link_fault.
-  int add_link_fault(int node, const LinkFault& f);
+  int add_link_fault(int node, const fault::LinkFault& f);
   /// Remove one overlay by its token. Unknown tokens are ignored.
   void remove_link_fault(int node, int token);
   /// Remove every overlay on every node.
   void clear_link_faults();
   /// The combined overlay currently effective on `node`.
-  const LinkFault& effective_fault(int node) const {
+  const fault::LinkFault& effective_fault(int node) const {
     return faults_[static_cast<std::size_t>(node)].effective;
   }
   bool has_link_faults() const { return active_overlays_ > 0; }
@@ -106,8 +82,8 @@ class Network {
 
  private:
   struct NodeFaults {
-    std::vector<std::pair<int, LinkFault>> overlays;
-    LinkFault effective;  ///< cached combination of `overlays`
+    std::vector<std::pair<int, fault::LinkFault>> overlays;
+    fault::LinkFault effective;  ///< cached combination of `overlays`
   };
 
   void recombine(NodeFaults& nf);

@@ -11,8 +11,7 @@ Address sim_address(int node_index) {
 }
 
 Simulator::Simulator(int num_nodes, const swim::Config& cfg, SimParams params)
-    : rng_(params.seed), cfg_(cfg),
-      record_failures_only_(params.record_failures_only) {
+    : rng_(params.seed), cfg_(cfg) {
   std::string spec_error;
   const auto spec = membership::parse_spec(params.membership, &spec_error);
   if (!spec) throw std::invalid_argument(spec_error);
@@ -20,7 +19,6 @@ Simulator::Simulator(int num_nodes, const swim::Config& cfg, SimParams params)
   backend_ = membership::BackendRegistry::builtin().find(spec_.base);
   network_ = std::make_unique<Network>(params.network, num_nodes, rng_.fork());
   runtimes_.reserve(static_cast<std::size_t>(num_nodes));
-  listeners_.reserve(static_cast<std::size_t>(num_nodes));
   agents_.reserve(static_cast<std::size_t>(num_nodes));
   subscriptions_.resize(static_cast<std::size_t>(num_nodes));
   crashed_.assign(static_cast<std::size_t>(num_nodes), false);
@@ -31,7 +29,6 @@ Simulator::Simulator(int num_nodes, const swim::Config& cfg, SimParams params)
     runtimes_.push_back(std::make_unique<SimRuntime>(
         *this, i, sim_address(i), rng_.fork(), params.msg_proc_cost,
         params.recv_buffer_bytes));
-    listeners_.push_back(std::make_unique<swim::RecordingListener>());
     agents_.push_back(backend_->create(agent_params(i), *runtimes_.back()));
     attach_node(i);
   }
@@ -93,17 +90,9 @@ void Simulator::ProbeTap::on_probe_nack(const std::string& /*target*/,
 void Simulator::attach_node(int index) {
   const auto i = static_cast<std::size_t>(index);
   membership::Agent* agent = agents_[i].get();
-  swim::RecordingListener* rec = listeners_[i].get();
   swim::EventBus* bus = &bus_;
-  // When record_failures_only_ is set, retain only failure declarations
-  // (all the harness's metric extraction reads); the bus always sees the
-  // full stream.
-  const bool all = !record_failures_only_;
-  subscriptions_[i] =
-      agent->subscribe([rec, bus, all](const swim::MemberEvent& e) {
-        if (all || e.type == swim::EventType::kFailed) rec->on_event(e);
-        bus->publish(e);
-      });
+  subscriptions_[i] = agent->subscribe(
+      [bus](const swim::MemberEvent& e) { bus->publish(e); });
   runtimes_[i]->attach(agent, [agent] { agent->on_unblocked(); });
   // Probe-span telemetry: one adapter per slot, surviving restart_node (the
   // fresh incarnation gets the same tap re-installed). Backends without a

@@ -56,13 +56,6 @@ struct SimEvent {
 struct SimParams {
   NetworkParams network;
   std::uint64_t seed = 1;
-  /// Record only failure declarations (EventType::kFailed) in the per-node
-  /// RecordingListeners instead of every membership transition. The harness
-  /// engine enables this: its metric extraction reads only failure events,
-  /// so results are bit-identical, while a large cluster's O(n²) join storm
-  /// no longer materializes as retained MemberEvent records. The EventBus
-  /// stream (checking layer, traces) is unaffected.
-  bool record_failures_only = false;
   /// Virtual CPU cost of handling one inbound message once a backlog exists
   /// (see SimRuntime). The anomaly instrumentation blocks I/O, not the CPU,
   /// so an agent in an open window runs at full speed — a few microseconds
@@ -114,9 +107,9 @@ class Simulator {
     return crashed_[static_cast<std::size_t>(index)];
   }
   /// Replace a crashed node with a fresh process at the same address (clean
-  /// state, incarnation 0) and have it rejoin through node 0. The recorded
-  /// event log of the previous incarnation is retained. Models the churn of
-  /// an orchestrator restarting a failed agent.
+  /// state, incarnation 0) and have it rejoin through node 0. The fresh
+  /// incarnation publishes on the same event_bus(). Models the churn of an
+  /// orchestrator restarting a failed agent.
   void restart_node(int index);
 
   // ---- access ----
@@ -146,9 +139,6 @@ class Simulator {
   bool detects_failures() const { return backend_->detects_failures(); }
   SimRuntime& runtime(int index) {
     return *runtimes_[static_cast<std::size_t>(index)];
-  }
-  const swim::RecordingListener& events(int index) const {
-    return *listeners_[static_cast<std::size_t>(index)];
   }
   /// Cluster-wide feed of every node's membership events; survives
   /// restart_node (new incarnations are re-attached).
@@ -199,7 +189,8 @@ class Simulator {
   /// restart_node to build the replacement incarnation).
   membership::AgentParams agent_params(int index) const;
 
-  /// Wire node `index`'s event bus to its RecordingListener.
+  /// Wire node `index`'s events onto the cluster bus, its runtime and its
+  /// probe tap (also after restart_node).
   void attach_node(int index);
 
   /// Per-node adapter turning swim::ProbeObserver callbacks into probe-span
@@ -225,7 +216,6 @@ class Simulator {
   swim::EventBus bus_;
   std::unique_ptr<Network> network_;
   std::vector<std::unique_ptr<SimRuntime>> runtimes_;
-  std::vector<std::unique_ptr<swim::RecordingListener>> listeners_;
   std::vector<std::unique_ptr<membership::Agent>> agents_;
   std::vector<swim::EventBus::Subscription> subscriptions_;
   std::vector<bool> crashed_;
@@ -236,7 +226,6 @@ class Simulator {
   /// Metrics of node incarnations retired by restart_node.
   Metrics retired_metrics_;
   std::int64_t datagrams_routed_ = 0;
-  bool record_failures_only_ = false;
   std::vector<std::vector<std::uint8_t>> buffer_pool_;
 };
 

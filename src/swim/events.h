@@ -2,14 +2,12 @@
 //
 // Every local membership state transition is published on the node's
 // EventBus; any number of observers attach with subscribe(), which returns a
-// RAII Subscription handle. The harness uses `originated` to distinguish a
-// *failure event* (this node's own suspicion timeout declared the member
-// dead — what the paper counts as a false positive when the member is
-// healthy) from mere dissemination (applying a gossiped dead).
-// RecordingListener retains events for post-run analysis.
-//
-// EventListener remains as a deprecated adapter for one release: a raw
-// listener pointer passed to swim::Node is simply subscribed on the bus.
+// RAII Subscription handle. `originated` distinguishes a *failure event*
+// (this node's own suspicion timeout declared the member dead — what the
+// paper counts as a false positive when the member is healthy) from mere
+// dissemination (applying a gossiped dead). The simulator fans every node's
+// bus into one cluster-wide bus; check::EventTap turns that stream into
+// check::TraceEvents, which harness::FailureAccounting counts.
 #pragma once
 
 #include <cstdint>
@@ -44,14 +42,6 @@ struct MemberEvent {
   /// True when this node itself originated the transition (its own probe
   /// failure or suspicion timeout), false when applying received gossip.
   bool originated = false;
-};
-
-/// Deprecated single-observer interface; prefer EventBus::subscribe(). Kept
-/// for one release so existing listeners keep working unchanged.
-class EventListener {
- public:
-  virtual ~EventListener() = default;
-  virtual void on_event(const MemberEvent& e) = 0;
 };
 
 /// Multi-subscriber event fan-out with RAII unsubscription.
@@ -119,23 +109,6 @@ class EventBus {
 
  private:
   std::shared_ptr<Subscription::State> state_;
-};
-
-/// Appends every event to a vector (per-node; single-threaded).
-class RecordingListener : public EventListener {
- public:
-  void on_event(const MemberEvent& e) override { events_.push_back(e); }
-  const std::vector<MemberEvent>& events() const { return events_; }
-  void clear() { events_.clear(); }
-
- private:
-  std::vector<MemberEvent> events_;
-};
-
-/// Discards events (benches that only read counters).
-class NullListener : public EventListener {
- public:
-  void on_event(const MemberEvent&) override {}
 };
 
 }  // namespace lifeguard::swim

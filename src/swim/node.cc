@@ -8,8 +8,7 @@
 
 namespace lifeguard::swim {
 
-Node::Node(std::string name, Address addr, Config cfg, Runtime& rt,
-           EventListener* listener)
+Node::Node(std::string name, Address addr, Config cfg, Runtime& rt)
     : name_(std::move(name)),
       addr_(addr),
       cfg_(cfg),
@@ -24,12 +23,6 @@ Node::Node(std::string name, Address addr, Config cfg, Runtime& rt,
         bcast_, [this](const std::string& t) { return buddy_frame(t); });
   } else {
     piggyback_ = std::make_unique<DefaultPiggyback>(bcast_);
-  }
-  if (listener != nullptr) {
-    legacy_listener_sub_ =
-        events_.subscribe([listener](const MemberEvent& e) {
-          listener->on_event(e);
-        });
   }
 }
 

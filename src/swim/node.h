@@ -15,7 +15,8 @@
 //
 // All interaction with the environment goes through Runtime; the node is
 // single-threaded and never blocks. Incoming datagrams enter through
-// on_packet(); membership transitions exit through the EventListener.
+// on_packet(); membership transitions exit on the node's EventBus
+// (events(), subscribe()).
 #pragma once
 
 #include <cstdint>
@@ -47,10 +48,8 @@ class ProbeObserver;
 class Node : public membership::Agent {
  public:
   /// Membership transitions are published on events(); attach observers with
-  /// subscribe(). `listener` is a deprecated convenience — a non-null pointer
-  /// is auto-subscribed and must outlive the node.
-  Node(std::string name, Address addr, Config cfg, Runtime& rt,
-       EventListener* listener = nullptr);
+  /// subscribe().
+  Node(std::string name, Address addr, Config cfg, Runtime& rt);
   ~Node() override;
 
   Node(const Node&) = delete;
@@ -205,8 +204,6 @@ class Node : public membership::Agent {
   Config cfg_;
   Runtime& rt_;
   EventBus events_;
-  /// Keeps a legacy constructor-passed EventListener attached to the bus.
-  EventBus::Subscription legacy_listener_sub_;
 
   MembershipTable table_;
   proto::BroadcastQueue bcast_;

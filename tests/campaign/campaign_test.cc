@@ -102,16 +102,15 @@ void expect_same_trial(const TrialResult& a, const TrialResult& b) {
 }
 
 TEST(TrialSeed, MatchesLegacyRunSeed) {
-  // Golden values captured from the pre-campaign run_seed() implementation
-  // (an independent build of the old SplitMix64 chain, not this code): they
-  // pin the seed derivation so paper-grid trials stay bit-identical to the
-  // historical sequential loops. run_seed() itself now delegates to
-  // trial_seed(), so comparing the two functions alone would be vacuous.
+  // Golden values captured from the pre-campaign run_seed(base, c, d_us,
+  // i_us, rep) implementation (an independent build of the old SplitMix64
+  // chain, not this code): they pin the seed derivation so paper-grid trials
+  // stay bit-identical to the historical sequential loops, whose salts were
+  // {c, d_us, i_us}.
   EXPECT_EQ(trial_seed(42, {8, 16384000, 4000}, 3), 2716496835168647550ULL);
   EXPECT_EQ(trial_seed(7, {1, 512000, 256000}, 0), 13209086244567694092ULL);
-  EXPECT_EQ(run_seed(42, 8, 16384000, 4000, 3), 2716496835168647550ULL);
   // The threshold sweep keeps the legacy i = 0 coordinate via a constant
-  // single-point axis, so its chain is run_seed(base, c, d, 0, rep) too.
+  // single-point axis, so its chain is {c, d_us, 0} too.
   EXPECT_EQ(trial_seed(42, {4, 16384000, 0}, 2), 7500441873338434338ULL);
 }
 

@@ -13,6 +13,7 @@
 
 #include "check/spec.h"
 #include "check/trace.h"
+#include "harness/accounting.h"
 #include "harness/campaign.h"
 #include "harness/report.h"
 #include "harness/scenario.h"
@@ -43,7 +44,7 @@ TEST(RegistryInvariants, AllScenariosPassTheFullSuite) {
   struct Outcome {
     std::string name;
     std::string membership;
-    check::RunReport report;
+    RunResult result;
     check::Trace trace;
   };
   std::vector<Outcome> outcomes(all.size());
@@ -62,14 +63,17 @@ TEST(RegistryInvariants, AllScenariosPassTheFullSuite) {
         s.checks = check::Spec::all();
         check::TraceRecorder recorder(s);
         const RunResult r = harness::run(s, {&recorder});
-        outcomes[i] = {s.name, s.membership, r.checks, recorder.take()};
+        outcomes[i] = {s.name, s.membership, r, recorder.take()};
       }
     });
   }
   for (auto& th : pool) th.join();
 
+  int detecting = 0;
+  int with_fp = 0;
   for (const Outcome& o : outcomes) {
-    EXPECT_TRUE(o.report.checked) << o.name;
+    const check::RunReport& report = o.result.checks;
+    EXPECT_TRUE(report.checked) << o.name;
     // Swim scenarios run the full suite; non-swim backends run the four
     // protocol-generic invariants (swim-only ones auto-disable — see
     // docs/membership.md).
@@ -77,20 +81,48 @@ TEST(RegistryInvariants, AllScenariosPassTheFullSuite) {
         membership::base_name(o.membership) == "swim"
             ? check::builtin_invariant_names().size()
             : 4u;
-    EXPECT_EQ(o.report.invariants.size(), expected) << o.name;
-    if (o.report.total_violations == 0) continue;
+    EXPECT_EQ(report.invariants.size(), expected) << o.name;
+
+    // The failure accounting, run again over the trace as saved and
+    // reloaded, reproduces the engine's four paper metrics. The injection
+    // starts right after the quiesce (virtual time starts at zero).
+    std::stringstream saved;
+    check::save_trace(o.trace, saved);
+    std::string load_error;
+    const auto loaded = check::load_trace(saved, load_error);
+    ASSERT_TRUE(loaded.has_value()) << o.name << ": " << load_error;
+    harness::FailureAccounting recount(loaded->header.cluster_size);
+    recount.begin(TimePoint{} + loaded->header.quiesce, o.result.victims);
+    for (const check::TraceEvent& e : loaded->events) {
+      recount.on_trace_event(e);
+    }
+    RunResult counted;
+    recount.fill(counted);
+    EXPECT_EQ(counted.fp_events, o.result.fp_events) << o.name;
+    EXPECT_EQ(counted.fp_healthy_events, o.result.fp_healthy_events)
+        << o.name;
+    EXPECT_EQ(counted.first_detect, o.result.first_detect) << o.name;
+    EXPECT_EQ(counted.full_dissem, o.result.full_dissem) << o.name;
+    detecting += o.result.first_detect.empty() ? 0 : 1;
+    with_fp += o.result.fp_events > 0 ? 1 : 0;
+
+    if (report.total_violations == 0) continue;
     std::filesystem::create_directories("traces");
     const std::string path = "traces/" + o.name + ".trace.jsonl";
     std::string error;
     check::save_trace_file(o.trace, path, error);
     std::ostringstream detail;
-    for (const check::Violation& v : o.report.violations) {
+    for (const check::Violation& v : report.violations) {
       detail << "\n  " << v.describe();
     }
     ADD_FAILURE() << o.name << " violated "
-                  << o.report.total_violations
+                  << report.total_violations
                   << " invariant(s); trace saved to " << path << detail.str();
   }
+  // The recount above compares something: the catalog detects victims and
+  // raises false positives.
+  EXPECT_GT(detecting, 0);
+  EXPECT_GT(with_fp, 0);
 }
 
 // Checking is a pure observation: enabling the suite must not change a

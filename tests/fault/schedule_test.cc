@@ -15,7 +15,6 @@
 #include "check/events.h"
 #include "check/tap.h"
 #include "fault/injector.h"
-#include "net/fault_filter.h"
 #include "sim/simulator.h"
 
 namespace lifeguard::fault {
@@ -269,11 +268,11 @@ TEST(LiveFaultPlan, NetworkFaultsBecomeTokenedNetemOverlays) {
   EXPECT_EQ(adds[1].nodes, (std::vector<int>{2}));
   EXPECT_EQ(dels[0].at, sec(7));  // the latency entry ends first
   EXPECT_EQ(dels[0].entry, 1);
-  const auto loss = net::NetemFilter::overlay_from_fault(
+  const auto loss = link_fault_of(
       tl.entries()[static_cast<std::size_t>(adds[0].entry)].fault);
   EXPECT_DOUBLE_EQ(loss.egress_loss, 0.25);
   EXPECT_DOUBLE_EQ(loss.ingress_loss, 0.1);
-  const auto latency = net::NetemFilter::overlay_from_fault(
+  const auto latency = link_fault_of(
       tl.entries()[static_cast<std::size_t>(adds[1].entry)].fault);
   EXPECT_EQ(latency.extra_latency, msec(30));
   EXPECT_EQ(latency.jitter, msec(20));

@@ -53,13 +53,14 @@ TEST(Sweep, RepsOverrideApplies) {
 }
 
 TEST(Sweep, RunSeedsArePairedAndDistinct) {
-  // Same grid point -> same seed (paired across configs); different points
-  // -> different seeds.
-  EXPECT_EQ(run_seed(42, 8, 1000, 4, 0), run_seed(42, 8, 1000, 4, 0));
-  EXPECT_NE(run_seed(42, 8, 1000, 4, 0), run_seed(42, 8, 1000, 4, 1));
-  EXPECT_NE(run_seed(42, 8, 1000, 4, 0), run_seed(42, 9, 1000, 4, 0));
-  EXPECT_NE(run_seed(42, 8, 1000, 4, 0), run_seed(42, 8, 2000, 4, 0));
-  EXPECT_NE(run_seed(42, 8, 1000, 4, 0), run_seed(43, 8, 1000, 4, 0));
+  // The sweeps salt trial_seed with the grid point {c, d_us, i_us}. Same
+  // grid point -> same seed (paired across configs); different points ->
+  // different seeds.
+  EXPECT_EQ(trial_seed(42, {8, 1000, 4}, 0), trial_seed(42, {8, 1000, 4}, 0));
+  EXPECT_NE(trial_seed(42, {8, 1000, 4}, 0), trial_seed(42, {8, 1000, 4}, 1));
+  EXPECT_NE(trial_seed(42, {8, 1000, 4}, 0), trial_seed(42, {9, 1000, 4}, 0));
+  EXPECT_NE(trial_seed(42, {8, 1000, 4}, 0), trial_seed(42, {8, 2000, 4}, 0));
+  EXPECT_NE(trial_seed(42, {8, 1000, 4}, 0), trial_seed(43, {8, 1000, 4}, 0));
 }
 
 TEST(Sweep, TinySweepAggregates) {

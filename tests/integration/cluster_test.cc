@@ -2,6 +2,8 @@
 // the simulated substrate.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/simulator.h"
 
 namespace lifeguard {
@@ -43,17 +45,15 @@ TEST(Cluster, SteadyStateProducesNoEvents) {
   sim.start_all();
   sim.run_for(sec(15));
   // After convergence, run 60 quiet seconds: no suspicions, no failures.
-  for (int i = 0; i < sim.size(); ++i) {
-    const_cast<swim::RecordingListener&>(sim.events(i)).clear();
-  }
+  std::vector<swim::MemberEvent> events;
+  const auto sub = sim.event_bus().subscribe(
+      [&events](const swim::MemberEvent& e) { events.push_back(e); });
   sim.run_for(sec(60));
-  for (int i = 0; i < sim.size(); ++i) {
-    for (const auto& e : sim.events(i).events()) {
-      EXPECT_NE(e.type, swim::EventType::kSuspect)
-          << "spurious suspicion at node " << i << " about " << e.member;
-      EXPECT_NE(e.type, swim::EventType::kFailed)
-          << "spurious failure at node " << i << " about " << e.member;
-    }
+  for (const auto& e : events) {
+    EXPECT_NE(e.type, swim::EventType::kSuspect)
+        << "spurious suspicion at " << e.reporter << " about " << e.member;
+    EXPECT_NE(e.type, swim::EventType::kFailed)
+        << "spurious failure at " << e.reporter << " about " << e.member;
   }
 }
 
@@ -73,6 +73,9 @@ TEST(Cluster, DeterministicReplay) {
 
 TEST(Cluster, GracefulLeaveDisseminates) {
   sim::Simulator sim(16, swim::Config::lifeguard(), params(23));
+  std::vector<swim::MemberEvent> events;
+  const auto sub = sim.event_bus().subscribe(
+      [&events](const swim::MemberEvent& e) { events.push_back(e); });
   sim.start_all();
   sim.run_for(sec(12));
   ASSERT_TRUE(sim.converged(16));
@@ -88,10 +91,8 @@ TEST(Cluster, GracefulLeaveDisseminates) {
   }
   EXPECT_EQ(left_views, 15);
   // A graceful leave is NOT a failure event anywhere.
-  for (int i = 0; i < sim.size(); ++i) {
-    for (const auto& e : sim.events(i).events()) {
-      EXPECT_NE(e.type, swim::EventType::kFailed);
-    }
+  for (const auto& e : events) {
+    EXPECT_NE(e.type, swim::EventType::kFailed);
   }
 }
 

@@ -14,15 +14,12 @@ namespace {
 
 struct LiveNode {
   std::unique_ptr<net::UdpRuntime> rt;
-  std::unique_ptr<swim::RecordingListener> listener;
   std::unique_ptr<swim::Node> node;
 
   LiveNode(const std::string& name, std::uint64_t seed,
            const swim::Config& cfg) {
     rt = std::make_unique<net::UdpRuntime>(0, seed);
-    listener = std::make_unique<swim::RecordingListener>();
-    node = std::make_unique<swim::Node>(name, rt->local_address(), cfg, *rt,
-                                        listener.get());
+    node = std::make_unique<swim::Node>(name, rt->local_address(), cfg, *rt);
     rt->start(node.get());
     rt->post([this] { node->start(); });
   }

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "check/events.h"
-#include "net/fault_filter.h"
+#include "fault/fault.h"
 #include "swim/config.h"
 
 namespace lifeguard::live {
@@ -160,7 +160,7 @@ TEST(LiveControl, StartCommandRoundTrip) {
 }
 
 TEST(LiveControl, FaultAddCommandRoundTrip) {
-  net::NetemFilter::Overlay o;
+  fault::LinkFault o;
   o.egress_loss = 0.25;
   o.ingress_loss = 0.1;
   o.extra_latency = msec(30);

@@ -95,7 +95,7 @@ TEST(NetworkDeterminism, LossAndLatencySequencesReplay) {
 
 TEST(NetworkDeterminism, LinkFaultSequencesReplay) {
   Network a(NetworkParams{}, 6, Rng(43)), b(NetworkParams{}, 6, Rng(43));
-  LinkFault f;
+  fault::LinkFault f;
   f.egress_loss = 0.3;
   f.jitter = msec(5);
   f.reorder_p = 0.2;
@@ -117,7 +117,7 @@ TEST(NetworkDeterminism, LinkFaultSequencesReplay) {
 
 TEST(NetworkLinkFault, EgressAndIngressLossAreAsymmetric) {
   Network net(NetworkParams{}, 4, Rng(50));
-  LinkFault f;
+  fault::LinkFault f;
   f.egress_loss = 1.0;  // everything the victim sends dies
   net.add_link_fault(1, f);
   for (int i = 0; i < 50; ++i) {
@@ -130,7 +130,7 @@ TEST(NetworkLinkFault, EgressAndIngressLossAreAsymmetric) {
 
 TEST(NetworkLinkFault, LossSparesTheReliableChannel) {
   Network net(NetworkParams{}, 4, Rng(51));
-  LinkFault f;
+  fault::LinkFault f;
   f.egress_loss = 1.0;
   f.ingress_loss = 1.0;
   net.add_link_fault(1, f);
@@ -145,7 +145,7 @@ TEST(NetworkLinkFault, LatencyOverlayDelaysBothChannels) {
   p.latency_min = msec(1);
   p.latency_max = msec(1);
   Network net(p, 4, Rng(52));
-  LinkFault f;
+  fault::LinkFault f;
   f.extra_latency = msec(30);
   net.add_link_fault(2, f);
   EXPECT_EQ(net.sample_link_latency(2, 0, Channel::kUdp), msec(31));
@@ -162,7 +162,7 @@ TEST(NetworkLinkFault, JitterStaysInsideItsWindow) {
   p.latency_min = msec(1);
   p.latency_max = msec(1);
   Network net(p, 4, Rng(53));
-  LinkFault f;
+  fault::LinkFault f;
   f.jitter = msec(10);
   net.add_link_fault(1, f);
   for (int i = 0; i < 500; ++i) {
@@ -174,7 +174,7 @@ TEST(NetworkLinkFault, JitterStaysInsideItsWindow) {
 
 TEST(NetworkLinkFault, DuplicationTriggersAtTheConfiguredRate) {
   Network net(NetworkParams{}, 4, Rng(54));
-  LinkFault f;
+  fault::LinkFault f;
   f.duplicate_p = 0.3;
   net.add_link_fault(1, f);
   int dups = 0;
@@ -189,7 +189,7 @@ TEST(NetworkLinkFault, ReorderPenaltyExtendsLatencyAndCounts) {
   p.latency_min = msec(1);
   p.latency_max = msec(1);
   Network net(p, 4, Rng(55));
-  LinkFault f;
+  fault::LinkFault f;
   f.reorder_p = 1.0;
   f.reorder_spread = msec(40);
   net.add_link_fault(1, f);
@@ -205,9 +205,9 @@ TEST(NetworkLinkFault, ReorderPenaltyExtendsLatencyAndCounts) {
 
 TEST(NetworkLinkFault, OverlaysStackAndUnwindByToken) {
   Network net(NetworkParams{}, 4, Rng(56));
-  LinkFault a;
+  fault::LinkFault a;
   a.egress_loss = 0.5;
-  LinkFault b;
+  fault::LinkFault b;
   b.egress_loss = 0.5;
   b.extra_latency = msec(10);
   const int ta = net.add_link_fault(1, a);

@@ -3,6 +3,9 @@
 // incarnations. Churn faults lean on these semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/simulator.h"
 #include "swim/config.h"
 
@@ -70,15 +73,26 @@ TEST(SimulatorRestart, RestartedNodeIsUnblockedAndDeliverable) {
 
 TEST(SimulatorRestart, EventLogOfPreviousIncarnationIsRetained) {
   Simulator sim(6, swim::Config::lifeguard(), quiet_params(14));
+  std::vector<swim::MemberEvent> events;  // node-4's, every incarnation
+  const auto sub =
+      sim.event_bus().subscribe([&events](const swim::MemberEvent& e) {
+        if (e.reporter == "node-4") events.push_back(e);
+      });
   sim.start_all();
   sim.run_for(sec(15));
-  const std::size_t events_before = sim.events(4).events().size();
+  const std::size_t events_before = events.size();
+  ASSERT_GT(events_before, 0u);
   sim.crash_node(4);
   sim.run_for(sec(15));
+  const TimePoint restarted_at = sim.now();
   sim.restart_node(4);
   sim.run_for(sec(20));
-  // The recorder survives the swap: it has at least everything it had.
-  EXPECT_GE(sim.events(4).events().size(), events_before);
+  // The cluster bus survives the swap: it has at least everything it had,
+  // and the fresh incarnation publishes on it too (it re-learns the view).
+  EXPECT_GE(events.size(), events_before);
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(), [&](const auto& e) {
+    return e.at >= restarted_at && e.type == swim::EventType::kJoin;
+  }));
 }
 
 }  // namespace

@@ -115,17 +115,5 @@ TEST(EventBus, CrossThreadResetWaitsForInFlightPublish) {
   publisher.join();
 }
 
-TEST(EventBus, LegacyListenerAdapterStillWorks) {
-  // RecordingListener subscribes the old way through a closure.
-  EventBus bus;
-  RecordingListener rec;
-  auto sub =
-      bus.subscribe([&rec](const MemberEvent& e) { rec.on_event(e); });
-  bus.publish(event_about("m1"));
-  bus.publish(event_about("m2"));
-  ASSERT_EQ(rec.events().size(), 2u);
-  EXPECT_EQ(rec.events()[1].member, "m2");
-}
-
 }  // namespace
 }  // namespace lifeguard::swim

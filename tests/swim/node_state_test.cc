@@ -2,6 +2,8 @@
 // injecting wire messages into a single simulated node.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "proto/wire.h"
 #include "sim/simulator.h"
 
@@ -13,6 +15,8 @@ using swim::MemberState;
 class NodeState : public ::testing::Test {
  protected:
   NodeState() : sim_(make()) {
+    sub_ = sim_.event_bus().subscribe(
+        [this](const swim::MemberEvent& e) { events_.push_back(e); });
     node().start();
     sim_.run_for(msec(10));
   }
@@ -45,6 +49,9 @@ class NodeState : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  /// Every membership event the node publishes.
+  std::vector<swim::MemberEvent> events_;
+  swim::EventBus::Subscription sub_;
 };
 
 TEST_F(NodeState, AliveAddsUnknownMember) {
@@ -104,7 +111,7 @@ TEST_F(NodeState, SuspicionTimeoutDeclaresDead) {
   EXPECT_EQ(state("m"), MemberState::kDead);
   // The local timeout originated a failure event.
   bool found = false;
-  for (const auto& e : sim_.events(0).events()) {
+  for (const auto& e : events_) {
     if (e.type == swim::EventType::kFailed && e.member == "m") {
       EXPECT_TRUE(e.originated);
       EXPECT_EQ(e.reporter, "node-0");
@@ -138,7 +145,7 @@ TEST_F(NodeState, DeadMessageKillsMember) {
   inject(proto::Dead{"m", 1, "accuser"});
   EXPECT_EQ(state("m"), MemberState::kDead);
   // Applying gossip is dissemination, not origination.
-  for (const auto& e : sim_.events(0).events()) {
+  for (const auto& e : events_) {
     if (e.type == swim::EventType::kFailed && e.member == "m") {
       EXPECT_FALSE(e.originated);
       EXPECT_EQ(e.origin, "accuser");
@@ -157,7 +164,7 @@ TEST_F(NodeState, DeadFromSelfMeansLeft) {
   inject(proto::Dead{"m", 1, "m"});
   EXPECT_EQ(state("m"), MemberState::kLeft);
   bool saw_left = false;
-  for (const auto& e : sim_.events(0).events()) {
+  for (const auto& e : events_) {
     saw_left |= e.type == swim::EventType::kLeft && e.member == "m";
     EXPECT_NE(e.type, swim::EventType::kFailed);
   }
@@ -209,7 +216,7 @@ TEST_F(NodeState, JoinEventEmittedOnce) {
   add_member("m", 0);
   add_member("m", 0);  // duplicate alive
   int joins = 0;
-  for (const auto& e : sim_.events(0).events()) {
+  for (const auto& e : events_) {
     joins += e.type == swim::EventType::kJoin && e.member == "m" ? 1 : 0;
   }
   EXPECT_EQ(joins, 1);
