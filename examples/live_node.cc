@@ -24,7 +24,6 @@
 #include <string>
 
 #include "check/events.h"
-#include "check/tap.h"
 #include "check/trace.h"
 #include "live/control.h"
 #include "net/fault_filter.h"

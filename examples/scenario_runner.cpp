@@ -182,6 +182,7 @@
 #include "membership/backend.h"
 #include "net/udp_runtime.h"
 #include "obs/export.h"
+#include "obs/sampler.h"
 
 using namespace lifeguard;
 using namespace lifeguard::harness;
@@ -451,13 +452,11 @@ int run_replay(const std::string& path,
   if (metrics_out) {
     // Offline re-analysis: the samples are already in the trace, so no
     // re-execution is needed to export them.
-    obs::Series series;
+    obs::SeriesCollector collector;
     for (const check::TraceEvent& e : loaded->events) {
-      if (e.kind != check::TraceEventKind::kMetricSample) continue;
-      const auto m = obs::metric_from_id(e.peer);
-      if (!m) continue;
-      series.push_back(obs::Sample{e.at, *m, e.node, e.value});
+      collector.on_trace_event(e);
     }
+    const obs::Series series = collector.take();
     std::printf("extracting metrics from %s: %zu samples of %zu events\n",
                 path.c_str(), series.size(), loaded->events.size());
     return write_metrics_artifacts(*metrics_out, series);

@@ -2,7 +2,12 @@
 
 #include <sstream>
 
+#include "swim/events.h"
+
 namespace lifeguard::check {
+
+static_assert(static_cast<int>(TraceEventKind::kProbeNack) + 1 ==
+              kTraceEventKindCount);
 
 const char* trace_event_kind_name(TraceEventKind k) {
   switch (k) {
@@ -47,15 +52,8 @@ const char* trace_event_kind_name(TraceEventKind k) {
 }
 
 std::optional<TraceEventKind> trace_event_kind_from_name(std::string_view n) {
-  for (TraceEventKind k :
-       {TraceEventKind::kJoin, TraceEventKind::kAlive, TraceEventKind::kSuspect,
-        TraceEventKind::kFailed, TraceEventKind::kLeft, TraceEventKind::kCrash,
-        TraceEventKind::kRestart, TraceEventKind::kBlock,
-        TraceEventKind::kUnblock, TraceEventKind::kFaultStart,
-        TraceEventKind::kFaultEnd, TraceEventKind::kDatagram,
-        TraceEventKind::kMetricSample, TraceEventKind::kProbeStart,
-        TraceEventKind::kProbeAck, TraceEventKind::kProbeIndirect,
-        TraceEventKind::kProbeFail, TraceEventKind::kProbeNack}) {
+  for (int i = 0; i < kTraceEventKindCount; ++i) {
+    const auto k = static_cast<TraceEventKind>(i);
     if (n == trace_event_kind_name(k)) return k;
   }
   return std::nullopt;
@@ -100,6 +98,46 @@ int node_index_of(std::string_view member_name) {
     value = value * 10 + (c - '0');
   }
   return value;
+}
+
+TraceEvent trace_event_of(const swim::MemberEvent& me) {
+  TraceEvent e;
+  e.at = me.at;
+  switch (me.type) {
+    case swim::EventType::kJoin:
+      e.kind = TraceEventKind::kJoin;
+      break;
+    case swim::EventType::kAlive:
+      e.kind = TraceEventKind::kAlive;
+      break;
+    case swim::EventType::kSuspect:
+      e.kind = TraceEventKind::kSuspect;
+      break;
+    case swim::EventType::kFailed:
+      e.kind = TraceEventKind::kFailed;
+      break;
+    case swim::EventType::kLeft:
+      e.kind = TraceEventKind::kLeft;
+      break;
+  }
+  e.node = node_index_of(me.reporter);
+  e.peer = node_index_of(me.member);
+  e.origin = node_index_of(me.origin);
+  e.incarnation = me.incarnation;
+  e.originated = me.originated;
+  return e;
+}
+
+bool sink_wants(const TraceSink& sink, TraceEventKind k) {
+  if (k == TraceEventKind::kDatagram) return sink.wants_datagrams();
+  if (is_probe_span_event(k)) return sink.wants_probe_spans();
+  return true;
+}
+
+void publish(const std::vector<TraceSink*>& sinks, const TraceEvent& e) {
+  for (TraceSink* s : sinks) {
+    if (sink_wants(*s, e.kind)) s->on_trace_event(e);
+  }
 }
 
 std::string TraceEvent::describe() const {

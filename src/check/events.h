@@ -1,25 +1,34 @@
-// The merged observation stream the checking layer is built on.
+// The observation stream the checking layer is built on.
 //
-// A TraceEvent is one record of the combined simulator-event + membership
-// EventBus stream: membership transitions (join/alive/suspect/failed/left,
-// from swim::EventBus), process control (crash/restart/block/unblock, from
-// sim::Simulator's tap), fault-timeline entry spans, and — optionally —
-// routed datagrams. Node identities are indices (the simulator's "node-N"
-// scheme), which keeps records compact, totally comparable, and bit-stable
-// across runs: two deterministic runs of the same (scenario, seed) produce
+// A TraceEvent is one record of a run's single observation stream:
+// membership transitions (join/alive/suspect/failed/left, converted from
+// swim::MemberEvent by trace_event_of), process control
+// (crash/restart/block/unblock), fault-timeline entry spans, telemetry
+// samples, and — for sinks that opt in — routed datagrams and probe-round
+// spans. In a simulated run sim::Simulator is the one publisher: it records
+// each happening once as a TraceEvent and fans it out to its attached sinks;
+// in a live run live::TraceMerger does the same for the merged worker
+// streams. Node identities are indices (the simulator's "node-N" scheme),
+// which keeps records compact, totally comparable, and bit-stable across
+// runs: two deterministic runs of the same (scenario, seed) produce
 // element-wise equal streams, which is what record–replay verification pins.
 //
 // TraceSink is the observer seam: check::Checker evaluates invariants over
 // the stream live, check::TraceRecorder retains it for JSONL persistence,
-// and check::EventTap (tap.h) wires a simulator to any number of sinks.
+// and check::EventTap (tap.h) attaches any number of sinks to a simulator.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/types.h"
+
+namespace lifeguard::swim {
+struct MemberEvent;
+}
 
 namespace lifeguard::check {
 
@@ -30,7 +39,7 @@ enum class TraceEventKind : std::uint8_t {
   kSuspect,
   kFailed,
   kLeft,
-  // -- simulator events (sim::Simulator taps) --
+  // -- process control and fault spans (sim::Simulator::note) --
   kCrash,
   kRestart,
   kBlock,
@@ -46,6 +55,9 @@ enum class TraceEventKind : std::uint8_t {
   kProbeFail,
   kProbeNack,
 };
+
+/// Number of TraceEventKind values; the kinds are dense ids from 0.
+inline constexpr int kTraceEventKindCount = 18;
 
 const char* trace_event_kind_name(TraceEventKind k);
 std::optional<TraceEventKind> trace_event_kind_from_name(std::string_view n);
@@ -81,14 +93,17 @@ struct TraceEvent {
 /// this way, so the mapping is total within a simulated cluster.
 int node_index_of(std::string_view member_name);
 
+/// One membership transition as a TraceEvent: the kind and fields copied,
+/// member names turned into node indices (node_index_of). The simulator and
+/// the live tier's workers both convert through it.
+TraceEvent trace_event_of(const swim::MemberEvent& me);
+
 /// True for the probe-round span kinds (kProbeStart..kProbeNack).
 bool is_probe_span_event(TraceEventKind k);
 
-/// Observer of the merged stream. Sinks that return false from
-/// wants_datagrams() are not shown kDatagram records (they fire per routed
-/// datagram — high volume, and noise in a persisted trace). Probe-round
-/// spans are gated the same way by wants_probe_spans(): every probe fires
-/// at least two of them, so they only flow to sinks that opt in.
+/// Observer of the stream. Datagram and probe-span records are opt-in (see
+/// sink_wants): kDatagram fires per routed datagram and every probe fires at
+/// least two spans — high volume, and noise in a persisted trace.
 /// kMetricSample records are delivered unconditionally — they are sparse
 /// (one per metric per sampling interval) and every sink tolerates them.
 class TraceSink {
@@ -98,5 +113,13 @@ class TraceSink {
   virtual bool wants_datagrams() const { return false; }
   virtual bool wants_probe_spans() const { return false; }
 };
+
+/// The opt-in rule of every fan-out: kDatagram records go only to sinks
+/// whose wants_datagrams() is true, probe spans only to sinks whose
+/// wants_probe_spans() is true, and every other kind to all sinks.
+bool sink_wants(const TraceSink& sink, TraceEventKind k);
+
+/// Deliver `e` to each sink in `sinks` that sink_wants it, in order.
+void publish(const std::vector<TraceSink*>& sinks, const TraceEvent& e);
 
 }  // namespace lifeguard::check

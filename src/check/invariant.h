@@ -117,6 +117,9 @@ class Checker : public TraceSink {
   RunReport report() const;
   const std::vector<Violation>& violations() const { return violations_; }
   std::int64_t total_violations() const { return total_violations_; }
+  /// Time of the latest fault/block/crash/restart record seen ({0} when
+  /// none) — the start of the quiet tail the convergence check measures.
+  TimePoint last_disturbance() const { return last_disturbance_; }
 
   /// Invariant-facing sink (use Invariant::violate from implementations).
   void add_violation(const std::string& invariant, TimePoint at, int node,

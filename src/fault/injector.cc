@@ -73,10 +73,10 @@ void apply(sim::Simulator& sim, const Action& a, SimFaultState& state) {
   const auto entry = static_cast<std::size_t>(a.entry);
   switch (a.kind) {
     case ActionKind::kFaultStart:
-      sim.note(sim::SimEventKind::kFaultStart, -1, a.entry);
+      sim.note(check::TraceEventKind::kFaultStart, -1, a.entry);
       break;
     case ActionKind::kFaultEnd:
-      sim.note(sim::SimEventKind::kFaultEnd, -1, a.entry);
+      sim.note(check::TraceEventKind::kFaultEnd, -1, a.entry);
       break;
     case ActionKind::kBlock:
       for (int v : a.nodes) sim.block_node(v);

@@ -119,10 +119,12 @@ RunResult run(const Scenario& s, const std::vector<check::TraceSink*>& sinks) {
   // The sinks observe the whole run (including the quiesce — a trace
   // replays from virtual time zero), so the tap attaches before start().
   // The failure accounting rides the same stream and counts from the
-  // injection on. Observers never perturb the run: no Rng draws, no
+  // injection on; the series collector builds RunResult::series from the
+  // sampler's records. Observers never perturb the run: no Rng draws, no
   // mutation.
   FailureAccounting accounting(s.cluster_size);
   std::optional<check::Checker> checker;
+  obs::SeriesCollector series;
   std::vector<check::TraceSink*> all_sinks = sinks;
   all_sinks.push_back(&accounting);
   if (s.checks.enabled) {
@@ -130,16 +132,17 @@ RunResult run(const Scenario& s, const std::vector<check::TraceSink*>& sinks) {
     checker->bind(&sim);
     all_sinks.push_back(&*checker);
   }
-  const check::EventTap tap(sim, all_sinks);
 
   // Telemetry snapshots (obs::Sampler): scheduled before start() so the first
   // tick lands exactly one interval into virtual time — a replayed run's
   // sampler starts the same way, keeping the recorded series bit-identical.
   std::optional<obs::Sampler> sampler;
   if (s.metrics_interval > Duration{0}) {
-    sampler.emplace(sim, s.metrics_interval, all_sinks);
+    all_sinks.push_back(&series);
+    sampler.emplace(sim, s.metrics_interval);
     sampler->start();
   }
+  const check::EventTap tap(sim, all_sinks);
 
   cluster->start();
   cluster->run_for(s.quiesce);
@@ -160,7 +163,7 @@ RunResult run(const Scenario& s, const std::vector<check::TraceSink*>& sinks) {
   out.metrics = sim.aggregate_metrics();
   out.msgs_sent = out.metrics.counter_value("net.msgs_sent");
   out.bytes_sent = out.metrics.counter_value("net.bytes_sent");
-  if (sampler) out.series = sampler->take_series();
+  out.series = series.take();
   if (checker) {
     checker->finish(sim.now());
     out.checks = checker->report();

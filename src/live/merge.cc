@@ -70,11 +70,7 @@ void TraceMerger::flush() {
 
 void TraceMerger::emit(const check::TraceEvent& e) {
   ++emitted_;
-  const bool datagram = e.kind == check::TraceEventKind::kDatagram;
-  for (check::TraceSink* sink : sinks_) {
-    if (datagram && !sink->wants_datagrams()) continue;
-    sink->on_trace_event(e);
-  }
+  check::publish(sinks_, e);
 }
 
 }  // namespace lifeguard::live

@@ -4,7 +4,7 @@
 // its own timestamp order, but the parent reads the channels whenever poll()
 // wakes it — so events from different workers arrive interleaved out of
 // order. Sinks (check::Checker, check::TraceRecorder) require the one
-// globally time-ordered stream the simulator's EventTap produces.
+// globally time-ordered stream a simulated run publishes.
 //
 // TraceMerger restores that order with stream watermarks: every stream
 // carries a promise "nothing earlier than W will ever arrive here" — raised
@@ -32,8 +32,9 @@ namespace lifeguard::live {
 
 class TraceMerger {
  public:
-  /// Sinks receive the merged stream; kDatagram records are withheld from
-  /// sinks whose wants_datagrams() is false, matching sim::EventTap.
+  /// Sinks receive the merged stream under the same opt-in rule as the
+  /// simulator's fan-out (check::publish): datagram and probe-span records
+  /// reach only the sinks that ask for them.
   explicit TraceMerger(std::vector<check::TraceSink*> sinks)
       : sinks_(std::move(sinks)) {}
 

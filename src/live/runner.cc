@@ -20,7 +20,7 @@
 #include "live/process.h"
 #include "membership/backend.h"
 #include "net/udp_runtime.h"
-#include "obs/catalog.h"
+#include "obs/sampler.h"
 
 namespace lifeguard::live {
 
@@ -34,24 +34,6 @@ constexpr int kMaxLiveCluster = 128;
 /// Reserved netem token for the runner-managed partition block sets (fault
 /// timeline entry tokens are small indices; this cannot collide).
 constexpr int kPartitionToken = 1 << 20;
-
-/// Collects the workers' kMetricSample EV lines off the merged stream into
-/// an obs::Series, so a live RunResult carries the same telemetry shape as a
-/// sim one (per-node samples instead of cluster aggregates: node >= 0).
-class SeriesCollector final : public check::TraceSink {
- public:
-  void on_trace_event(const check::TraceEvent& e) override {
-    if (e.kind != check::TraceEventKind::kMetricSample) return;
-    const auto metric = obs::metric_from_id(e.peer);
-    if (!metric) return;
-    series_.push_back({e.at, *metric, e.node, e.value});
-  }
-
-  obs::Series take() { return std::move(series_); }
-
- private:
-  obs::Series series_;
-};
 
 /// One cluster member slot: the (current) process behind index i, its
 /// merger stream, and end-of-run stats. Respawns replace `proc` and open a
@@ -132,15 +114,6 @@ class LiveRun {
     e.kind = kind;
     e.node = node;
     e.peer = peer;
-    if (kind == check::TraceEventKind::kCrash ||
-        kind == check::TraceEventKind::kRestart ||
-        kind == check::TraceEventKind::kBlock ||
-        kind == check::TraceEventKind::kUnblock ||
-        kind == check::TraceEventKind::kFaultStart ||
-        kind == check::TraceEventKind::kFaultEnd) {
-      last_disturbance_ = e.at;
-      disturbed_ = true;
-    }
     merger_->push(parent_stream_, e);
   }
 
@@ -166,7 +139,7 @@ class LiveRun {
   Rng plan_rng_;
   fault::Schedule plan_;
   harness::FailureAccounting accounting_;
-  SeriesCollector series_;
+  obs::SeriesCollector series_;
   std::optional<check::Checker> checker_;
   std::vector<check::TraceSink*> sinks_;
   std::optional<TraceMerger> merger_;
@@ -182,9 +155,6 @@ class LiveRun {
   /// respawned worker can be brought back up to the current fault state.
   fault::PartitionClaims partitions_;
   std::map<int, std::map<int, fault::LinkFault>> active_netem_;
-
-  TimePoint last_disturbance_{};
-  bool disturbed_ = false;
 };
 
 void LiveRun::spawn_slot(int index, std::uint16_t port) {
@@ -478,9 +448,11 @@ void LiveRun::supplement_convergence(TimePoint run_end) {
   // sim-bound convergence invariant does, so the live tier asserts the same
   // property from the workers' final self-reports: after a quiet tail of at
   // least convergence_settle, every surviving member must see the whole
-  // cluster alive.
-  const TimePoint since = disturbed_ ? last_disturbance_ : TimePoint{0};
-  if (run_end - since < s_.checks.convergence_settle) return;
+  // cluster alive. The merger has flushed, so the checker has seen every
+  // disturbance the parent pushed.
+  if (run_end - checker_->last_disturbance() < s_.checks.convergence_settle) {
+    return;
+  }
   for (int i = 0; i < s_.cluster_size; ++i) {
     const Slot& slot = slots_[static_cast<std::size_t>(i)];
     if (!slot.have_stats) continue;

@@ -1,7 +1,8 @@
 #include "obs/sampler.h"
 
 #include <algorithm>
-#include <utility>
+
+#include "sim/simulator.h"
 
 namespace lifeguard::obs {
 
@@ -18,9 +19,8 @@ double counter_sum(const sim::Simulator& sim, const std::string& name) {
 
 }  // namespace
 
-Sampler::Sampler(sim::Simulator& sim, Duration interval,
-                 std::vector<check::TraceSink*> sinks)
-    : sim_(sim), interval_(interval), sinks_(std::move(sinks)) {}
+Sampler::Sampler(sim::Simulator& sim, Duration interval)
+    : sim_(sim), interval_(interval) {}
 
 void Sampler::start() {
   prev_at_ = sim_.now();
@@ -29,20 +29,8 @@ void Sampler::start() {
 }
 
 void Sampler::emit(Metric m, double value) {
-  Sample s;
-  s.at = sim_.now();
-  s.metric = m;
-  s.node = -1;  // cluster aggregate
-  s.value = value;
-  series_.push_back(s);
-
-  check::TraceEvent e;
-  e.at = s.at;
-  e.kind = check::TraceEventKind::kMetricSample;
-  e.node = -1;
-  e.peer = static_cast<int>(m);
-  e.value = value;
-  for (check::TraceSink* sink : sinks_) sink->on_trace_event(e);
+  sim_.note(check::TraceEventKind::kMetricSample, -1, static_cast<int>(m),
+            value);
 }
 
 void Sampler::tick() {
@@ -149,6 +137,13 @@ void Sampler::tick() {
 
   prev_at_ = now;
   sim_.at(now + interval_, [this] { tick(); });
+}
+
+void SeriesCollector::on_trace_event(const check::TraceEvent& e) {
+  if (e.kind != check::TraceEventKind::kMetricSample) return;
+  const auto metric = metric_from_id(e.peer);
+  if (!metric) return;
+  series_.push_back({e.at, *metric, e.node, e.value});
 }
 
 }  // namespace lifeguard::obs

@@ -1,11 +1,15 @@
 // Snapshot sampler — the telemetry layer's time-series source for the sim
-// backend.
+// backend — and SeriesCollector, the sink that turns samples back into a
+// Series.
 //
-// Every `interval` of virtual time the sampler walks the cluster and emits
-// one Sample per catalog Metric (cluster aggregates: node = -1), both into
-// its own Series (returned through RunResult::series) and as kMetricSample
-// TraceEvents to the run's sinks — so a TraceRecorder persists the series
-// inside the trace and replay reproduces it bit-identically.
+// Every `interval` of virtual time the sampler walks the cluster and
+// publishes one kMetricSample TraceEvent per catalog Metric (cluster
+// aggregates: node = -1) on the simulator's observation stream, so every
+// attached sink sees it: a TraceRecorder persists the series inside the
+// trace (and replay reproduces it bit-identically), and a SeriesCollector
+// builds RunResult::series. The same collector folds a live run's merged
+// worker samples and a recorded trace's samples, so all three series come
+// from one place.
 //
 // Determinism: ticks are plain event-queue tasks that draw no randomness and
 // mutate nothing, so protocol Rng draws and RunResult metrics are identical
@@ -14,29 +18,27 @@
 // same way — emit element-wise equal samples.
 #pragma once
 
-#include <vector>
+#include <utility>
 
 #include "check/events.h"
 #include "common/types.h"
 #include "obs/catalog.h"
-#include "sim/simulator.h"
+
+namespace lifeguard::sim {
+class Simulator;
+}
 
 namespace lifeguard::obs {
 
 class Sampler {
  public:
-  /// `sinks` receive one kMetricSample TraceEvent per emitted Sample; the
-  /// series accumulates regardless, so a sink-less sampler still fills
-  /// RunResult::series. Must outlive the simulator's event-loop execution.
-  Sampler(sim::Simulator& sim, Duration interval,
-          std::vector<check::TraceSink*> sinks);
+  /// Samples publish through `sim` (Simulator::note). Must outlive the
+  /// simulator's event-loop execution.
+  Sampler(sim::Simulator& sim, Duration interval);
 
   /// Schedule the first snapshot at now + interval; each snapshot
   /// reschedules the next, so sampling runs for the rest of the run.
   void start();
-
-  const Series& series() const { return series_; }
-  Series take_series() { return std::move(series_); }
 
  private:
   void tick();
@@ -44,8 +46,6 @@ class Sampler {
 
   sim::Simulator& sim_;
   Duration interval_{};
-  std::vector<check::TraceSink*> sinks_;
-  Series series_;
 
   // Previous cumulative values for per-interval rates. Deltas are clamped at
   // zero: restart_node resets a fresh incarnation's counters, which must not
@@ -60,6 +60,18 @@ class Sampler {
   double prev_hb_rtt_count_ = 0;
   double prev_hb_rtt_sum_ = 0;
   TimePoint prev_at_{};
+};
+
+/// Collects kMetricSample records off a stream into a Series, one Sample
+/// per record in stream order (node -1 for the sim sampler's cluster
+/// aggregates, the member index for a live worker's per-node samples).
+class SeriesCollector final : public check::TraceSink {
+ public:
+  void on_trace_event(const check::TraceEvent& e) override;
+  Series take() { return std::move(series_); }
+
+ private:
+  Series series_;
 };
 
 }  // namespace lifeguard::obs

@@ -1,7 +1,7 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 namespace lifeguard::sim {
@@ -45,54 +45,43 @@ membership::AgentParams Simulator::agent_params(int index) const {
   return p;
 }
 
-namespace {
-
-/// Reverse of the "node-<index>" naming scheme; -1 for foreign names.
-int node_index_from_name(const std::string& name) {
-  constexpr std::string_view kPrefix = "node-";
-  if (name.size() <= kPrefix.size() || name.compare(0, kPrefix.size(), kPrefix) != 0) {
-    return -1;
-  }
-  int idx = 0;
-  for (std::size_t i = kPrefix.size(); i < name.size(); ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return -1;
-    idx = idx * 10 + (c - '0');
-  }
-  return idx;
+void Simulator::ProbeTap::span(check::TraceEventKind kind,
+                               const std::string& peer, double value) {
+  if (!sim->wants(kind)) return;
+  sim->note(kind, node, check::node_index_of(peer), value);
 }
 
-}  // namespace
-
 void Simulator::ProbeTap::on_probe_start(const std::string& target) {
-  sim->note(SimEventKind::kProbeStart, node, node_index_from_name(target));
+  span(check::TraceEventKind::kProbeStart, target);
 }
 
 void Simulator::ProbeTap::on_probe_ack(const std::string& target,
                                        Duration rtt) {
-  sim->note(SimEventKind::kProbeAck, node, node_index_from_name(target),
-            static_cast<double>(rtt.us));
+  span(check::TraceEventKind::kProbeAck, target, static_cast<double>(rtt.us));
 }
 
 void Simulator::ProbeTap::on_probe_indirect(const std::string& target) {
-  sim->note(SimEventKind::kProbeIndirect, node, node_index_from_name(target));
+  span(check::TraceEventKind::kProbeIndirect, target);
 }
 
 void Simulator::ProbeTap::on_probe_fail(const std::string& target) {
-  sim->note(SimEventKind::kProbeFail, node, node_index_from_name(target));
+  span(check::TraceEventKind::kProbeFail, target);
 }
 
 void Simulator::ProbeTap::on_probe_nack(const std::string& /*target*/,
                                         const std::string& relay) {
-  sim->note(SimEventKind::kProbeNack, node, node_index_from_name(relay));
+  span(check::TraceEventKind::kProbeNack, relay);
 }
 
 void Simulator::attach_node(int index) {
   const auto i = static_cast<std::size_t>(index);
   membership::Agent* agent = agents_[i].get();
-  swim::EventBus* bus = &bus_;
-  subscriptions_[i] = agent->subscribe(
-      [bus](const swim::MemberEvent& e) { bus->publish(e); });
+  // Each membership event is converted once for the sinks, then
+  // republished on the cluster bus for Cluster::subscribe.
+  subscriptions_[i] = agent->subscribe([this](const swim::MemberEvent& e) {
+    if (!sinks_.empty()) check::publish(sinks_, check::trace_event_of(e));
+    bus_.publish(e);
+  });
   runtimes_[i]->attach(agent, [agent] { agent->on_unblocked(); });
   // Probe-span telemetry: one adapter per slot, surviving restart_node (the
   // fresh incarnation gets the same tap re-installed). Backends without a
@@ -141,12 +130,12 @@ bool Simulator::converged(int expected_active) const {
 }
 
 void Simulator::block_node(int index) {
-  note(SimEventKind::kBlock, index);
+  note(check::TraceEventKind::kBlock, index);
   runtimes_[static_cast<std::size_t>(index)]->set_blocked(true);
 }
 
 void Simulator::unblock_node(int index) {
-  note(SimEventKind::kUnblock, index);
+  note(check::TraceEventKind::kUnblock, index);
   runtimes_[static_cast<std::size_t>(index)]->set_blocked(false);
 }
 
@@ -155,7 +144,7 @@ bool Simulator::is_blocked(int index) const {
 }
 
 void Simulator::crash_node(int index) {
-  note(SimEventKind::kCrash, index);
+  note(check::TraceEventKind::kCrash, index);
   crashed_[static_cast<std::size_t>(index)] = true;
   agents_[static_cast<std::size_t>(index)]->stop();
   // Found by the fuzzer (scenarios/fuzz-corpus regression): a host crashed
@@ -165,7 +154,7 @@ void Simulator::crash_node(int index) {
 }
 
 void Simulator::restart_node(int index) {
-  note(SimEventKind::kRestart, index);
+  note(check::TraceEventKind::kRestart, index);
   const auto i = static_cast<std::size_t>(index);
   retired_metrics_.merge(agents_[i]->metrics());
   crashed_[i] = false;
@@ -181,25 +170,39 @@ void Simulator::restart_node(int index) {
 
 void Simulator::at(TimePoint t, Task fn) { queue_.push(t, std::move(fn)); }
 
-int Simulator::add_sim_tap(SimTap fn) {
-  const int token = next_tap_token_++;
-  sim_taps_.emplace_back(token, std::move(fn));
-  return token;
+void Simulator::attach_sink(check::TraceSink* sink) {
+  sinks_.push_back(sink);
+  refresh_wanted();
 }
 
-void Simulator::remove_sim_tap(int token) {
-  std::erase_if(sim_taps_, [token](const auto& t) { return t.first == token; });
+void Simulator::detach_sink(check::TraceSink* sink) {
+  const auto it = std::find(sinks_.begin(), sinks_.end(), sink);
+  if (it == sinks_.end()) return;
+  sinks_.erase(it);
+  refresh_wanted();
 }
 
-void Simulator::note(SimEventKind kind, int node, int peer, double value) {
-  if (sim_taps_.empty()) return;
-  SimEvent e;
+void Simulator::refresh_wanted() {
+  wanted_ = 0;
+  for (const check::TraceSink* s : sinks_) {
+    for (int k = 0; k < check::kTraceEventKindCount; ++k) {
+      if (check::sink_wants(*s, static_cast<check::TraceEventKind>(k))) {
+        wanted_ |= 1u << k;
+      }
+    }
+  }
+}
+
+void Simulator::note(check::TraceEventKind kind, int node, int peer,
+                     double value) {
+  if (!wants(kind)) return;
+  check::TraceEvent e;
   e.at = now_;
   e.kind = kind;
   e.node = node;
   e.peer = peer;
   e.value = value;
-  for (const auto& [token, tap] : sim_taps_) tap(e);
+  check::publish(sinks_, e);
 }
 
 void Simulator::route(int from_node, const Address& to,
@@ -209,7 +212,7 @@ void Simulator::route(int from_node, const Address& to,
   if (crashed_[static_cast<std::size_t>(target)]) return;  // dead host
   if (network_->should_drop(from_node, target, channel)) return;
   ++datagrams_routed_;
-  note(SimEventKind::kDatagram, from_node, target);
+  note(check::TraceEventKind::kDatagram, from_node, target);
   const Duration latency =
       network_->sample_link_latency(from_node, target, channel);
   // A duplication overlay (fault::Timeline) delivers a second, independently
@@ -233,7 +236,7 @@ void Simulator::route(int from_node, const Address& to,
     const Duration dup_latency =
         network_->sample_link_latency(from_node, target, channel);
     ++datagrams_routed_;
-    note(SimEventKind::kDatagram, from_node, target);
+    note(check::TraceEventKind::kDatagram, from_node, target);
     queue_.push(now_ + dup_latency,
                 [rt, from, p = std::move(copy), channel]() mutable {
                   rt->deliver(from, std::move(p), channel);

@@ -3,7 +3,8 @@
 // identically. The failure-detection protocol is pluggable via
 // SimParams::membership (membership::BackendRegistry); the default "swim"
 // backend is bit-parity with the simulator's original direct use of
-// swim::Node.
+// swim::Node. The simulator is also the one publisher of a run's
+// check::TraceEvent observation stream (attach_sink, note).
 #pragma once
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "check/events.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -24,34 +26,6 @@
 #include "swim/probe_observer.h"
 
 namespace lifeguard::sim {
-
-/// Simulator-level happenings that are not membership events: process
-/// control (crash/restart/block/unblock), fault-timeline entry spans, and
-/// routed datagrams. Together with the swim::EventBus stream they form the
-/// merged observation stream the checking layer (src/check) taps.
-enum class SimEventKind : std::uint8_t {
-  kCrash = 0,    ///< node hard-killed (process death)
-  kRestart,      ///< node replaced by a fresh process and rejoining
-  kBlock,        ///< anomaly began: node's protocol I/O stalled
-  kUnblock,      ///< anomaly ended: node's I/O resumed
-  kFaultStart,   ///< a fault::Timeline entry's span opened (peer = entry)
-  kFaultEnd,     ///< a fault::Timeline entry's span closed (peer = entry)
-  kDatagram,     ///< one datagram routed from `node` to `peer`
-  // Probe-round spans (telemetry): node = prober, peer = target/relay.
-  kProbeStart,     ///< direct ping left for `peer`
-  kProbeAck,       ///< probe acked (value = round-trip in microseconds)
-  kProbeIndirect,  ///< indirect stage launched (ping-req fan-out)
-  kProbeFail,      ///< protocol period ended without an ack
-  kProbeNack,      ///< nack received (peer = relay that reported timeliness)
-};
-
-struct SimEvent {
-  TimePoint at{};
-  SimEventKind kind = SimEventKind::kCrash;
-  int node = -1;  ///< afflicted node (control) or sender (datagram/probe)
-  int peer = -1;  ///< receiver (datagram) or timeline entry index (faults)
-  double value = 0;  ///< kProbeAck: round-trip time in microseconds
-};
 
 struct SimParams {
   NetworkParams network;
@@ -150,18 +124,20 @@ class Simulator {
   /// Schedule an experiment-control callback at absolute time `t`.
   void at(TimePoint t, Task fn);
 
-  // ---- simulator-event taps (checking layer) ----
-  /// Attach an observer for every SimEvent; returns a token for
-  /// remove_sim_tap. Taps are pure observers: they draw no randomness and
-  /// must not mutate the cluster, so attaching one never perturbs a
-  /// (scenario, seed) replay.
-  using SimTap = std::function<void(const SimEvent&)>;
-  int add_sim_tap(SimTap fn);
-  void remove_sim_tap(int token);
-  /// Publish a SimEvent stamped with the current virtual time. Cheap no-op
-  /// while no tap is attached (kDatagram in particular fires per routed
-  /// datagram).
-  void note(SimEventKind kind, int node, int peer = -1, double value = 0);
+  // ---- observation stream (checking layer, telemetry) ----
+  /// Attach a sink to the run's TraceEvent stream; every record is fanned
+  /// out to the attached sinks in attach order under check::sink_wants.
+  /// Sinks are pure observers: they draw no randomness and must not mutate
+  /// the cluster, so attaching one never perturbs a (scenario, seed) replay.
+  /// check::EventTap is the RAII handle over this pair.
+  void attach_sink(check::TraceSink* sink);
+  /// Detach one attachment of `sink`; a no-op when it is not attached.
+  void detach_sink(check::TraceSink* sink);
+  /// Publish a record stamped with the current virtual time. Returns before
+  /// building it unless an attached sink wants `kind` (kDatagram in
+  /// particular fires per routed datagram).
+  void note(check::TraceEventKind kind, int node, int peer = -1,
+            double value = 0);
 
   /// Aggregate node metrics plus network metrics into one registry.
   Metrics aggregate_metrics() const;
@@ -189,16 +165,25 @@ class Simulator {
   /// restart_node to build the replacement incarnation).
   membership::AgentParams agent_params(int index) const;
 
-  /// Wire node `index`'s events onto the cluster bus, its runtime and its
-  /// probe tap (also after restart_node).
+  /// True when an attached sink wants records of kind `k`.
+  bool wants(check::TraceEventKind k) const {
+    return (wanted_ >> static_cast<unsigned>(k)) & 1u;
+  }
+  /// Recompute wanted_ from the attached sinks.
+  void refresh_wanted();
+
+  /// Wire node `index`'s events onto the observation stream and the
+  /// cluster bus, its runtime and its probe tap (also after restart_node).
   void attach_node(int index);
 
   /// Per-node adapter turning swim::ProbeObserver callbacks into probe-span
-  /// SimEvents on the tap stream. Pure observer: draws no randomness, only
-  /// translates member names to indices.
+  /// records. Pure observer: draws no randomness, only translates member
+  /// names to indices — and only when an attached sink wants the span.
   struct ProbeTap final : swim::ProbeObserver {
     Simulator* sim = nullptr;
     int node = -1;
+    void span(check::TraceEventKind kind, const std::string& peer,
+              double value = 0);
     void on_probe_start(const std::string& target) override;
     void on_probe_ack(const std::string& target, Duration rtt) override;
     void on_probe_indirect(const std::string& target) override;
@@ -219,8 +204,9 @@ class Simulator {
   std::vector<std::unique_ptr<membership::Agent>> agents_;
   std::vector<swim::EventBus::Subscription> subscriptions_;
   std::vector<bool> crashed_;
-  std::vector<std::pair<int, SimTap>> sim_taps_;
-  int next_tap_token_ = 1;
+  std::vector<check::TraceSink*> sinks_;
+  /// Bit k set when an attached sink wants TraceEventKind k.
+  std::uint32_t wanted_ = 0;
   /// One per node; re-installed on restart_node (stable across incarnations).
   std::vector<std::unique_ptr<ProbeTap>> probe_taps_;
   /// Metrics of node incarnations retired by restart_node.

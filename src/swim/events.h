@@ -5,9 +5,10 @@
 // RAII Subscription handle. `originated` distinguishes a *failure event*
 // (this node's own suspicion timeout declared the member dead — what the
 // paper counts as a false positive when the member is healthy) from mere
-// dissemination (applying a gossiped dead). The simulator fans every node's
-// bus into one cluster-wide bus; check::EventTap turns that stream into
-// check::TraceEvents, which harness::FailureAccounting counts.
+// dissemination (applying a gossiped dead). The simulator converts every
+// node's events into check::TraceEvents for its attached sinks (which is
+// what harness::FailureAccounting counts) and republishes them on one
+// cluster-wide bus.
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,8 @@
 // suspicion. An observer attached here sees each stage as it happens, which
 // is what the telemetry layer's probe-round spans are built from: the
 // simulator installs one adapter per node (sim::Simulator::attach_node) and
-// republishes the calls as SimEvents for the checking layer's taps.
+// publishes the calls as probe-span check::TraceEvents to the sinks that
+// ask for them.
 //
 // Observers are pure: they are called on the node's runtime thread, must not
 // mutate the node, and must draw no randomness — attaching one never

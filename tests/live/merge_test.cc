@@ -141,12 +141,15 @@ TEST(TraceMerger, WithholdsDatagramsFromUninterestedSinks) {
   TraceMerger m({&plain, &wants});
   const int a = m.open_stream();
   m.push(a, ev(msec(10), 0, check::TraceEventKind::kDatagram));
+  m.push(a, ev(msec(15), 0, check::TraceEventKind::kProbeStart));
   m.push(a, ev(msec(20), 0));
   m.finish();
+  // Neither sink asked for probe spans; only one asked for datagrams.
   ASSERT_EQ(plain.events.size(), 1u);
   EXPECT_EQ(plain.events[0].kind, check::TraceEventKind::kAlive);
   ASSERT_EQ(wants.events.size(), 2u);
   EXPECT_EQ(wants.events[0].kind, check::TraceEventKind::kDatagram);
+  EXPECT_EQ(wants.events[1].kind, check::TraceEventKind::kAlive);
 }
 
 }  // namespace
