@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/flatjson.h"
+#include "common/narrow.h"
 #include "harness/report.h"
 
 namespace lifeguard::check {
@@ -272,21 +273,27 @@ bool parse_header(const Value& o, TraceHeader& h, std::string& error) {
   std::int64_t i64 = 0;
   if (!get_str(o, "scenario", h.scenario, error)) return false;
   if (!get_u64(o, "seed", h.seed, error)) return false;
-  if (!get_i64(o, "nodes", i64, error)) return false;
-  h.cluster_size = static_cast<int>(i64);
+  if (!get_i64(o, "nodes", i64, error) ||
+      !narrow(i64, "nodes", h.cluster_size, error)) {
+    return false;
+  }
   if (!get_i64(o, "quiesce_us", h.quiesce.us, error)) return false;
   if (!get_i64(o, "run_length_us", h.run_length.us, error)) return false;
   if (!get_str(o, "config", h.config_name, error)) return false;
   if (!get_dbl(o, "alpha", h.suspicion_alpha, error)) return false;
   if (!get_dbl(o, "beta", h.suspicion_beta, error)) return false;
-  if (!get_i64(o, "k", i64, error)) return false;
-  h.suspicion_k = static_cast<int>(i64);
+  if (!get_i64(o, "k", i64, error) ||
+      !narrow(i64, "k", h.suspicion_k, error)) {
+    return false;
+  }
   if (!get_dbl(o, "loss", h.network.udp_loss, error)) return false;
   if (!get_i64(o, "lat_min_us", h.network.latency_min.us, error)) return false;
   if (!get_i64(o, "lat_max_us", h.network.latency_max.us, error)) return false;
   if (!get_i64(o, "proc_us", h.msg_proc_cost.us, error)) return false;
-  if (!get_i64(o, "rbuf", i64, error)) return false;
-  h.recv_buffer_bytes = static_cast<std::size_t>(i64);
+  if (!get_i64(o, "rbuf", i64, error) ||
+      !narrow(i64, "rbuf", h.recv_buffer_bytes, error)) {
+    return false;
+  }
   if (!get_string_array(o, "timeline", h.timeline, error)) return false;
   const Value* checked = field(o, "checked");
   h.checks.enabled = checked != nullptr && checked->boolean;
@@ -299,8 +306,10 @@ bool parse_header(const Value& o, TraceHeader& h, std::string& error) {
     return false;
   }
   if (!get_i64(o, "cap_us", h.checks.suspicion_cap.us, error)) return false;
-  if (!get_i64(o, "max_violations", i64, error)) return false;
-  h.checks.max_violations = static_cast<std::size_t>(i64);
+  if (!get_i64(o, "max_violations", i64, error) ||
+      !narrow(i64, "max_violations", h.checks.max_violations, error)) {
+    return false;
+  }
   // Telemetry fields are optional: pre-telemetry traces omit them.
   if (!get_i64(o, "metrics_us", h.metrics_interval.us, error,
                /*required=*/false)) {
@@ -326,15 +335,16 @@ bool parse_event(const Value& o, TraceEvent& e, std::string& error) {
     return false;
   }
   e.kind = *kind;
-  std::int64_t i64 = -1;
-  if (!get_i64(o, "n", i64, error, /*required=*/false)) return false;
-  e.node = static_cast<int>(i64);
-  i64 = -1;
-  if (!get_i64(o, "m", i64, error, /*required=*/false)) return false;
-  e.peer = static_cast<int>(i64);
-  i64 = -1;
-  if (!get_i64(o, "o", i64, error, /*required=*/false)) return false;
-  e.origin = static_cast<int>(i64);
+  std::int64_t i64 = 0;
+  for (const auto& [key, member] : {std::pair{"n", &TraceEvent::node},
+                                   std::pair{"m", &TraceEvent::peer},
+                                   std::pair{"o", &TraceEvent::origin}}) {
+    i64 = -1;
+    if (!get_i64(o, key, i64, error, /*required=*/false) ||
+        !narrow(i64, key, e.*member, error)) {
+      return false;
+    }
+  }
   if (field(o, "inc") != nullptr) {
     if (!get_u64(o, "inc", e.incarnation, error)) return false;
   }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/flatjson.h"
+#include "common/narrow.h"
 #include "check/trace.h"  // entry_spec / timeline_from_specs — one grammar
 #include "harness/report.h"
 #include "membership/backend.h"
@@ -140,21 +141,16 @@ bool apply_config_overrides(const Value& o, swim::Config& cfg,
                          cfg.dead_reclaim_after.us, error, opt)) {
     return false;
   }
-  if (o.find("indirect_checks") != nullptr) {
-    if (!flatjson::get_i64(o, "indirect_checks", i64, error)) return false;
-    cfg.indirect_checks = static_cast<int>(i64);
-  }
-  if (o.find("retransmit_mult") != nullptr) {
-    if (!flatjson::get_i64(o, "retransmit_mult", i64, error)) return false;
-    cfg.retransmit_mult = static_cast<int>(i64);
-  }
-  if (o.find("gossip_fanout") != nullptr) {
-    if (!flatjson::get_i64(o, "gossip_fanout", i64, error)) return false;
-    cfg.gossip_fanout = static_cast<int>(i64);
-  }
-  if (o.find("lhm_max") != nullptr) {
-    if (!flatjson::get_i64(o, "lhm_max", i64, error)) return false;
-    cfg.lhm_max = static_cast<int>(i64);
+  for (const auto& [key, field] :
+       {std::pair{"indirect_checks", &swim::Config::indirect_checks},
+        std::pair{"retransmit_mult", &swim::Config::retransmit_mult},
+        std::pair{"gossip_fanout", &swim::Config::gossip_fanout},
+        std::pair{"lhm_max", &swim::Config::lhm_max}}) {
+    if (o.find(key) == nullptr) continue;
+    if (!flatjson::get_i64(o, key, i64, error) ||
+        !narrow(i64, key, cfg.*field, error)) {
+      return false;
+    }
   }
   if (o.find("max_packet_bytes") != nullptr) {
     if (!flatjson::get_u64(o, "max_packet_bytes", u64, error)) return false;
@@ -283,8 +279,10 @@ std::optional<Scenario> ScenarioFile::from_json(const std::string& text,
   }
   std::int64_t i64 = 0;
   if (doc.find("nodes") != nullptr) {
-    if (!flatjson::get_i64(doc, "nodes", i64, error)) return std::nullopt;
-    s.cluster_size = static_cast<int>(i64);
+    if (!flatjson::get_i64(doc, "nodes", i64, error) ||
+        !narrow(i64, "nodes", s.cluster_size, error)) {
+      return std::nullopt;
+    }
   }
   if (!flatjson::get_u64(doc, "seed", s.seed, error, /*required=*/false) ||
       !flatjson::get_i64(doc, "quiesce_us", s.quiesce.us, error,
@@ -319,8 +317,10 @@ std::optional<Scenario> ScenarioFile::from_json(const std::string& text,
     return std::nullopt;
   }
   if (doc.find("k") != nullptr) {
-    if (!flatjson::get_i64(doc, "k", i64, error)) return std::nullopt;
-    s.config.suspicion_k = static_cast<int>(i64);
+    if (!flatjson::get_i64(doc, "k", i64, error) ||
+        !narrow(i64, "k", s.config.suspicion_k, error)) {
+      return std::nullopt;
+    }
   }
   if (const Value* overrides = doc.find("config_overrides")) {
     if (overrides->kind != Value::Kind::kObject) {

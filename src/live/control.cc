@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include "check/trace.h"
+#include "common/narrow.h"
 
 namespace lifeguard::live {
 
@@ -174,32 +175,30 @@ std::optional<swim::Config> decode_config(std::string_view s,
       return false;
     }
     std::int64_t i = 0;
+    std::string range_error;
+    const auto int_field = [&](auto& out) {
+      return parse_i64(val, i) && narrow(i, key, out, range_error);
+    };
     bool parsed = false;
     if (key == "pi") parsed = parse_duration_us(val, c.probe_interval);
     else if (key == "pt") parsed = parse_duration_us(val, c.probe_timeout);
-    else if (key == "ic") parsed = parse_i64(val, i),
-             c.indirect_checks = static_cast<int>(i);
+    else if (key == "ic") parsed = int_field(c.indirect_checks);
     else if (key == "rfp") parsed = parse_bool(val, c.reliable_fallback_probe);
-    else if (key == "rm") parsed = parse_i64(val, i),
-             c.retransmit_mult = static_cast<int>(i);
+    else if (key == "rm") parsed = int_field(c.retransmit_mult);
     else if (key == "gi") parsed = parse_duration_us(val, c.gossip_interval);
-    else if (key == "gf") parsed = parse_i64(val, i),
-             c.gossip_fanout = static_cast<int>(i);
+    else if (key == "gf") parsed = int_field(c.gossip_fanout);
     else if (key == "gtd") parsed = parse_duration_us(val, c.gossip_to_dead);
-    else if (key == "mpb") parsed = parse_i64(val, i),
-             c.max_packet_bytes = static_cast<std::size_t>(i);
+    else if (key == "mpb") parsed = int_field(c.max_packet_bytes);
     else if (key == "ppi") parsed = parse_duration_us(val, c.push_pull_interval);
     else if (key == "ri") parsed = parse_duration_us(val, c.reconnect_interval);
     else if (key == "jri") parsed = parse_duration_us(val, c.join_retry_interval);
     else if (key == "sa") parsed = parse_double(val, c.suspicion_alpha);
     else if (key == "sb") parsed = parse_double(val, c.suspicion_beta);
-    else if (key == "sk") parsed = parse_i64(val, i),
-             c.suspicion_k = static_cast<int>(i);
+    else if (key == "sk") parsed = int_field(c.suspicion_k);
     else if (key == "lp") parsed = parse_bool(val, c.lha_probe);
     else if (key == "ls") parsed = parse_bool(val, c.lha_suspicion);
     else if (key == "bs") parsed = parse_bool(val, c.buddy_system);
-    else if (key == "lhm") parsed = parse_i64(val, i),
-             c.lhm_max = static_cast<int>(i);
+    else if (key == "lhm") parsed = int_field(c.lhm_max);
     else if (key == "nf") parsed = parse_double(val, c.nack_fraction);
     else if (key == "ne") parsed = parse_bool(val, c.nack_enabled);
     else if (key == "dra") parsed = parse_duration_us(val, c.dead_reclaim_after);
@@ -208,8 +207,10 @@ std::optional<swim::Config> decode_config(std::string_view s,
       return false;
     }
     if (!parsed) {
-      error = "config: bad value for '" + std::string(key) + "': '" +
-              std::string(val) + "'";
+      error = range_error.empty()
+                  ? "config: bad value for '" + std::string(key) + "': '" +
+                        std::string(val) + "'"
+                  : "config: " + range_error;
       return false;
     }
     return true;

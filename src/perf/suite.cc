@@ -130,6 +130,45 @@ Measurement bench_broadcast_queue(const SuiteOptions& opt) {
   });
 }
 
+Measurement bench_broadcast_queue_join(const SuiteOptions& opt) {
+  // A join storm at n=512: the queue holds about 512 Alive frames, and each
+  // MTU-budget selection is followed by a top-up with new members' updates.
+  // At this depth every selection moves dozens of frames between transmit
+  // counts, which the 64-key churn case above never reaches.
+  constexpr std::int64_t kBatch = 1'000;
+  constexpr std::size_t kDepth = 512;
+  constexpr std::size_t kMembers = 8 * kDepth;
+  std::vector<std::string> names;
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    names.push_back("node-" + std::to_string(i));
+    BufWriter w;
+    proto::encode(proto::Alive{names.back(), 1,
+                               Address{static_cast<std::uint32_t>(i), 7946}},
+                  w);
+    frames.push_back(std::move(w).take());
+  }
+  proto::BroadcastQueue q(4);
+  std::size_t next = 0;
+  const auto top_up = [&] {
+    while (q.pending() < kDepth) {
+      q.queue(names[next], frames[next]);
+      next = (next + 1) % kMembers;
+    }
+  };
+  top_up();
+  std::vector<std::uint8_t> datagram;  // recycled, as the runtimes do
+  return timed_loop(opt, kBatch, [&] {
+    for (std::int64_t i = 0; i < kBatch; ++i) {
+      proto::CompoundWriter out(std::move(datagram));
+      q.append_broadcasts(out, 2, 1400, 512);
+      if (out.count() == 0) throw std::runtime_error("empty select");
+      datagram = std::move(out).take();
+      top_up();
+    }
+  });
+}
+
 Measurement bench_membership_selection(const SuiteOptions& opt) {
   constexpr std::int64_t kBatch = 10'000;
   return timed_loop(opt, kBatch, [] {
@@ -233,6 +272,9 @@ const std::vector<BenchCase>& micro_cases() {
        bench_codec_roundtrip, false},
       {"micro/broadcast-queue", "piggyback queue churn + MTU-fill selection",
        bench_broadcast_queue, false},
+      {"micro/broadcast-queue-join",
+       "MTU-fill selection + top-up at join-storm depth (512 frames, n=512)",
+       bench_broadcast_queue_join, false},
       {"micro/membership-selection", "random gossip-target selection, n=256",
        bench_membership_selection, false},
       {"micro/agent-dispatch",
@@ -243,12 +285,18 @@ const std::vector<BenchCase>& micro_cases() {
 }
 
 const std::vector<BenchCase>& sim_cases() {
+  // Ascending footprint: an entry's peak_rss_kb is the process high-water
+  // mark after its case, so a heavy case run first would own every later
+  // entry's figure.
   static const std::vector<BenchCase> cases = {
       {"sim/cluster-n64", "healthy 64-node cluster, 30 virtual s",
        [](const SuiteOptions& opt) {
          return bench_cluster(64, opt.quick ? 10 : 30);
        },
        false},
+      {"sim/cluster-anomaly-n64",
+       "64 nodes with an 8-victim synchronized block cycle",
+       bench_cluster_anomaly, false},
       {"sim/cluster-n256", "healthy 256-node cluster, 20 virtual s",
        [](const SuiteOptions& opt) {
          return bench_cluster(256, opt.quick ? 5 : 20);
@@ -256,9 +304,6 @@ const std::vector<BenchCase>& sim_cases() {
        false},
       {"sim/cluster-n1024", "large-n tier: 1024 nodes, 15 virtual s",
        [](const SuiteOptions&) { return bench_cluster(1024, 15); }, true},
-      {"sim/cluster-anomaly-n64",
-       "64 nodes with an 8-victim synchronized block cycle",
-       bench_cluster_anomaly, false},
   };
   return cases;
 }

@@ -1,92 +1,196 @@
 #include "proto/broadcast.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <span>
+#include <functional>
+#include <stdexcept>
+#include <utility>
 
 #include "proto/wire.h"
 
 namespace lifeguard::proto {
+
+namespace {
+
+constexpr std::size_t kWordBits = 64;
+/// Holes inside a single bitset word cost the selection scan nothing, so a
+/// position space that small is never compacted.
+constexpr std::size_t kMinCompactPositions = kWordBits;
+
+}  // namespace
 
 int retransmit_limit(int retransmit_mult, int n) {
   const double scale = std::ceil(std::log10(static_cast<double>(n) + 1.0));
   return static_cast<int>(retransmit_mult * std::max(1.0, scale));
 }
 
-std::uint32_t& BroadcastQueue::head(int transmits) {
+// ---- per-count sets ----
+
+void BroadcastQueue::place(std::uint32_t pos, int transmits) {
   const auto t = static_cast<std::size_t>(transmits);
-  if (t >= heads_.size()) heads_.resize(t + 1, kNil);
-  return heads_[t];
+  if (t >= sets_.size()) {
+    sets_.resize(t + 1);
+    counts_.resize(t + 1, 0);
+  }
+  std::vector<std::uint64_t>& words = sets_[t];
+  const std::size_t w = pos / kWordBits;
+  if (w >= words.size()) words.resize(w + 1, 0);
+  words[w] |= std::uint64_t{1} << (pos % kWordBits);
+  ++counts_[t];
+  entries_[pos].transmits = transmits;
 }
 
-void BroadcastQueue::link_after(std::uint32_t prev, std::uint32_t slot) {
-  Entry& e = entries_[slot];
-  std::uint32_t& link = prev == kNil ? head(e.transmits) : entries_[prev].next;
-  e.prev = prev;
-  e.next = link;
-  if (e.next != kNil) entries_[e.next].prev = slot;
-  link = slot;
+void BroadcastQueue::unplace(std::uint32_t pos) {
+  const auto t = static_cast<std::size_t>(entries_[pos].transmits);
+  sets_[t][pos / kWordBits] &= ~(std::uint64_t{1} << (pos % kWordBits));
+  --counts_[t];
 }
 
-void BroadcastQueue::unlink(std::uint32_t slot) {
-  const Entry& e = entries_[slot];
-  (e.prev == kNil ? head(e.transmits) : entries_[e.prev].next) = e.next;
-  if (e.next != kNil) entries_[e.next].prev = e.prev;
+// ---- key index ----
+
+std::uint32_t BroadcastQueue::hash_key(std::string_view key) {
+  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(key));
 }
 
-void BroadcastQueue::erase(std::uint32_t slot) {
-  Entry& e = entries_[slot];
-  by_key_.erase(by_key_.find(*e.key));
-  e.key = nullptr;
-  e.frame = std::vector<std::uint8_t>();  // release the frame's storage now
-  e.next = free_;
-  free_ = slot;
+std::size_t BroadcastQueue::bucket_of(std::string_view key,
+                                      std::uint32_t hash) const {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Bucket& b = index_[i];
+    if (b.pos == kNone) return i;
+    if (b.hash != hash) continue;
+    if (key_of(entries_[b.pos]) == key) return i;
+  }
+}
+
+void BroadcastQueue::insert_bucket(Bucket b) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = b.hash & mask;
+  while (index_[i].pos != kNone) i = (i + 1) & mask;
+  index_[i] = b;
+}
+
+void BroadcastQueue::grow_index() {
+  const std::size_t capacity = std::max<std::size_t>(16, 2 * index_.size());
+  const std::vector<Bucket> old =
+      std::exchange(index_, std::vector<Bucket>(capacity));
+  for (const Bucket& b : old) {
+    if (b.pos != kNone) insert_bucket(b);
+  }
+}
+
+void BroadcastQueue::unindex(std::size_t pos) {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = (pos + 1) & mask; index_[i].pos != kNone;
+       i = (i + 1) & mask) {
+    // Shift the entry back into the hole unless that would put it before
+    // its home bucket on the probe path.
+    const std::size_t home = index_[i].hash & mask;
+    if (((i - home) & mask) >= ((i - pos) & mask)) {
+      index_[pos] = index_[i];
+      pos = i;
+    }
+  }
+  index_[pos] = Bucket{};
+}
+
+// ---- storage ----
+
+void BroadcastQueue::erase(std::uint32_t pos) {
+  Entry& e = entries_[pos];
+  const std::size_t mask = index_.size() - 1;
+  std::size_t b = e.hash & mask;
+  while (index_[b].pos != pos) b = (b + 1) & mask;
+  unindex(b);
+  e.transmits = kHole;
+  --live_;
+}
+
+void BroadcastQueue::compact() {
+  for (std::vector<std::uint64_t>& words : sets_) words.clear();
+  std::fill(counts_.begin(), counts_.end(), 0);
+  std::uint32_t next = 0;
+  std::uint32_t write = 0;
+  for (Entry e : entries_) {
+    if (e.transmits == kHole) continue;
+    const std::uint32_t bytes = e.key_size + e.frame_size;
+    if (write != e.at) {  // moves down: `write` never passes `e.at`
+      std::copy_n(arena_.begin() + e.at, bytes, arena_.begin() + write);
+    }
+    e.at = write;
+    write += bytes;
+    entries_[next] = e;
+    place(next, e.transmits);
+    ++next;
+  }
+  entries_.resize(next);
+  arena_.resize(write);
+  std::fill(index_.begin(), index_.end(), Bucket{});
+  for (std::uint32_t pos = 0; pos < next; ++pos) {
+    insert_bucket(Bucket{pos, entries_[pos].hash});
+  }
 }
 
 void BroadcastQueue::release_if_drained() {
-  if (!by_key_.empty()) return;
+  if (live_ != 0) return;
   entries_ = std::vector<Entry>();
-  heads_.clear();
-  free_ = kNil;
+  arena_ = std::vector<std::uint8_t>();
+  sets_ = std::vector<std::vector<std::uint64_t>>();
+  counts_ = std::vector<std::uint32_t>();
+  index_ = std::vector<Bucket>();
   min_frame_size_ = SIZE_MAX;
 }
 
-void BroadcastQueue::queue(const std::string& member,
-                           std::vector<std::uint8_t> frame) {
-  const auto [it, inserted] = by_key_.try_emplace(member, kNil);
-  if (inserted) {
-    if (free_ != kNil) {
-      it->second = free_;
-      free_ = entries_[free_].next;
-    } else {
-      it->second = static_cast<std::uint32_t>(entries_.size());
-      entries_.emplace_back();
-    }
-    entries_[it->second].key = &it->first;
-  } else {
-    unlink(it->second);  // the new update takes the old one's slot
+// ---- operations ----
+
+void BroadcastQueue::queue(std::string_view member,
+                           std::span<const std::uint8_t> frame) {
+  if (entries_.size() >= kMinCompactPositions &&
+      2 * (entries_.size() - live_) >= entries_.size()) {
+    compact();
   }
-  Entry& e = entries_[it->second];
+  if (entries_.size() >= kNone ||
+      arena_.size() + member.size() + frame.size() > UINT32_MAX) {
+    throw std::length_error("broadcast queue arena exceeds 32-bit offsets");
+  }
+  if (2 * (live_ + 1) > index_.size()) grow_index();
+  const std::uint32_t hash = hash_key(member);
+  const auto pos = static_cast<std::uint32_t>(entries_.size());
+  Bucket& b = index_[bucket_of(member, hash)];
+  if (b.pos != kNone) {
+    // The new update supersedes the queued one, whose position is a hole.
+    unplace(b.pos);
+    entries_[b.pos].transmits = kHole;
+    b.pos = pos;
+  } else {
+    b = Bucket{pos, hash};
+    ++live_;
+  }
+  Entry& e = entries_.emplace_back();
+  e.at = static_cast<std::uint32_t>(arena_.size());
+  e.key_size = static_cast<std::uint32_t>(member.size());
+  e.frame_size = static_cast<std::uint32_t>(frame.size());
+  e.hash = hash;
+  arena_.insert(arena_.end(), member.begin(), member.end());
+  arena_.insert(arena_.end(), frame.begin(), frame.end());
+  place(pos, 0);
   min_frame_size_ = std::min(min_frame_size_, frame.size());
-  e.frame = std::move(frame);
-  e.enqueue_id = next_id_++;
-  e.transmits = 0;
-  link_after(kNil, it->second);  // the newest entry heads count 0's list
 }
 
-void BroadcastQueue::invalidate(const std::string& member) {
-  const auto it = by_key_.find(member);
-  if (it == by_key_.end()) return;
-  const std::uint32_t slot = it->second;
-  unlink(slot);
-  erase(slot);
+void BroadcastQueue::invalidate(std::string_view member) {
+  if (index_.empty()) return;
+  const std::uint32_t pos = index_[bucket_of(member, hash_key(member))].pos;
+  if (pos == kNone) return;
+  unplace(pos);
+  erase(pos);
   release_if_drained();
 }
 
 void BroadcastQueue::append_broadcasts(CompoundWriter& out,
                                        std::size_t per_frame_overhead_base,
                                        std::size_t byte_budget, int n) {
-  if (by_key_.empty()) return;
+  if (live_ == 0) return;
 
   const int limit = retransmit_limit(retransmit_mult_, n);
   std::size_t used = 0;
@@ -98,48 +202,40 @@ void BroadcastQueue::append_broadcasts(CompoundWriter& out,
   // remaining frame's true cost.
   const std::size_t min_cost = min_frame_size_ + per_frame_overhead_base +
                                compound_frame_overhead(min_frame_size_);
+  const auto room = [&] { return used + min_cost <= byte_budget; };
   selected_.clear();
-  for (std::size_t t = 0; t < heads_.size() && used + min_cost <= byte_budget;
-       ++t) {
-    for (std::uint32_t s = heads_[t];
-         s != kNil && used + min_cost <= byte_budget; s = entries_[s].next) {
-      const Entry& e = entries_[s];
-      const std::size_t cost = e.frame.size() + per_frame_overhead_base +
-                               compound_frame_overhead(e.frame.size());
-      if (used + cost > byte_budget) continue;  // try smaller later frames
-      used += cost;
-      out.add(e.frame);
-      selected_.push_back(s);
+  for (std::size_t t = 0; t < sets_.size() && room(); ++t) {
+    const std::vector<std::uint64_t>& words = sets_[t];
+    std::uint32_t unseen = counts_[t];
+    for (std::size_t w = words.size(); unseen > 0 && room() && w-- > 0;) {
+      for (std::uint64_t bits = words[w]; bits != 0 && room();) {
+        const int bit = std::bit_width(bits) - 1;  // the newest left
+        bits ^= std::uint64_t{1} << bit;
+        --unseen;
+        const auto pos = static_cast<std::uint32_t>(w * kWordBits + bit);
+        const std::span<const std::uint8_t> frame = frame_of(entries_[pos]);
+        const std::size_t cost = frame.size() + per_frame_overhead_base +
+                                 compound_frame_overhead(frame.size());
+        if (used + cost > byte_budget) continue;  // try smaller later frames
+        used += cost;
+        out.add(frame);
+        selected_.push_back(pos);
+      }
     }
   }
   total_transmits_ += static_cast<std::int64_t>(selected_.size());
 
   // Count bumps are applied after the scan, so this pass selected against
-  // the counts it started with. Each count's picks arrive newest first, and
-  // the next count's list is newest first too, so one forward cursor per
-  // destination list finds every insert position.
-  int into = -1;                 // the list the cursor walks
-  std::uint32_t cursor = kNil;   // last entry moved into it (kNil: head)
-  for (const std::uint32_t s : selected_) {
-    Entry& e = entries_[s];
-    unlink(s);
-    ++e.transmits;
-    max_transmits_ = std::max(max_transmits_, e.transmits);
-    if (e.transmits >= limit) {
-      erase(s);  // reached its retransmit limit
-      continue;
+  // the counts it started with.
+  for (const std::uint32_t pos : selected_) {
+    unplace(pos);
+    const int transmits = entries_[pos].transmits + 1;
+    max_transmits_ = std::max(max_transmits_, transmits);
+    if (transmits >= limit) {
+      erase(pos);  // reached its retransmit limit
+    } else {
+      place(pos, transmits);
     }
-    if (e.transmits != into) {
-      into = e.transmits;
-      cursor = kNil;
-    }
-    std::uint32_t next = cursor == kNil ? head(into) : entries_[cursor].next;
-    while (next != kNil && entries_[next].enqueue_id > e.enqueue_id) {
-      cursor = next;
-      next = entries_[next].next;
-    }
-    link_after(cursor, s);
-    cursor = s;
   }
   release_if_drained();
 }

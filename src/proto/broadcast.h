@@ -9,11 +9,20 @@
 // so far (SWIM's "prefer less-shared updates" rule); among equals, newer
 // first. A new update about a member invalidates any queued older update
 // about the same member.
+//
+// Layout: every queued update takes the next position of an enqueue-order
+// position space (a requeue takes a fresh one), and each transmit count keeps
+// one bitset over the positions. Scanning counts ascending, and each count's
+// bits from the highest position down, is the selection order; a transmit
+// clears one bit and sets the same bit in the next count's set. Keys and
+// frames live in one byte arena. Erased updates leave holes, and positions
+// and arena are compacted together, in order, once holes fill half the
+// position space.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
+#include <span>
+#include <string_view>
 #include <vector>
 
 namespace lifeguard::proto {
@@ -27,16 +36,11 @@ class BroadcastQueue {
  public:
   explicit BroadcastQueue(int retransmit_mult)
       : retransmit_mult_(retransmit_mult) {}
-  // Entries point at keys inside by_key_'s nodes: a move keeps those nodes,
-  // a copy would leave the copy's entries pointing into the original.
-  BroadcastQueue(const BroadcastQueue&) = delete;
-  BroadcastQueue& operator=(const BroadcastQueue&) = delete;
-  BroadcastQueue(BroadcastQueue&&) = default;
-  BroadcastQueue& operator=(BroadcastQueue&&) = default;
 
-  /// Queue `frame` (an encoded message) keyed by `member`. Replaces any
-  /// queued broadcast with the same key.
-  void queue(const std::string& member, std::vector<std::uint8_t> frame);
+  /// Queue a copy of `frame` (an encoded message) keyed by `member`.
+  /// Replaces any queued broadcast with the same key. Throws
+  /// std::length_error if the arena would outgrow 32-bit offsets.
+  void queue(std::string_view member, std::span<const std::uint8_t> frame);
 
   /// Select frames to piggyback and append them to `out`: greedily packs
   /// frames (fewest transmits first) whose size + `per_frame_overhead_base`
@@ -51,10 +55,10 @@ class BroadcastQueue {
       std::size_t per_frame_overhead_base, std::size_t byte_budget, int n);
 
   /// Remove a queued broadcast about `member` (e.g. superseded externally).
-  void invalidate(const std::string& member);
+  void invalidate(std::string_view member);
 
-  std::size_t pending() const { return by_key_.size(); }
-  bool empty() const { return by_key_.empty(); }
+  std::size_t pending() const { return live_; }
+  bool empty() const { return live_ == 0; }
 
   /// Total frames handed out by the selection (telemetry).
   std::int64_t total_transmits() const { return total_transmits_; }
@@ -64,50 +68,75 @@ class BroadcastQueue {
   int max_transmits() const { return max_transmits_; }
 
  private:
-  static constexpr std::uint32_t kNil = UINT32_MAX;
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+  static constexpr int kHole = -1;
 
-  /// One queued update in a slot of `entries_`. `prev`/`next` link it into
-  /// the list of its transmit count; a free slot's `next` links the free
-  /// list.
+  /// The update at one position: its key's bytes, then its frame's, at
+  /// arena_[at]. A position whose update was erased or requeued is a hole.
   struct Entry {
-    std::vector<std::uint8_t> frame;
-    std::uint64_t enqueue_id = 0;        // newer = larger
-    const std::string* key = nullptr;    // its by_key_ element's key
-    int transmits = 0;
-    std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
+    std::uint32_t at = 0;
+    std::uint32_t key_size = 0;
+    std::uint32_t frame_size = 0;
+    std::uint32_t hash = 0;  // the key's, for the index
+    int transmits = kHole;
+  };
+  /// Key-index bucket: a position and 32 bits of its key's hash, so a probe
+  /// compares keys only on a hash match.
+  struct Bucket {
+    std::uint32_t pos = kNone;
+    std::uint32_t hash = 0;
   };
 
-  /// Head of the list of entries transmitted `transmits` times.
-  std::uint32_t& head(int transmits);
-  /// Links `slot` into its count's list after `prev` (kNil: at the head).
-  void link_after(std::uint32_t prev, std::uint32_t slot);
-  void unlink(std::uint32_t slot);
-  /// Erases `slot`'s key and frees the slot (its frame storage with it).
-  void erase(std::uint32_t slot);
-  /// Releases the slot storage once the queue is empty.
+  std::string_view key_of(const Entry& e) const {
+    return {reinterpret_cast<const char*>(arena_.data() + e.at), e.key_size};
+  }
+  std::span<const std::uint8_t> frame_of(const Entry& e) const {
+    return {arena_.data() + e.at + e.key_size, e.frame_size};
+  }
+  /// Adds `pos` to the set of count `transmits`.
+  void place(std::uint32_t pos, int transmits);
+  /// Removes `pos` from the set of its entry's count.
+  void unplace(std::uint32_t pos);
+
+  static std::uint32_t hash_key(std::string_view key);
+  /// Position of `key`'s bucket, or of the empty bucket that ends its probe
+  /// run. `index_` must be non-empty.
+  std::size_t bucket_of(std::string_view key, std::uint32_t hash) const;
+  /// Places `b` in the first empty bucket of its probe run.
+  void insert_bucket(Bucket b);
+  void grow_index();
+  /// Backward-shift deletion of the bucket at `pos` (no tombstones).
+  void unindex(std::size_t pos);
+  /// Drops the update at `pos` (already unplaced): unindexes its key and
+  /// leaves a hole.
+  void erase(std::uint32_t pos);
+  /// Renumbers the live positions 0.., in order, moving their arena bytes
+  /// down with them, and rebuilds the sets and the index.
+  void compact();
+  /// Releases all storage once the queue is empty.
   void release_if_drained();
 
   int retransmit_mult_;
-  std::uint64_t next_id_ = 1;
   std::int64_t total_transmits_ = 0;
   int max_transmits_ = 0;
+  /// Queued updates (positions that are not holes).
+  std::size_t live_ = 0;
   /// Lower bound on the smallest queued frame size (never raised while the
   /// queue is non-empty; reset when it drains). Lets the selection stop
   /// scanning once no conceivable frame fits the remaining budget.
   std::size_t min_frame_size_ = SIZE_MAX;
-  /// Entry slots; released whenever the queue drains, so an idle queue
-  /// keeps no high-water storage.
+  /// Entries by position; its size is the position space.
   std::vector<Entry> entries_;
-  std::uint32_t free_ = kNil;
-  /// heads_[t]: the list of entries transmitted t times, newest first.
-  /// Walking the lists in count order is the selection order (fewest
-  /// transmits, then newest), and a transmit moves an entry to the next
-  /// list without re-sorting anything.
-  std::vector<std::uint32_t> heads_;
-  /// Member key → slot (entries are unique per key).
-  std::unordered_map<std::string, std::uint32_t> by_key_;
-  /// Slots selected by the current append_broadcasts, in selection order.
+  /// Keys and frames in position order, holes included until compaction.
+  std::vector<std::uint8_t> arena_;
+  /// sets_[t]: bitset over positions of the updates transmitted t times
+  /// (words beyond a set's size are zero); counts_[t]: its population.
+  std::vector<std::vector<std::uint64_t>> sets_;
+  std::vector<std::uint32_t> counts_;
+  /// Open-addressing key → position index (linear probing, power-of-two
+  /// size, at most half full).
+  std::vector<Bucket> index_;
+  /// Positions selected by the current append_broadcasts, in selection order.
   std::vector<std::uint32_t> selected_;
 };
 

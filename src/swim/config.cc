@@ -94,6 +94,12 @@ std::vector<std::string> Config::validate() const {
                "zero keeps dead members forever");
   at_least("indirect_checks", indirect_checks, 0);
   at_least("retransmit_mult", retransmit_mult, 1);
+  if (retransmit_mult > kMaxRetransmitMult) {
+    errors.push_back("retransmit_mult (" + std::to_string(retransmit_mult) +
+                     ") must be <= " + std::to_string(kMaxRetransmitMult) +
+                     " — each update is sent retransmit_mult·⌈log10(n+1)⌉ "
+                     "times");
+  }
   at_least("gossip_fanout", gossip_fanout, 0);
   at_least("suspicion_k", suspicion_k, 0);
   at_least("lhm_max", lhm_max, 0);

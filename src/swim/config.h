@@ -34,6 +34,10 @@ struct Config {
   // ---- dissemination (SWIM §III-A, memberlist extensions) ----
   /// λ: gossip retransmit multiplier (limit = λ·⌈log10(n+1)⌉).
   int retransmit_mult = 4;
+  /// validate()'s upper bound on λ. ⌈log10(n+1)⌉ is at most 10 for any int
+  /// n, so the limit stays far inside an int, and a broadcast queue keeps
+  /// at most 10·λ per-transmit-count sets.
+  static constexpr int kMaxRetransmitMult = 64;
   /// Dedicated gossip tick period (memberlist gossips independently of the
   /// probe schedule).
   Duration gossip_interval = msec(200);

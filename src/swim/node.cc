@@ -323,9 +323,10 @@ void Node::count_sent(const char* type, std::size_t bytes, Channel ch) {
 }
 
 void Node::broadcast(const std::string& member, const proto::Message& m) {
-  BufWriter w(48);
+  BufWriter w(std::move(bcast_frame_));
   proto::encode(m, w);
-  bcast_.queue(member, std::move(w).take());
+  bcast_.queue(member, w.bytes());
+  bcast_frame_ = std::move(w).take();
   obs_.gossip_pending().set(static_cast<double>(bcast_.pending()));
 }
 

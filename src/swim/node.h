@@ -207,6 +207,9 @@ class Node : public membership::Agent {
 
   MembershipTable table_;
   proto::BroadcastQueue bcast_;
+  /// Encode buffer for broadcast(): the queue copies each frame into its
+  /// arena, so one buffer serves every update.
+  std::vector<std::uint8_t> bcast_frame_;
   std::unique_ptr<PiggybackSelector> piggyback_;
   LocalHealth health_;
   Logger log_;

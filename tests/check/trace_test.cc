@@ -148,6 +148,50 @@ TEST(TraceFormat, TruncatedTraceIsRejected) {
   EXPECT_NE(error.find("truncated"), std::string::npos);
 }
 
+TEST(TraceFormat, IntegersBeyondTheirFieldAreRejected) {
+  // Each value fits an int64 but not its field, where a bare cast would
+  // wrap 4294967306 nodes to 10, rbuf -1 to SIZE_MAX and node index
+  // 4294967296 to 0.
+  const Scenario s = *ScenarioRegistry::builtin().find("steady-state");
+  check::Trace t;
+  t.header = check::make_header(s);
+  check::TraceEvent e;
+  e.at = TimePoint{1};
+  e.kind = check::TraceEventKind::kSuspect;
+  e.node = 3;
+  e.peer = 7;
+  e.origin = 3;
+  t.events.push_back(e);
+  std::stringstream buf;
+  check::save_trace(t, buf);
+  const std::string text = buf.str();
+  const auto field = [](const char* key, auto value) {
+    return "\"" + std::string(key) + "\":" + std::to_string(value);
+  };
+  const struct {
+    std::string from, to, key;
+  } cases[] = {
+      {field("nodes", s.cluster_size), field("nodes", 4294967306), "'nodes'"},
+      {field("k", s.config.suspicion_k), field("k", 2147483648), "'k'"},
+      {field("rbuf", s.recv_buffer_bytes), field("rbuf", -1), "'rbuf'"},
+      {field("max_violations", s.checks.max_violations),
+       field("max_violations", -1), "'max_violations'"},
+      {field("n", 3), field("n", 4294967296), "'n'"},
+      {field("m", 7), field("m", -4294967297), "'m'"},
+      {field("o", 3), field("o", 2147483648), "'o'"},
+  };
+  for (const auto& c : cases) {
+    std::string bad = text;
+    const std::size_t at = bad.find(c.from);  // each key occurs once
+    ASSERT_NE(at, std::string::npos) << c.from;
+    bad.replace(at, c.from.size(), c.to);
+    std::stringstream in(bad);
+    std::string error;
+    EXPECT_FALSE(check::load_trace(in, error).has_value()) << c.to;
+    EXPECT_NE(error.find(c.key), std::string::npos) << c.to << ": " << error;
+  }
+}
+
 // Every fault kind's entry spec must reconstruct the entry exactly through
 // the public --fault grammar.
 TEST(TraceFormat, EntrySpecsRoundTripEveryFaultKind) {

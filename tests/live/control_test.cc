@@ -82,6 +82,16 @@ TEST(LiveControl, ConfigRejectsOutOfRangeValuesNamingTheField) {
       {"pi=-1000", "probe_interval"},
       {"mpb=2", "max_packet_bytes"},
       {"sb=0.5", "suspicion_beta"},
+      // Integers the field's type cannot hold, which a bare cast would
+      // wrap (mpb=-1 to SIZE_MAX, rm=4294967297 to 1), and a multiplier
+      // past Config::validate's bound.
+      {"ic=4294967296", "'ic'"},
+      {"rm=4294967297", "'rm'"},
+      {"gf=-4294967295", "'gf'"},
+      {"mpb=-1", "'mpb'"},
+      {"sk=2147483648", "'sk'"},
+      {"lhm=-2147483649", "'lhm'"},
+      {"rm=65", "retransmit_mult"},
   };
   for (const auto& [line, field] : cases) {
     std::string error;

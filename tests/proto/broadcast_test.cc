@@ -229,6 +229,54 @@ std::vector<std::uint8_t> random_frame(Rng& rng) {
   return f;
 }
 
+/// The queue and the reference agree on everything observable besides the
+/// frames themselves.
+::testing::AssertionResult SameState(const BroadcastQueue& q,
+                                     const ReferenceQueue& ref) {
+  if (q.pending() != ref.pending() || q.empty() != (ref.pending() == 0) ||
+      q.total_transmits() != ref.total_transmits() ||
+      q.max_transmits() != ref.max_transmits()) {
+    return ::testing::AssertionFailure()
+           << "pending " << q.pending() << " vs " << ref.pending()
+           << ", total_transmits " << q.total_transmits() << " vs "
+           << ref.total_transmits() << ", max_transmits "
+           << q.max_transmits() << " vs " << ref.max_transmits();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// One selection on both queues, through get_broadcasts or (`writer`) the
+/// CompoundWriter path, where frames land behind what the datagram already
+/// holds, byte for byte as pack_compound would lay them out.
+::testing::AssertionResult SameSelection(BroadcastQueue& q,
+                                         ReferenceQueue& ref,
+                                         std::size_t base,
+                                         std::size_t budget, int n,
+                                         bool writer) {
+  if (!writer) {
+    const auto got = q.get_broadcasts(base, budget, n);
+    const auto want = ref.get_broadcasts(base, budget, n);
+    if (got != want) {
+      return ::testing::AssertionFailure()
+             << "selected " << got.size() << " frames, reference "
+             << want.size();
+    }
+    return ::testing::AssertionSuccess();
+  }
+  const std::vector<std::uint8_t> lead{9, 9, 9};
+  CompoundWriter w;
+  w.add(lead);
+  q.append_broadcasts(w, base, budget, n);
+  auto want = ref.get_broadcasts(base, budget, n);
+  want.insert(want.begin(), lead);
+  if (std::move(w).take() != pack_compound(want)) {
+    return ::testing::AssertionFailure()
+           << "datagram differs from the reference's " << want.size() - 1
+           << " frames";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(BroadcastQueueOracle, MatchesTheRankOrderedMapOnRandomSequences) {
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -238,12 +286,6 @@ TEST(BroadcastQueueOracle, MatchesTheRankOrderedMapOnRandomSequences) {
     ReferenceQueue ref(mult);
     int n = static_cast<int>(rng.uniform_range(1, 20));
     int drains = 0;
-    const auto same_state = [&](int step) {
-      ASSERT_EQ(q.pending(), ref.pending()) << "step " << step;
-      ASSERT_EQ(q.empty(), ref.pending() == 0) << "step " << step;
-      ASSERT_EQ(q.total_transmits(), ref.total_transmits()) << "step " << step;
-      ASSERT_EQ(q.max_transmits(), ref.max_transmits()) << "step " << step;
-    };
     for (int step = 0; step < 3000; ++step) {
       const std::uint64_t op = rng.uniform(100);
       if (op < 40) {
@@ -263,33 +305,81 @@ TEST(BroadcastQueueOracle, MatchesTheRankOrderedMapOnRandomSequences) {
         // Drain to empty with an ample budget, then keep refilling.
         for (int round = 0; ref.pending() > 0; ++round) {
           ASSERT_LT(round, 100);
-          ASSERT_EQ(q.get_broadcasts(0, 1'000'000, n),
-                    ref.get_broadcasts(0, 1'000'000, n));
+          ASSERT_TRUE(SameSelection(q, ref, 0, 1'000'000, n, false));
         }
         ++drains;
       } else {
         const std::size_t base = rng.uniform(3) == 0 ? 2 : 0;
         const auto budget = static_cast<std::size_t>(rng.uniform(700));
-        if (rng.uniform(2) == 0) {
-          ASSERT_EQ(q.get_broadcasts(base, budget, n),
-                    ref.get_broadcasts(base, budget, n))
-              << "step " << step;
-        } else {
-          // The writer path: frames land behind what the datagram already
-          // holds, byte for byte as pack_compound would lay them out.
-          const std::vector<std::uint8_t> lead{9, 9, 9};
-          CompoundWriter w;
-          w.add(lead);
-          q.append_broadcasts(w, base, budget, n);
-          auto expect = ref.get_broadcasts(base, budget, n);
-          expect.insert(expect.begin(), lead);
-          ASSERT_EQ(std::move(w).take(), pack_compound(expect))
-              << "step " << step;
-        }
+        ASSERT_TRUE(SameSelection(q, ref, base, budget, n,
+                                  rng.uniform(2) == 0))
+            << "step " << step;
       }
-      same_state(step);
+      ASSERT_TRUE(SameState(q, ref)) << "step " << step;
     }
     EXPECT_GT(drains, 0);
+  }
+}
+
+TEST(BroadcastQueueOracle, MatchesAtJoinStormDepth) {
+  // A join storm at n=512: every member's Alive (20-60 bytes) is queued,
+  // MTU-sized datagrams carry a few dozen of them, and bursts of
+  // refutations requeue hundreds of keys, so holes keep filling half the
+  // position space and the queue compacts again and again.
+  constexpr int kKeys = 600;
+  constexpr int kN = 512;
+  constexpr std::size_t kBudget = 1400;
+  const auto alive_frame = [](Rng& rng) {
+    std::vector<std::uint8_t> f(
+        static_cast<std::size_t>(rng.uniform_range(20, 60)));
+    for (auto& b : f) b = static_cast<std::uint8_t>(rng.next_u64());
+    return f;
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    BroadcastQueue q(4);
+    ReferenceQueue ref(4);
+    const auto queue_both = [&](std::uint64_t member) {
+      const std::string key = "node-" + std::to_string(member);
+      auto frame = alive_frame(rng);
+      q.queue(key, frame);
+      ref.queue(key, std::move(frame));
+    };
+    for (int i = 0; i < kKeys; ++i) queue_both(static_cast<std::uint64_t>(i));
+    int bursts = 0;
+    int refills = 0;
+    for (int step = 0; step < 2000; ++step) {
+      const std::uint64_t op = rng.uniform(100);
+      if (op < 8) {
+        const auto burst = rng.uniform_range(kKeys / 4, kKeys);
+        for (std::int64_t i = 0; i < burst; ++i) queue_both(rng.uniform(kKeys));
+        ++bursts;
+      } else if (op < 12) {
+        const std::string key = "node-" + std::to_string(rng.uniform(kKeys));
+        q.invalidate(key);
+        ref.invalidate(key);
+      } else if (op < 13) {
+        // Drain with datagram-sized selections, then the next storm.
+        for (int round = 0; ref.pending() > 0; ++round) {
+          ASSERT_LT(round, 10'000);
+          ASSERT_TRUE(SameSelection(q, ref, 0, kBudget, kN, false));
+          ASSERT_TRUE(SameState(q, ref)) << "round " << round;
+        }
+        for (int i = 0; i < kKeys; ++i) {
+          queue_both(static_cast<std::uint64_t>(i));
+        }
+        ++refills;
+      } else {
+        const std::size_t base = rng.uniform(2) == 0 ? 0 : 2;
+        ASSERT_TRUE(SameSelection(q, ref, base, kBudget, kN,
+                                  rng.uniform(2) == 0))
+            << "step " << step;
+      }
+      ASSERT_TRUE(SameState(q, ref)) << "step " << step;
+    }
+    EXPECT_GT(bursts, 0);
+    EXPECT_GT(refills, 0);
   }
 }
 

@@ -67,6 +67,22 @@ TEST(ScenarioFileValidator, OutOfRangeConfigOverridesAreNamed) {
       << error;
 }
 
+TEST(ScenarioFileValidator, IntegersBeyondTheirFieldAreNamed) {
+  // Each fits an int64 but not its int field, where a bare cast would wrap
+  // 4294967306 nodes to 10 and a retransmit_mult of 4294967297 to 1.
+  expect_rejected("\"nodes\": 4294967306", {"field 'nodes'", "out of range"});
+  expect_rejected("\"k\": -2147483649", {"field 'k'", "out of range"});
+  for (const std::string key :
+       {"indirect_checks", "retransmit_mult", "gossip_fanout", "lhm_max"}) {
+    const std::string needle = "field '" + key + "'";
+    expect_rejected("\"config_overrides\": {\"" + key + "\": 4294967297}",
+                    {needle.c_str(), "out of range"});
+  }
+  // An int, but past the bound that keeps the retransmit limit an int.
+  expect_rejected("\"config_overrides\": {\"retransmit_mult\": 65}",
+                  {"config.retransmit_mult (65) must be <= 64"});
+}
+
 TEST(ScenarioFileValidator, TrailingColonMembershipSpecIsActionable) {
   expect_rejected("\"membership\": \"central:\"",
                   {"bad membership spec 'central:'",
