@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "check/coverage.h"
+#include "common/narrow.h"
 #include "common/flatjson.h"
 #include "check/trace.h"
 #include "harness/campaign.h"
@@ -385,10 +386,12 @@ std::optional<CoverageReport> coverage_report_from_json(
       !fj::get_u64(doc, "coverage_digest", r.coverage_digest, error)) {
     return std::nullopt;
   }
-  r.trials = static_cast<int>(trials);
-  r.generations = static_cast<int>(generations);
-  r.cluster_size = static_cast<int>(cluster);
-  r.coverage_keys = static_cast<std::size_t>(keys);
+  if (!narrow(trials, "trials", r.trials, error) ||
+      !narrow(generations, "generations", r.generations, error) ||
+      !narrow(cluster, "cluster_size", r.cluster_size, error) ||
+      !narrow(keys, "coverage_keys", r.coverage_keys, error)) {
+    return std::nullopt;
+  }
 
   const fj::Value* corpus = doc.find("corpus");
   if (corpus == nullptr || corpus->kind != fj::Value::Kind::kArray) {
@@ -405,10 +408,10 @@ std::optional<CoverageReport> coverage_report_from_json(
     if (!fj::get_str(v, "file", e.file, error) ||
         !fj::get_u64(v, "seed", e.seed, error) ||
         !fj::get_i64(v, "new_keys", new_keys, error) ||
-        !fj::get_u64(v, "digest", e.digest, error)) {
+        !fj::get_u64(v, "digest", e.digest, error) ||
+        !narrow(new_keys, "new_keys", e.new_keys, error)) {
       return std::nullopt;
     }
-    e.new_keys = static_cast<std::size_t>(new_keys);
     r.corpus.push_back(std::move(e));
   }
   if (!fj::get_string_array(doc, "findings", r.findings, error)) {

@@ -256,13 +256,16 @@ std::optional<WorkerMsg> parse_worker_msg(std::string_view line,
     std::string_view w1 = take_word(rest), w2 = take_word(rest),
                      w3 = take_word(rest);
     if (!parse_i64(w1, index) || !parse_i64(w2, pid) || !parse_i64(w3, port) ||
-        port < 0 || port > 65535 || !rest.empty()) {
+        !rest.empty()) {
       error = "malformed HELLO: '" + std::string(line) + "'";
       return std::nullopt;
     }
-    m.index = static_cast<int>(index);
-    m.pid = static_cast<int>(pid);
-    m.udp_port = static_cast<std::uint16_t>(port);
+    if (!narrow(index, "index", m.index, error) ||
+        !narrow(pid, "pid", m.pid, error) ||
+        !narrow(port, "port", m.udp_port, error)) {
+      error = "HELLO: " + error;
+      return std::nullopt;
+    }
     return m;
   }
   if (verb == "EV") {
@@ -285,20 +288,22 @@ std::optional<WorkerMsg> parse_worker_msg(std::string_view line,
   if (verb == "STATS") {
     m.kind = WorkerMsg::Kind::kStats;
     std::int64_t active = 0;
+    std::string range_error;
     const bool ok = for_each_piece(rest, ' ', [&](std::string_view piece) {
       std::string_view key, val;
       if (!split_kv(piece, key, val)) return false;
       if (key == "msgs") return parse_u64(val, m.stats.msgs_sent);
       if (key == "bytes") return parse_u64(val, m.stats.bytes_sent);
       if (key == "active") {
-        if (!parse_i64(val, active)) return false;
-        m.stats.active = static_cast<int>(active);
-        return true;
+        return parse_i64(val, active) &&
+               narrow(active, "active", m.stats.active, range_error);
       }
       return false;
     });
     if (!ok) {
-      error = "malformed STATS: '" + std::string(line) + "'";
+      error = range_error.empty()
+                  ? "malformed STATS: '" + std::string(line) + "'"
+                  : "STATS: " + range_error;
       return std::nullopt;
     }
     return m;
@@ -376,7 +381,10 @@ std::optional<Command> parse_command(std::string_view line,
     error = "malformed FAULT token: '" + std::string(line) + "'";
     return std::nullopt;
   }
-  cmd.token = static_cast<int>(token);
+  if (!narrow(token, "token", cmd.token, error)) {
+    error = "FAULT: " + error;
+    return std::nullopt;
+  }
   if (op == "del") {
     cmd.kind = Command::Kind::kFaultDel;
     if (!rest.empty()) {

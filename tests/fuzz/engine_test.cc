@@ -305,6 +305,18 @@ TEST(FuzzCoverageReport, StrictParserRejectsMalformedDocuments) {
   json.replace(json.find("\"trials\""), 8, "\"trails\"");
   EXPECT_FALSE(fuzz::coverage_report_from_json(json, error));
   EXPECT_NE(error.find("trails"), std::string::npos);
+  // Integers beyond their field, which a bare cast would wrap to 10 and to
+  // SIZE_MAX.
+  r.cluster_size = 10;
+  for (const auto& [from, to] :
+       {std::pair{"\"cluster_size\": 10", "\"cluster_size\": 4294967306"},
+        std::pair{"\"coverage_keys\": 0", "\"coverage_keys\": -1"}}) {
+    json = fuzz::coverage_report_to_json(r);
+    ASSERT_NE(json.find(from), std::string::npos) << json;
+    json.replace(json.find(from), std::string(from).size(), to);
+    EXPECT_FALSE(fuzz::coverage_report_from_json(json, error)) << to;
+    EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  }
 }
 
 }  // namespace

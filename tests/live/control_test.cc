@@ -113,6 +113,21 @@ TEST(LiveControl, HelloRoundTrip) {
   EXPECT_EQ(msg->udp_port, 40001);
 }
 
+TEST(LiveControl, WorkerLinesRejectIntegersBeyondTheirField) {
+  // Each fits an int64 but not its field, where a bare cast would wrap.
+  for (const char* line :
+       {"HELLO 4294967296 12345 40001", "HELLO 4 -4294967297 40001",
+        "HELLO 4 12345 65536", "STATS msgs=1 bytes=2 active=4294967297"}) {
+    std::string error;
+    EXPECT_FALSE(parse_worker_msg(line, error).has_value()) << line;
+    EXPECT_NE(error.find("out of range"), std::string::npos)
+        << line << ": " << error;
+  }
+  std::string error;
+  EXPECT_FALSE(parse_command("FAULT del 4294967296", error).has_value());
+  EXPECT_NE(error.find("field 'token'"), std::string::npos) << error;
+}
+
 TEST(LiveControl, EventRoundTrip) {
   check::TraceEvent e;
   e.at = TimePoint{msec(12304).us};
