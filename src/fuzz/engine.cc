@@ -10,8 +10,8 @@
 #include <thread>
 
 #include "check/coverage.h"
-#include "common/narrow.h"
 #include "common/flatjson.h"
+#include "common/narrow.h"
 #include "check/trace.h"
 #include "harness/campaign.h"
 #include "harness/gate.h"

@@ -136,9 +136,11 @@ void BroadcastQueue::release_if_drained() {
   if (live_ != 0) return;
   entries_ = std::vector<Entry>();
   arena_ = std::vector<std::uint8_t>();
-  sets_ = std::vector<std::vector<std::uint64_t>>();
-  counts_ = std::vector<std::uint32_t>();
   index_ = std::vector<Bucket>();
+  // The sets hold a word per 64 positions per count: emptied, not freed,
+  // so a short queue that drains and refills does not reallocate them.
+  for (std::vector<std::uint64_t>& words : sets_) words.clear();
+  std::fill(counts_.begin(), counts_.end(), 0);
   min_frame_size_ = SIZE_MAX;
 }
 

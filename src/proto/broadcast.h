@@ -113,7 +113,7 @@ class BroadcastQueue {
   /// Renumbers the live positions 0.., in order, moving their arena bytes
   /// down with them, and rebuilds the sets and the index.
   void compact();
-  /// Releases all storage once the queue is empty.
+  /// Releases the entries, arena and index once the queue is empty.
   void release_if_drained();
 
   int retransmit_mult_;
