@@ -25,6 +25,7 @@
 
 #include "check/events.h"
 #include "check/trace.h"
+#include "harness/scenariofile.h"
 #include "live/control.h"
 #include "net/fault_filter.h"
 #include "net/udp_runtime.h"
@@ -39,7 +40,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --index N --port P --seed S --epoch-ns NS "
                "--control-fd FD --tick-ms MS [--metrics-interval-us US] "
-               "--config SPEC\n",
+               "--config JSON\n",
                argv0);
   return 2;
 }
@@ -155,9 +156,10 @@ int main(int argc, char** argv) {
   }
 
   std::string error;
-  const auto config = live::decode_config(config_spec, error);
+  const auto config =
+      harness::ScenarioFile::config_from_json(config_spec, error);
   if (!config) {
-    std::fprintf(stderr, "live_node: %s\n", error.c_str());
+    std::fprintf(stderr, "live_node: --config: %s\n", error.c_str());
     return 2;
   }
 

@@ -463,15 +463,10 @@ int run_replay(const std::string& path,
   }
   std::printf("replaying %s: scenario '%s', seed %llu, %zu recorded "
               "events\n",
-              path.c_str(), loaded->header.scenario.c_str(),
-              static_cast<unsigned long long>(loaded->header.seed),
+              path.c_str(), loaded->scenario.name.c_str(),
+              static_cast<unsigned long long>(loaded->scenario.seed),
               loaded->events.size());
-  const auto scenario = check::scenario_from_header(loaded->header, error);
-  if (!scenario) {
-    std::fprintf(stderr, "scenario_runner: --replay: %s\n", error.c_str());
-    return 2;
-  }
-  const check::ReplayResult r = check::replay(*scenario, *loaded);
+  const check::ReplayResult r = check::replay(loaded->scenario, *loaded);
   if (r.result.checks.checked) report_checks(r.result.checks);
   if (!r.matches) {
     std::fprintf(stderr, "replay DIVERGED: %s\n", r.divergence.c_str());

@@ -8,13 +8,11 @@
 // first differing element (an engine change, a perturbed seed, or a
 // corrupted trace).
 //
-// scenario_from_header() rebuilds the Scenario a trace header describes, so
-// `scenario_runner --replay FILE` works from the artifact alone. Traces of
-// non-preset ("Custom") protocol configs can only be replayed through the
-// in-memory overload.
+// A loaded trace carries the Scenario it was recorded from (check/trace.h),
+// config and all, so `scenario_runner --replay FILE` works from the
+// artifact alone: replay(t.scenario, t).
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "check/trace.h"
@@ -35,17 +33,9 @@ struct ReplayResult {
   std::string divergence;
 };
 
-/// Re-run `s` and verify against `recorded`. The scenario must be the one
-/// the trace was recorded from (use scenario_from_header for file traces).
+/// Re-run `s` and verify against `recorded`. For a faithful replay `s` is
+/// the scenario the trace was recorded from (`recorded.scenario`); tests
+/// pass a perturbed one to see the divergence caught.
 ReplayResult replay(const harness::Scenario& s, const Trace& recorded);
-
-/// Rebuild the Scenario a header describes; nullopt + `error` when the
-/// config preset is unknown ("Custom") or the timeline fails to parse.
-std::optional<harness::Scenario> scenario_from_header(const TraceHeader& h,
-                                                      std::string& error);
-
-/// Load, rebuild, and replay in one step.
-std::optional<ReplayResult> replay_file(const std::string& path,
-                                        std::string& error);
 
 }  // namespace lifeguard::check

@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "common/flatjson.h"
 #include "common/narrow.h"
 #include "harness/report.h"
+#include "harness/scenariofile.h"
 
 namespace lifeguard::check {
 
@@ -31,7 +31,7 @@ bool Trace::has_probe_spans() const {
 }
 
 // ---------------------------------------------------------------------------
-// Header derivation & timeline specs
+// Timeline specs
 
 namespace {
 
@@ -125,44 +125,12 @@ std::optional<fault::Timeline> timeline_from_specs(
   return tl;
 }
 
-TraceHeader make_header(const harness::Scenario& s) {
-  TraceHeader h;
-  h.scenario = s.name;
-  h.seed = s.seed;
-  h.cluster_size = s.cluster_size;
-  h.quiesce = s.quiesce;
-  h.run_length = s.run_length;
-  // The header carries the preset name plus the suspicion tuning — the
-  // only config fields the catalog varies. A config that differs from its
-  // preset in any *other* field is recorded as "Custom" so replay_file
-  // rejects it honestly instead of silently rebuilding the wrong run
-  // (replay(Scenario, Trace) still works for such runs).
-  h.config_name = s.config.table1_name();
-  h.suspicion_alpha = s.config.suspicion_alpha;
-  h.suspicion_beta = s.config.suspicion_beta;
-  h.suspicion_k = s.config.suspicion_k;
-  if (auto preset = swim::Config::from_table1_name(h.config_name)) {
-    preset->suspicion_alpha = h.suspicion_alpha;
-    preset->suspicion_beta = h.suspicion_beta;
-    preset->suspicion_k = h.suspicion_k;
-    if (!(*preset == s.config)) h.config_name = "Custom";
-  }
-  h.network = s.network;
-  h.msg_proc_cost = s.msg_proc_cost;
-  h.recv_buffer_bytes = s.recv_buffer_bytes;
-  h.timeline = timeline_specs(s.timeline);
-  h.checks = s.checks;
-  h.metrics_interval = s.metrics_interval;
-  h.membership = s.membership;
-  return h;
-}
-
 TraceRecorder::TraceRecorder(const harness::Scenario& s, bool include_datagrams,
                              bool include_probe_spans)
     : include_datagrams_(include_datagrams),
       include_probe_spans_(include_probe_spans) {
-  trace_.header = make_header(s);
-  trace_.header.probe_spans = include_probe_spans;
+  trace_.scenario = s;
+  trace_.probe_spans = include_probe_spans;
 }
 
 void TraceRecorder::on_trace_event(const TraceEvent& e) {
@@ -200,35 +168,35 @@ std::string event_line(const TraceEvent& e) {
 }
 
 void save_trace(const Trace& t, std::ostream& out) {
-  const TraceHeader& h = t.header;
+  // The scenario-file keys on one line, in the trace's own key order (the
+  // golden digests hash this line); `config_overrides` appears only for a
+  // config that differs from its preset beyond alpha/beta/k.
+  const harness::Scenario& s = t.scenario;
   out << "{\"type\":\"trace\",\"version\":1"
-      << ",\"scenario\":\"" << json_escape(h.scenario) << "\""
-      << ",\"seed\":\"" << h.seed << "\""
-      << ",\"nodes\":" << h.cluster_size
-      << ",\"quiesce_us\":" << h.quiesce.us
-      << ",\"run_length_us\":" << h.run_length.us
-      << ",\"config\":\"" << json_escape(h.config_name) << "\""
-      << ",\"alpha\":" << json_double(h.suspicion_alpha)
-      << ",\"beta\":" << json_double(h.suspicion_beta)
-      << ",\"k\":" << h.suspicion_k
-      << ",\"loss\":" << json_double(h.network.udp_loss)
-      << ",\"lat_min_us\":" << h.network.latency_min.us
-      << ",\"lat_max_us\":" << h.network.latency_max.us
-      << ",\"proc_us\":" << h.msg_proc_cost.us
-      << ",\"rbuf\":" << h.recv_buffer_bytes
-      << ",\"timeline\":" << strings_json(h.timeline)
-      << ",\"checked\":" << (h.checks.enabled ? "true" : "false")
-      << ",\"invariants\":" << strings_json(h.checks.invariants)
-      << ",\"slack\":" << json_double(h.checks.timeout_slack)
-      << ",\"settle_us\":" << h.checks.convergence_settle.us
-      << ",\"cap_us\":" << h.checks.suspicion_cap.us
-      << ",\"max_violations\":" << h.checks.max_violations
-      << ",\"metrics_us\":" << h.metrics_interval.us
-      << ",\"spans\":" << (h.probe_spans ? "true" : "false");
+      << ",\"scenario\":\"" << json_escape(s.name) << "\""
+      << ",\"seed\":\"" << s.seed << "\""
+      << ",\"nodes\":" << s.cluster_size
+      << ",\"quiesce_us\":" << s.quiesce.us
+      << ",\"run_length_us\":" << s.run_length.us
+      << "," << harness::ScenarioFile::config_members(s.config)
+      << ",\"loss\":" << json_double(s.network.udp_loss)
+      << ",\"lat_min_us\":" << s.network.latency_min.us
+      << ",\"lat_max_us\":" << s.network.latency_max.us
+      << ",\"proc_us\":" << s.msg_proc_cost.us
+      << ",\"rbuf\":" << s.recv_buffer_bytes
+      << ",\"timeline\":" << strings_json(timeline_specs(s.timeline))
+      << ",\"checked\":" << (s.checks.enabled ? "true" : "false")
+      << ",\"invariants\":" << strings_json(s.checks.invariants)
+      << ",\"slack\":" << json_double(s.checks.timeout_slack)
+      << ",\"settle_us\":" << s.checks.convergence_settle.us
+      << ",\"cap_us\":" << s.checks.suspicion_cap.us
+      << ",\"max_violations\":" << s.checks.max_violations
+      << ",\"metrics_us\":" << s.metrics_interval.us
+      << ",\"spans\":" << (t.probe_spans ? "true" : "false");
   // Emitted only for non-default backends: pre-membership traces stay
   // byte-identical (golden-parity) and load with the "swim" default.
-  if (h.membership != "swim") {
-    out << ",\"membership\":\"" << json_escape(h.membership) << "\"";
+  if (s.membership != "swim") {
+    out << ",\"membership\":\"" << json_escape(s.membership) << "\"";
   }
   out << "}\n";
   for (const TraceEvent& e : t.events) {
@@ -259,70 +227,20 @@ bool save_trace_file(const Trace& t, const std::string& path,
 namespace {
 
 using flatjson::Value;
+using flatjson::get_bool;
 using flatjson::get_dbl;
 using flatjson::get_i64;
 using flatjson::get_str;
-using flatjson::get_string_array;
 using flatjson::get_u64;
 
-const Value* field(const Value& o, const std::string& key) {
-  return o.find(key);
-}
-
-bool parse_header(const Value& o, TraceHeader& h, std::string& error) {
-  std::int64_t i64 = 0;
-  if (!get_str(o, "scenario", h.scenario, error)) return false;
-  if (!get_u64(o, "seed", h.seed, error)) return false;
-  if (!get_i64(o, "nodes", i64, error) ||
-      !narrow(i64, "nodes", h.cluster_size, error)) {
-    return false;
-  }
-  if (!get_i64(o, "quiesce_us", h.quiesce.us, error)) return false;
-  if (!get_i64(o, "run_length_us", h.run_length.us, error)) return false;
-  if (!get_str(o, "config", h.config_name, error)) return false;
-  if (!get_dbl(o, "alpha", h.suspicion_alpha, error)) return false;
-  if (!get_dbl(o, "beta", h.suspicion_beta, error)) return false;
-  if (!get_i64(o, "k", i64, error) ||
-      !narrow(i64, "k", h.suspicion_k, error)) {
-    return false;
-  }
-  if (!get_dbl(o, "loss", h.network.udp_loss, error)) return false;
-  if (!get_i64(o, "lat_min_us", h.network.latency_min.us, error)) return false;
-  if (!get_i64(o, "lat_max_us", h.network.latency_max.us, error)) return false;
-  if (!get_i64(o, "proc_us", h.msg_proc_cost.us, error)) return false;
-  if (!get_i64(o, "rbuf", i64, error) ||
-      !narrow(i64, "rbuf", h.recv_buffer_bytes, error)) {
-    return false;
-  }
-  if (!get_string_array(o, "timeline", h.timeline, error)) return false;
-  const Value* checked = field(o, "checked");
-  h.checks.enabled = checked != nullptr && checked->boolean;
-  if (!get_string_array(o, "invariants", h.checks.invariants, error,
-                        /*required=*/false)) {
-    return false;
-  }
-  if (!get_dbl(o, "slack", h.checks.timeout_slack, error)) return false;
-  if (!get_i64(o, "settle_us", h.checks.convergence_settle.us, error)) {
-    return false;
-  }
-  if (!get_i64(o, "cap_us", h.checks.suspicion_cap.us, error)) return false;
-  if (!get_i64(o, "max_violations", i64, error) ||
-      !narrow(i64, "max_violations", h.checks.max_violations, error)) {
-    return false;
-  }
-  // Telemetry fields are optional: pre-telemetry traces omit them.
-  if (!get_i64(o, "metrics_us", h.metrics_interval.us, error,
-               /*required=*/false)) {
-    return false;
-  }
-  if (const Value* spans = field(o, "spans")) {
-    h.probe_spans = spans->boolean;
-  }
-  // Absent in pre-backend and swim traces; defaults to "swim".
-  if (!get_str(o, "membership", h.membership, error, /*required=*/false)) {
-    return false;
-  }
-  return true;
+/// The header line: the scenario keys, read by the scenario files' own
+/// reader, plus `spans`.
+bool parse_header(const Value& o, Trace& t, std::string& error) {
+  auto s = harness::ScenarioFile::read(
+      o, harness::ScenarioFile::Document::kTraceHeader, error);
+  if (!s) return false;
+  t.scenario = std::move(*s);
+  return get_bool(o, "spans", t.probe_spans, error, /*required=*/false);
 }
 
 bool parse_event(const Value& o, TraceEvent& e, std::string& error) {
@@ -345,13 +263,13 @@ bool parse_event(const Value& o, TraceEvent& e, std::string& error) {
       return false;
     }
   }
-  if (field(o, "inc") != nullptr) {
+  if (o.find("inc") != nullptr) {
     if (!get_u64(o, "inc", e.incarnation, error)) return false;
   }
   i64 = 0;
   if (!get_i64(o, "og", i64, error, /*required=*/false)) return false;
   e.originated = i64 != 0;
-  if (field(o, "v") != nullptr) {
+  if (o.find("v") != nullptr) {
     if (!get_dbl(o, "v", e.value, error)) return false;
   }
   return true;
@@ -383,13 +301,13 @@ std::optional<Trace> load_trace(std::istream& in, std::string& error) {
       error = "line " + std::to_string(line_no) + ": " + scan_error;
       return std::nullopt;
     }
-    if (const Value* type = field(o, "type")) {
+    if (const Value* type = o.find("type")) {
       if (type->text == "trace") {
         if (have_header) {
           error = "line " + std::to_string(line_no) + ": duplicate header";
           return std::nullopt;
         }
-        if (!parse_header(o, t.header, error)) {
+        if (!parse_header(o, t, error)) {
           error = "line " + std::to_string(line_no) + ": " + error;
           return std::nullopt;
         }

@@ -1,13 +1,15 @@
 // Trace record–replay: persist the merged event stream of one run as a
 // compact JSONL artifact and re-execute it deterministically.
 //
-// A trace is a header line (everything needed to rebuild the Scenario: seed,
-// cluster shape, config preset + suspicion tuning, network model, the
-// effective fault timeline rendered in the --fault grammar, and the check
-// Spec) followed by one line per TraceEvent and an event-count footer
-// (truncation detection). Node identities are indices, so lines are tiny:
+// A trace is a header line (the recorded Scenario in the scenario-file keys,
+// written on one line: seed, cluster shape, the config as a Table I preset
+// plus suspicion tuning plus any config_overrides, network model, the fault
+// timeline in the --fault grammar, and the check Spec) followed by one line
+// per TraceEvent and an event-count footer (truncation detection). The
+// header is read by harness::ScenarioFile::read, the scenario files' own
+// reader. Node identities are indices, so lines are tiny:
 //
-//   {"type":"trace","scenario":"packet-chaos","seed":"1",...}
+//   {"type":"trace","version":1,"scenario":"packet-chaos","seed":"1",...}
 //   {"t":15204983,"k":"suspect","n":3,"m":7,"o":3,"inc":2,"og":1}
 //   ...
 //   {"type":"end","events":3121}
@@ -17,51 +19,23 @@
 // pins what the replay must produce, element for element.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "check/events.h"
-#include "check/spec.h"
 #include "fault/fault.h"
 #include "harness/scenario.h"
 
 namespace lifeguard::check {
 
-struct TraceHeader {
-  std::string scenario;
-  std::uint64_t seed = 1;
-  int cluster_size = 0;
-  Duration quiesce{};
-  Duration run_length{};
-  /// swim::Config::table1_name() of the run's config ("Custom" when it
-  /// matches no preset — such traces replay only via replay(Scenario, ...)).
-  std::string config_name;
-  double suspicion_alpha = 0.0;
-  double suspicion_beta = 0.0;
-  int suspicion_k = 0;
-  sim::NetworkParams network{};
-  Duration msg_proc_cost{};
-  std::size_t recv_buffer_bytes = 0;
-  /// The effective fault timeline, one entry_spec() string per entry.
-  std::vector<std::string> timeline;
-  /// The run's check Spec (replays re-check with identical settings).
-  Spec checks;
-  /// Snapshot sampling interval (0 = telemetry off). Carried so a replay
-  /// re-emits the same kMetricSample stream the recording produced.
-  Duration metrics_interval{};
+struct Trace {
+  /// The recorded run. A saved trace keeps all of it but `summary` and
+  /// `paper_ref`, so a loaded trace replays the run it was recorded from.
+  harness::Scenario scenario;
   /// True when the recording captured probe-round span events.
   bool probe_spans = false;
-  /// Membership backend spec of the recorded run. The header key is only
-  /// emitted when it differs from "swim" (and defaults to "swim" on load),
-  /// keeping pre-backend traces byte-identical and loadable.
-  std::string membership = "swim";
-};
-
-struct Trace {
-  TraceHeader header;
   std::vector<TraceEvent> events;
 
   bool has_datagrams() const;
@@ -69,7 +43,7 @@ struct Trace {
 };
 
 /// Retains the merged stream of one engine run (pass to harness::run's
-/// `sinks`). The header is derived from the Scenario at construction.
+/// `sinks`), with the Scenario it was given at construction.
 class TraceRecorder : public TraceSink {
  public:
   explicit TraceRecorder(const harness::Scenario& s,
@@ -88,9 +62,6 @@ class TraceRecorder : public TraceSink {
   bool include_probe_spans_;
   Trace trace_;
 };
-
-/// Derive a trace header from a Scenario (what TraceRecorder stores).
-TraceHeader make_header(const harness::Scenario& s);
 
 // ---- event-line codec ----
 /// One TraceEvent in the compact flat-JSON form trace files use for event

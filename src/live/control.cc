@@ -50,18 +50,6 @@ bool parse_double(std::string_view s, double& out) {
   return end == tmp.c_str() + tmp.size();
 }
 
-bool parse_bool(std::string_view s, bool& out) {
-  if (s == "0") {
-    out = false;
-    return true;
-  }
-  if (s == "1") {
-    out = true;
-    return true;
-  }
-  return false;
-}
-
 bool parse_duration_us(std::string_view s, Duration& out) {
   std::int64_t us = 0;
   if (!parse_i64(s, us)) return false;
@@ -109,7 +97,7 @@ std::string_view take_word(std::string_view& s) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Address + config codecs
+// Address codec
 
 std::string format_address(const Address& a) {
   char buf[32];
@@ -130,97 +118,6 @@ std::optional<Address> parse_address(std::string_view s) {
   }
   return Address{(b0 << 24) | (b1 << 16) | (b2 << 8) | b3,
                  static_cast<std::uint16_t>(port)};
-}
-
-std::string encode_config(const swim::Config& c) {
-  std::string out;
-  const auto kv = [&out](const char* key, const std::string& val) {
-    if (!out.empty()) out += ',';
-    out += key;
-    out += '=';
-    out += val;
-  };
-  kv("pi", fmt_us(c.probe_interval));
-  kv("pt", fmt_us(c.probe_timeout));
-  kv("ic", std::to_string(c.indirect_checks));
-  kv("rfp", c.reliable_fallback_probe ? "1" : "0");
-  kv("rm", std::to_string(c.retransmit_mult));
-  kv("gi", fmt_us(c.gossip_interval));
-  kv("gf", std::to_string(c.gossip_fanout));
-  kv("gtd", fmt_us(c.gossip_to_dead));
-  kv("mpb", std::to_string(c.max_packet_bytes));
-  kv("ppi", fmt_us(c.push_pull_interval));
-  kv("ri", fmt_us(c.reconnect_interval));
-  kv("jri", fmt_us(c.join_retry_interval));
-  kv("sa", fmt_double(c.suspicion_alpha));
-  kv("sb", fmt_double(c.suspicion_beta));
-  kv("sk", std::to_string(c.suspicion_k));
-  kv("lp", c.lha_probe ? "1" : "0");
-  kv("ls", c.lha_suspicion ? "1" : "0");
-  kv("bs", c.buddy_system ? "1" : "0");
-  kv("lhm", std::to_string(c.lhm_max));
-  kv("nf", fmt_double(c.nack_fraction));
-  kv("ne", c.nack_enabled ? "1" : "0");
-  kv("dra", fmt_us(c.dead_reclaim_after));
-  return out;
-}
-
-std::optional<swim::Config> decode_config(std::string_view s,
-                                          std::string& error) {
-  swim::Config c;
-  const bool ok = for_each_piece(s, ',', [&](std::string_view piece) {
-    std::string_view key, val;
-    if (!split_kv(piece, key, val)) {
-      error = "config: expected key=val, got '" + std::string(piece) + "'";
-      return false;
-    }
-    std::int64_t i = 0;
-    std::string range_error;
-    const auto int_field = [&](auto& out) {
-      return parse_i64(val, i) && narrow(i, key, out, range_error);
-    };
-    bool parsed = false;
-    if (key == "pi") parsed = parse_duration_us(val, c.probe_interval);
-    else if (key == "pt") parsed = parse_duration_us(val, c.probe_timeout);
-    else if (key == "ic") parsed = int_field(c.indirect_checks);
-    else if (key == "rfp") parsed = parse_bool(val, c.reliable_fallback_probe);
-    else if (key == "rm") parsed = int_field(c.retransmit_mult);
-    else if (key == "gi") parsed = parse_duration_us(val, c.gossip_interval);
-    else if (key == "gf") parsed = int_field(c.gossip_fanout);
-    else if (key == "gtd") parsed = parse_duration_us(val, c.gossip_to_dead);
-    else if (key == "mpb") parsed = int_field(c.max_packet_bytes);
-    else if (key == "ppi") parsed = parse_duration_us(val, c.push_pull_interval);
-    else if (key == "ri") parsed = parse_duration_us(val, c.reconnect_interval);
-    else if (key == "jri") parsed = parse_duration_us(val, c.join_retry_interval);
-    else if (key == "sa") parsed = parse_double(val, c.suspicion_alpha);
-    else if (key == "sb") parsed = parse_double(val, c.suspicion_beta);
-    else if (key == "sk") parsed = int_field(c.suspicion_k);
-    else if (key == "lp") parsed = parse_bool(val, c.lha_probe);
-    else if (key == "ls") parsed = parse_bool(val, c.lha_suspicion);
-    else if (key == "bs") parsed = parse_bool(val, c.buddy_system);
-    else if (key == "lhm") parsed = int_field(c.lhm_max);
-    else if (key == "nf") parsed = parse_double(val, c.nack_fraction);
-    else if (key == "ne") parsed = parse_bool(val, c.nack_enabled);
-    else if (key == "dra") parsed = parse_duration_us(val, c.dead_reclaim_after);
-    else {
-      error = "config: unknown key '" + std::string(key) + "'";
-      return false;
-    }
-    if (!parsed) {
-      error = range_error.empty()
-                  ? "config: bad value for '" + std::string(key) + "': '" +
-                        std::string(val) + "'"
-                  : "config: " + range_error;
-      return false;
-    }
-    return true;
-  });
-  if (!ok) return std::nullopt;
-  if (const auto errors = c.validate(); !errors.empty()) {
-    error = "config: " + errors.front();
-    return std::nullopt;
-  }
-  return c;
 }
 
 // ---------------------------------------------------------------------------

@@ -27,6 +27,11 @@
 // Timestamps are microseconds in the run's shared epoch: the parent captures
 // net::steady_now_ns() once and hands it to every worker (--epoch-ns), so
 // the EV/TICK streams of all processes merge on one comparable time base.
+//
+// The protocol config travels on argv too: --config carries the config
+// object, `{"config":"Lifeguard","alpha":5,"beta":6,"k":3,...}`, which
+// harness::ScenarioFile::config_members writes and config_from_json reads —
+// the config keys of a trace header, in the same one-line layout.
 #pragma once
 
 #include <cstdint>
@@ -39,25 +44,15 @@
 #include "check/events.h"
 #include "common/types.h"
 #include "fault/fault.h"
-#include "swim/config.h"
 
 namespace lifeguard::live {
 
 // ---------------------------------------------------------------------------
-// Address + config codecs (argv/env-safe, no spaces)
+// Address codec (argv/env-safe, no spaces)
 
 /// "127.0.0.1:9000" — parse_address's exact inverse.
 std::string format_address(const Address& a);
 std::optional<Address> parse_address(std::string_view s);
-
-/// Encode every swim::Config field as comma-joined key=val (durations in
-/// microseconds, bools as 0/1), fit for a single argv token. decode_config
-/// starts from a default Config, applies each pair, and rejects unknown or
-/// malformed keys so a version-skewed worker fails loudly at spawn, and
-/// out-of-range values (swim::Config::validate) naming the field.
-std::string encode_config(const swim::Config& c);
-std::optional<swim::Config> decode_config(std::string_view s,
-                                          std::string& error);
 
 // ---------------------------------------------------------------------------
 // Worker -> parent messages

@@ -42,7 +42,8 @@ class NodeProcess {
     std::uint16_t udp_port = 0;
     std::uint64_t seed = 1;
     std::int64_t epoch_ns = 0;
-    std::string config_spec;  ///< control.h encode_config() output
+    /// The --config object (ScenarioFile::config_members in braces).
+    std::string config_spec;
     std::string binary;       ///< path to the live_node executable
     std::string log_path;     ///< per-node stderr log ("" = inherit)
     Duration tick = msec(200);  ///< worker TICK cadence

@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "fault/schedule.h"
 #include "harness/accounting.h"
+#include "harness/scenariofile.h"
 #include "live/control.h"
 #include "live/merge.h"
 #include "live/process.h"
@@ -163,7 +164,8 @@ void LiveRun::spawn_slot(int index, std::uint16_t port) {
   po.udp_port = port;
   po.seed = splitmix64(seed_state_);
   po.epoch_ns = epoch_ns_;
-  po.config_spec = encode_config(s_.config);
+  po.config_spec =
+      "{" + harness::ScenarioFile::config_members(s_.config) + "}";
   po.binary = binary_;
   po.metrics_interval = s_.metrics_interval;
   if (!opts_.log_dir.empty()) {

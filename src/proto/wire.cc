@@ -219,7 +219,7 @@ std::optional<Message> decode(BufReader& r) {
 CompoundWriter::CompoundWriter(std::vector<std::uint8_t> reuse)
     : w_(std::move(reuse)) {
   w_.u8(static_cast<std::uint8_t>(MsgType::kCompound));
-  w_.u16(0);  // frame count, patched by add()
+  w_.u16(0);  // frame count, written by wrapped() and take()
 }
 
 void CompoundWriter::add(std::span<const std::uint8_t> frame) {
@@ -227,10 +227,15 @@ void CompoundWriter::add(std::span<const std::uint8_t> frame) {
   if (count_ == 0) first_frame_ = w_.size();
   w_.raw(frame);
   ++count_;
+}
+
+std::span<const std::uint8_t> CompoundWriter::wrapped() {
   w_.patch_u16(1, static_cast<std::uint16_t>(count_));
+  return w_.bytes();
 }
 
 std::vector<std::uint8_t> CompoundWriter::take() && {
+  w_.patch_u16(1, static_cast<std::uint16_t>(count_));
   std::vector<std::uint8_t> out = std::move(w_).take();
   if (count_ == 1) {
     out.erase(out.begin(),

@@ -143,7 +143,7 @@ class CompoundWriter {
   std::size_t count() const { return count_; }
   /// The frames so far as a compound container, wrapped even when there is
   /// only one (unpack_compound splits it back into the frames).
-  std::span<const std::uint8_t> wrapped() const { return w_.bytes(); }
+  std::span<const std::uint8_t> wrapped();
   /// The finished datagram.
   std::vector<std::uint8_t> take() &&;
 

@@ -17,6 +17,7 @@
 #include "harness/campaign.h"
 #include "harness/report.h"
 #include "harness/scenario.h"
+#include "harness/scenariofile.h"
 #include "membership/backend.h"
 
 namespace lifeguard {
@@ -91,8 +92,17 @@ TEST(RegistryInvariants, AllScenariosPassTheFullSuite) {
     std::string load_error;
     const auto loaded = check::load_trace(saved, load_error);
     ASSERT_TRUE(loaded.has_value()) << o.name << ": " << load_error;
-    harness::FailureAccounting recount(loaded->header.cluster_size);
-    recount.begin(TimePoint{} + loaded->header.quiesce, o.result.victims);
+    // The file carries the run it was recorded from, config and all, so it
+    // replays from the file alone: the reloaded scenario renders to the same
+    // scenario file, bar the two keys a trace leaves out.
+    Scenario recorded = o.trace.scenario;
+    recorded.summary.clear();
+    recorded.paper_ref.clear();
+    EXPECT_EQ(harness::ScenarioFile::to_json(loaded->scenario),
+              harness::ScenarioFile::to_json(recorded))
+        << o.name;
+    harness::FailureAccounting recount(loaded->scenario.cluster_size);
+    recount.begin(TimePoint{} + loaded->scenario.quiesce, o.result.victims);
     for (const check::TraceEvent& e : loaded->events) {
       recount.on_trace_event(e);
     }

@@ -1,10 +1,11 @@
-// Trace record–replay: golden equality between a live run and its replay,
-// the JSONL round-trip, and the --fault-grammar entry specs the header is
-// serialized with.
+// Trace record–replay: golden equality between a live run and its replay
+// from the saved file, the JSONL round-trip and its strict header reader,
+// and the --fault-grammar entry specs the header's timeline is written in.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "check/replay.h"
@@ -31,9 +32,23 @@ void expect_same_metrics(const RunResult& live, const RunResult& replayed) {
   EXPECT_EQ(live.full_dissem, replayed.full_dissem);
 }
 
-/// Record `name`, persist the trace to disk, reload it, rebuild the
-/// scenario from the header alone, replay, and pin bit-for-bit equality of
-/// both the event stream and the paper metrics.
+/// Replace the one occurrence of `from` in a saved trace with `to`, and
+/// expect the loader to reject the result with an error naming `needle`.
+void expect_rejected(const std::string& text, const std::string& from,
+                     const std::string& to, const std::string& needle) {
+  std::string bad = text;
+  const std::size_t at = bad.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  bad.replace(at, from.size(), to);
+  std::stringstream in(bad);
+  std::string error;
+  EXPECT_FALSE(check::load_trace(in, error).has_value()) << to;
+  EXPECT_NE(error.find(needle), std::string::npos) << to << ": " << error;
+}
+
+/// Record `name`, persist the trace to disk, reload it, replay the scenario
+/// the file carries, and pin bit-for-bit equality of both the event stream
+/// and the paper metrics.
 void golden_roundtrip(const std::string& name) {
   const Scenario* base = ScenarioRegistry::builtin().find(name);
   ASSERT_NE(base, nullptr) << name;
@@ -52,11 +67,10 @@ void golden_roundtrip(const std::string& name) {
   const auto loaded = check::load_trace_file(path, error);
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(loaded->events, recorder.trace().events);
-  EXPECT_EQ(loaded->header.timeline, recorder.trace().header.timeline);
+  EXPECT_EQ(check::timeline_specs(loaded->scenario.timeline),
+            check::timeline_specs(s.timeline));
 
-  const auto rebuilt = check::scenario_from_header(loaded->header, error);
-  ASSERT_TRUE(rebuilt.has_value()) << error;
-  const check::ReplayResult r = check::replay(*rebuilt, *loaded);
+  const check::ReplayResult r = check::replay(loaded->scenario, *loaded);
   EXPECT_TRUE(r.matches) << r.divergence;
   expect_same_metrics(live, r.result);
   EXPECT_TRUE(r.result.checks.passed());
@@ -97,7 +111,7 @@ TEST(TraceFormat, SaveLoadRoundTripsHeaderAndEvents) {
   s.checks.suspicion_cap = msec(123);
   s.checks.invariants = {"suspicion-bounds", "convergence"};
   check::Trace t;
-  t.header = check::make_header(s);
+  t.scenario = s;
   check::TraceEvent e;
   e.at = TimePoint{1234567};
   e.kind = check::TraceEventKind::kSuspect;
@@ -121,22 +135,22 @@ TEST(TraceFormat, SaveLoadRoundTripsHeaderAndEvents) {
   const auto loaded = check::load_trace(buf, error);
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(loaded->events, t.events);
-  EXPECT_EQ(loaded->header.scenario, s.name);
-  EXPECT_EQ(loaded->header.seed, s.seed);
-  EXPECT_EQ(loaded->header.cluster_size, s.cluster_size);
-  EXPECT_EQ(loaded->header.config_name, "Lifeguard");
-  EXPECT_EQ(loaded->header.timeline,
+  EXPECT_EQ(loaded->scenario.name, s.name);
+  EXPECT_EQ(loaded->scenario.seed, s.seed);
+  EXPECT_EQ(loaded->scenario.cluster_size, s.cluster_size);
+  EXPECT_TRUE(loaded->scenario.config == s.config);
+  EXPECT_EQ(check::timeline_specs(loaded->scenario.timeline),
             check::timeline_specs(s.timeline));
-  EXPECT_TRUE(loaded->header.checks.enabled);
-  EXPECT_EQ(loaded->header.checks.suspicion_cap, msec(123));
-  EXPECT_EQ(loaded->header.checks.invariants,
+  EXPECT_TRUE(loaded->scenario.checks.enabled);
+  EXPECT_EQ(loaded->scenario.checks.suspicion_cap, msec(123));
+  EXPECT_EQ(loaded->scenario.checks.invariants,
             (std::vector<std::string>{"suspicion-bounds", "convergence"}));
 }
 
 TEST(TraceFormat, TruncatedTraceIsRejected) {
   Scenario s = *ScenarioRegistry::builtin().find("steady-state");
   check::Trace t;
-  t.header = check::make_header(s);
+  t.scenario = s;
   std::stringstream buf;
   check::save_trace(t, buf);
   std::string full = buf.str();
@@ -154,7 +168,7 @@ TEST(TraceFormat, IntegersBeyondTheirFieldAreRejected) {
   // 4294967296 to 0.
   const Scenario s = *ScenarioRegistry::builtin().find("steady-state");
   check::Trace t;
-  t.header = check::make_header(s);
+  t.scenario = s;
   check::TraceEvent e;
   e.at = TimePoint{1};
   e.kind = check::TraceEventKind::kSuspect;
@@ -180,16 +194,7 @@ TEST(TraceFormat, IntegersBeyondTheirFieldAreRejected) {
       {field("m", 7), field("m", -4294967297), "'m'"},
       {field("o", 3), field("o", 2147483648), "'o'"},
   };
-  for (const auto& c : cases) {
-    std::string bad = text;
-    const std::size_t at = bad.find(c.from);  // each key occurs once
-    ASSERT_NE(at, std::string::npos) << c.from;
-    bad.replace(at, c.from.size(), c.to);
-    std::stringstream in(bad);
-    std::string error;
-    EXPECT_FALSE(check::load_trace(in, error).has_value()) << c.to;
-    EXPECT_NE(error.find(c.key), std::string::npos) << c.to << ": " << error;
-  }
+  for (const auto& c : cases) expect_rejected(text, c.from, c.to, c.key);
 }
 
 // Every fault kind's entry spec must reconstruct the entry exactly through
@@ -233,22 +238,61 @@ TEST(TraceFormat, EntrySpecsRoundTripEveryFaultKind) {
   EXPECT_EQ(back->summary(), tl.summary());
 }
 
-// A config that deviates from its preset beyond the suspicion tuning must
-// be recorded as "Custom" — replay-from-file would otherwise silently
-// rebuild the wrong run and blame the divergence on the engine.
-TEST(TraceFormat, HandTunedConfigIsRecordedAsCustomAndRejectedByReplay) {
+// A config tuned beyond its preset's alpha/beta/k travels in the header's
+// config_overrides, so its trace replays from the file alone.
+TEST(TraceFormat, HandTunedConfigReplaysBitForBitFromItsFile) {
   Scenario s = *ScenarioRegistry::builtin().find("steady-state");
-  s.config.probe_interval = msec(500);  // not representable in the header
-  const check::TraceHeader header = check::make_header(s);
-  EXPECT_EQ(header.config_name, "Custom");
-  std::string error;
-  EXPECT_FALSE(check::scenario_from_header(header, error).has_value());
-  EXPECT_NE(error.find("Custom"), std::string::npos);
+  s.config.probe_interval = msec(500);
+  ASSERT_EQ(s.config.table1_name(), "Lifeguard");
 
-  // table7's alpha/beta tuning IS representable: stays a preset.
-  const Scenario* t7 = ScenarioRegistry::builtin().find("table7-alpha-beta");
-  ASSERT_NE(t7, nullptr);
-  EXPECT_EQ(check::make_header(*t7).config_name, "Lifeguard");
+  check::TraceRecorder recorder(s);
+  const RunResult live = harness::run(s, {&recorder});
+  std::filesystem::create_directories("traces");
+  const std::string path = "traces/hand-tuned.trace.jsonl";
+  std::string error;
+  ASSERT_TRUE(check::save_trace_file(recorder.trace(), path, error)) << error;
+
+  std::ifstream file(path);
+  std::string header;
+  std::getline(file, header);
+  EXPECT_NE(header.find("\"config\":\"Lifeguard\",\"alpha\":5,\"beta\":6,"
+                        "\"k\":3,\"config_overrides\":{"
+                        "\"probe_interval_us\":500000},"),
+            std::string::npos)
+      << header;
+
+  const auto loaded = check::load_trace_file(path, error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_TRUE(loaded->scenario.config == s.config);
+  const check::ReplayResult r = check::replay(loaded->scenario, *loaded);
+  EXPECT_TRUE(r.matches) << r.divergence;
+  expect_same_metrics(live, r.result);
+  std::remove(path.c_str());
+}
+
+// The header is read by the scenario files' strict reader: a key it does
+// not know, or a value of the wrong type, is an error naming the key rather
+// than a silently different run.
+TEST(TraceFormat, HeaderRejectsUnknownKeysAndMistypedValues) {
+  check::Trace t;
+  t.scenario = *ScenarioRegistry::builtin().find("packet-chaos");
+  t.scenario.checks = check::Spec::all();
+  std::stringstream buf;
+  check::save_trace(t, buf);
+  const std::string text = buf.str();
+  const struct {
+    std::string from, to, needle;
+  } cases[] = {
+      {"\"version\":1,", "\"version\":1,\"bogus\":1,", "'bogus'"},
+      {"\"version\":1,", "\"version\":2,", "version 2"},
+      {"\"checked\":true", "\"checked\":\"yes\"", "'checked'"},
+      {"\"spans\":false", "\"spans\":\"yes\"", "'spans'"},
+      // How a hand-tuned config was recorded before headers carried
+      // config_overrides: "Custom" and nothing else, which would rebuild
+      // the preset's run instead of the recorded one.
+      {"\"config\":\"Lifeguard\"", "\"config\":\"Custom\"", "'Custom'"},
+  };
+  for (const auto& c : cases) expect_rejected(text, c.from, c.to, c.needle);
 }
 
 TEST(TraceFormat, NodeIndexParsing) {

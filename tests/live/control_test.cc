@@ -1,15 +1,14 @@
 // Codec round-trips for the live tier's control-channel protocol
 // (src/live/control.h): every line the parent and workers exchange must
-// survive build -> parse unchanged, and the config/address codecs must be
-// exact inverses — a worker configured through argv has to run the same
-// protocol parameters the simulator would.
+// survive build -> parse unchanged, and the address codec must be an exact
+// inverse. The worker's --config argument is the scenario codec's config
+// object; tests/scenariofile/worker_config_test.cc covers it.
 #include "live/control.h"
 
 #include <gtest/gtest.h>
 
 #include "check/events.h"
 #include "fault/fault.h"
-#include "swim/config.h"
 
 namespace lifeguard::live {
 namespace {
@@ -29,78 +28,6 @@ TEST(LiveControl, AddressRejectsGarbage) {
   EXPECT_FALSE(parse_address("127.0.0.1:99999").has_value());
   EXPECT_FALSE(parse_address("1.2.3:44").has_value());
   EXPECT_FALSE(parse_address("a.b.c.d:44").has_value());
-}
-
-TEST(LiveControl, ConfigRoundTripDefault) {
-  std::string error;
-  const auto decoded = decode_config(encode_config(swim::Config{}), error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  EXPECT_EQ(*decoded, swim::Config{});
-}
-
-TEST(LiveControl, ConfigRoundTripEveryFieldNonDefault) {
-  swim::Config c;
-  c.probe_interval = msec(123);
-  c.probe_timeout = msec(45);
-  c.indirect_checks = 7;
-  c.reliable_fallback_probe = false;
-  c.retransmit_mult = 9;
-  c.gossip_interval = msec(77);
-  c.gossip_fanout = 5;
-  c.gossip_to_dead = sec(11);
-  c.max_packet_bytes = 512;
-  c.push_pull_interval = sec(41);
-  c.reconnect_interval = sec(13);
-  c.suspicion_alpha = 3.25;
-  c.suspicion_beta = 1.75;
-  c.suspicion_k = 2;
-  c.lha_probe = false;
-  c.lha_suspicion = false;
-  c.buddy_system = false;
-  c.lhm_max = 4;
-  c.nack_fraction = 0.6180339887498949;  // full double precision must survive
-  c.nack_enabled = false;
-  c.dead_reclaim_after = sec(33);
-
-  std::string error;
-  const auto decoded = decode_config(encode_config(c), error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  EXPECT_EQ(*decoded, c);
-}
-
-TEST(LiveControl, ConfigRejectsUnknownKey) {
-  std::string error;
-  EXPECT_FALSE(decode_config("pi=1000,zz=3", error).has_value());
-  EXPECT_NE(error.find("zz"), std::string::npos) << error;
-}
-
-TEST(LiveControl, ConfigRejectsOutOfRangeValuesNamingTheField) {
-  // Each parses, but would spin the worker at one instant (intervals) or
-  // wrap the gossip budget (a packet smaller than the compound header).
-  const std::pair<const char*, const char*> cases[] = {
-      {"gi=0", "gossip_interval"},
-      {"pi=-1000", "probe_interval"},
-      {"mpb=2", "max_packet_bytes"},
-      {"sb=0.5", "suspicion_beta"},
-      // Integers the field's type cannot hold, which a bare cast would
-      // wrap (mpb=-1 to SIZE_MAX, rm=4294967297 to 1), and a multiplier
-      // past Config::validate's bound.
-      {"ic=4294967296", "'ic'"},
-      {"rm=4294967297", "'rm'"},
-      {"gf=-4294967295", "'gf'"},
-      {"mpb=-1", "'mpb'"},
-      {"sk=2147483648", "'sk'"},
-      {"lhm=-2147483649", "'lhm'"},
-      {"rm=65", "retransmit_mult"},
-  };
-  for (const auto& [line, field] : cases) {
-    std::string error;
-    EXPECT_FALSE(decode_config(line, error).has_value()) << line;
-    EXPECT_NE(error.find(field), std::string::npos) << line << ": " << error;
-  }
-  // Zero is "disabled" for the periodic exchanges, not an error.
-  std::string error;
-  EXPECT_TRUE(decode_config("ppi=0,ri=0,jri=0", error).has_value()) << error;
 }
 
 TEST(LiveControl, HelloRoundTrip) {

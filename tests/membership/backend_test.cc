@@ -183,14 +183,11 @@ TEST(TraceHeader, MembershipFieldRoundTripsThroughSaveAndLoad) {
   std::string error;
   const auto loaded = check::load_trace(is, error);
   ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(loaded->header.membership, "central:miss=4");
-
-  // scenario_from_header rebuilds a runnable scenario on the same backend;
-  // replaying it reproduces the recorded stream bit for bit.
-  const auto rebuilt = check::scenario_from_header(loaded->header, error);
-  ASSERT_TRUE(rebuilt.has_value()) << error;
-  EXPECT_EQ(rebuilt->membership, "central:miss=4");
-  const check::ReplayResult replayed = check::replay(*rebuilt, *loaded);
+  // The loaded scenario runs on the same backend; replaying it reproduces
+  // the recorded stream bit for bit.
+  EXPECT_EQ(loaded->scenario.membership, "central:miss=4");
+  const check::ReplayResult replayed =
+      check::replay(loaded->scenario, *loaded);
   EXPECT_TRUE(replayed.matches) << replayed.divergence;
 }
 
@@ -213,7 +210,7 @@ TEST(TraceHeader, SwimTracesStayByteIdenticalToPreBackendFormat) {
   std::string error;
   const auto loaded = check::load_trace(is, error);
   ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(loaded->header.membership, "swim");  // parse default
+  EXPECT_EQ(loaded->scenario.membership, "swim");  // parse default
 }
 
 }  // namespace

@@ -267,8 +267,8 @@ TEST(GoldenTrace, RecordReplayMatchesWithSnapshotsAndSpansEnabled) {
                                 /*include_probe_spans=*/true);
   harness::run(s, {&recorder});
   const check::Trace& t = recorder.trace();
-  EXPECT_EQ(t.header.metrics_interval, msec(500));
-  EXPECT_TRUE(t.header.probe_spans);
+  EXPECT_EQ(t.scenario.metrics_interval, msec(500));
+  EXPECT_TRUE(t.probe_spans);
   const auto has_kind = [&](check::TraceEventKind k) {
     return std::any_of(t.events.begin(), t.events.end(),
                        [&](const check::TraceEvent& e) { return e.kind == k; });

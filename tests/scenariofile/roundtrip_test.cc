@@ -7,9 +7,12 @@
 // the sweep below pins entry_spec -> parse -> re-emit string equality for
 // the full cross product. On top of that, ScenarioFile::to_json must be a
 // fixpoint under load: to_json(from_json(to_json(s))) == to_json(s) for
-// every registry scenario and for hand-tuned ("Custom") configurations.
+// every registry scenario and for hand-tuned ("Custom") configurations, and
+// a hand-tuned config survives every form of the codec: scenario file,
+// trace header and the live worker's --config object.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -118,6 +121,7 @@ TEST(ScenarioFileRoundTrip, HandTunedCustomConfigSurvivesFieldForField) {
   s.config.max_packet_bytes = 900;
   s.config.push_pull_interval = sec(45);
   s.config.reconnect_interval = sec(8);
+  s.config.join_retry_interval = msec(1500);
   s.config.suspicion_alpha = 4.5;
   s.config.suspicion_beta = 3.25;
   s.config.suspicion_k = 2;
@@ -133,6 +137,20 @@ TEST(ScenarioFileRoundTrip, HandTunedCustomConfigSurvivesFieldForField) {
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_TRUE(loaded->config == s.config);
   EXPECT_EQ(ScenarioFile::to_json(*loaded), doc);
+
+  // The same config through the two other forms of the one codec: a saved
+  // trace header and the live worker's --config argument.
+  check::Trace t;
+  t.scenario = s;
+  std::stringstream saved;
+  check::save_trace(t, saved);
+  const auto trace = check::load_trace(saved, error);
+  ASSERT_TRUE(trace.has_value()) << error;
+  EXPECT_TRUE(trace->scenario.config == s.config);
+  const auto worker = ScenarioFile::config_from_json(
+      "{" + ScenarioFile::config_members(s.config) + "}", error);
+  ASSERT_TRUE(worker.has_value()) << error;
+  EXPECT_TRUE(*worker == s.config);
 }
 
 TEST(ScenarioFileRoundTrip, SparseHandAuthoredFileGetsScenarioDefaults) {

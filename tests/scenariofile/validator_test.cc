@@ -103,6 +103,11 @@ TEST(ScenarioFileValidator, UnknownConfigAndOverrideAreNamed) {
                   {"unknown config override", "warp_factor"});
   expect_rejected("\"config_overrides\": 5",
                   {"'config_overrides'", "not an object"});
+  // The name must be the Table I row its preset and overrides build.
+  expect_rejected("\"config\": \"Custom\"", {"config 'Custom'", "'Lifeguard'"});
+  expect_rejected(
+      "\"config\": \"SWIM\", \"config_overrides\": {\"lha_probe\": true}",
+      {"config 'SWIM'", "'LHA-Probe'"});
 }
 
 TEST(ScenarioFileValidator, WrongDocumentTypeAndVersionAreExplicit) {
