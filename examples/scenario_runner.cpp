@@ -142,6 +142,17 @@
 //       per-metric diff of every failure; exits 6 when any scenario lands
 //       out of band.
 //
+//   ./examples/scenario_runner --paper NAME|all [--full] [--reps N]
+//                              [--seed S] [--jobs N]
+//       The paper ledger (harness/paper.h): print one evaluation artifact
+//       (table4 table5 table6 table7 fig1 fig2 fig3 ablation-nack
+//       ablation-regossip ablation-lhm) or all ten, each a fold of
+//       campaigns over the registry's paper scenarios. The quick grids by
+//       default; --full runs Tables II/III verbatim (10 repetitions, hours
+//       of compute). --reps overrides every grid's repetitions, --seed is
+//       the base seed (default 42), and the tables are identical at every
+//       --jobs level. `all` runs a sweep shared by two artifacts once.
+//
 // Prints the paper's metrics for the single run: FP, FP-, detection and
 // dissemination latencies, message load. Malformed or out-of-range flag
 // values are rejected with a message naming the flag and the accepted range.
@@ -172,6 +183,7 @@
 #include "fuzz/engine.h"
 #include "harness/campaign.h"
 #include "harness/gate.h"
+#include "harness/paper.h"
 #include "harness/report.h"
 #include "harness/scenario.h"
 #include "harness/scenariofile.h"
@@ -730,11 +742,12 @@ int main(int argc, char** argv) {
   std::vector<fault::TimelineEntry> fault_entries;
   bool campaign_mode = false;
   bool check_mode = false;
-  int reps = 5;
-  int jobs = 0;  // 0 = one worker per hardware thread
+  std::optional<int> reps;  // --campaign default 5; --paper: the grid's
+  std::optional<int> jobs;  // default 0 = one worker per hardware thread
   std::optional<std::string> json_path, csv_path, trace_path, replay_path;
   std::optional<std::string> export_dir, validate_path, record_path;
-  std::optional<std::string> gate_path, gate_registry_path;
+  std::optional<std::string> gate_path, gate_registry_path, paper_name;
+  bool full = false;
   bool include_big = false;
   std::optional<std::string> metrics_out;
   std::optional<Duration> metrics_interval;
@@ -784,6 +797,14 @@ int main(int argc, char** argv) {
       gate_path = next();
     } else if (arg == "--gate-registry") {
       gate_registry_path = next();
+    } else if (arg == "--paper") {
+      paper_name = next();
+      if (*paper_name != "all" && paper::find(*paper_name) == nullptr) {
+        usage_error("unknown --paper '" + *paper_name +
+                    "' (expected all or one of: " + paper::names() + ")");
+      }
+    } else if (arg == "--full") {
+      full = true;
     } else if (arg == "--include-big") {
       include_big = true;
     } else if (arg == "--nodes") {
@@ -858,18 +879,38 @@ int main(int argc, char** argv) {
   {
     const int subcommands = (export_dir ? 1 : 0) + (validate_path ? 1 : 0) +
                             (record_path ? 1 : 0) +
-                            (gate_registry_path ? 1 : 0);
+                            (gate_registry_path ? 1 : 0) +
+                            (paper_name ? 1 : 0);
     if (subcommands > 1) {
       usage_error("--export-scenarios, --validate-scenarios, "
-                  "--record-baselines and --gate-registry are one-per-"
-                  "invocation subcommands");
+                  "--record-baselines, --gate-registry and --paper are "
+                  "one-per-invocation subcommands");
+    }
+    if (full && !paper_name) {
+      usage_error("--full selects the paper's full grids and needs --paper");
     }
     if (export_dir) return run_export_scenarios(*export_dir);
     if (validate_path) return run_validate_scenarios(*validate_path);
     if (record_path) return run_record_baselines(*record_path, include_big,
-                                                 jobs);
+                                                 jobs.value_or(0));
     if (gate_registry_path) {
-      return run_gate_registry(*gate_registry_path, include_big, jobs);
+      return run_gate_registry(*gate_registry_path, include_big,
+                               jobs.value_or(0));
+    }
+    if (paper_name) {
+      if (argc != 3 + (full ? 1 : 0) + (reps ? 2 : 0) + (seed ? 2 : 0) +
+                      (jobs ? 2 : 0)) {
+        usage_error("--paper NAME takes only --full, --reps N, --seed S and "
+                    "--jobs N, each at most once");
+      }
+      paper::Ledger ledger({full, reps.value_or(0), seed.value_or(42),
+                            jobs.value_or(0)});
+      for (const paper::Artifact& a : paper::artifacts()) {
+        if (*paper_name == "all" || a.name == *paper_name) {
+          ledger.print(a, stdout);
+        }
+      }
+      return 0;
     }
   }
   if (gate_path && (campaign_mode || replay_path ||
@@ -986,8 +1027,8 @@ int main(int argc, char** argv) {
       Campaign camp;
       camp.name = s.name;
       camp.base = s;
-      camp.repetitions = reps;
-      camp.jobs = jobs;
+      camp.repetitions = reps.value_or(5);
+      camp.jobs = jobs.value_or(0);
       camp.base_seed = s.seed;
 
       std::vector<Reporter*> reporters;
@@ -1007,8 +1048,9 @@ int main(int argc, char** argv) {
         reporters.push_back(&csv.emplace(csv_out));
       }
 
-      std::printf("campaign: %d repetitions, jobs=%s\n\n", reps,
-                  jobs == 0 ? "auto" : std::to_string(jobs).c_str());
+      std::printf("campaign: %d repetitions, jobs=%s\n\n", camp.repetitions,
+                  camp.jobs == 0 ? "auto"
+                                 : std::to_string(camp.jobs).c_str());
       const CampaignResult result = run(camp, reporters);
       report_campaign(result);
       if (json_path) std::printf("\nJSONL artifact: %s\n", json_path->c_str());

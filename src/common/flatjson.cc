@@ -219,6 +219,22 @@ bool parse(std::string_view text, Value& out, std::string& error) {
   return true;
 }
 
+namespace {
+
+/// Decimal digits, after one leading '-' when `negative_ok`. The strto*
+/// parsers alone would also take a leading '+' or whitespace, and strtoull
+/// reads "-1" as 2^64 - 1 without reporting a range error.
+bool integer_spelling(const std::string& t, bool negative_ok) {
+  std::size_t i = negative_ok && !t.empty() && t[0] == '-' ? 1 : 0;
+  if (i == t.size()) return false;
+  for (; i < t.size(); ++i) {
+    if (t[i] < '0' || t[i] > '9') return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 bool get_i64(const Value& obj, const std::string& key, std::int64_t& out,
              std::string& error, bool required) {
   const Value* v = obj.find(key);
@@ -227,16 +243,16 @@ bool get_i64(const Value& obj, const std::string& key, std::int64_t& out,
     return !required;
   }
   // Numbers arrive as raw tokens; seeds as strings — accept both.
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v->text.c_str(), &end, 10);
-  if (v->text.empty() || end != v->text.c_str() + v->text.size() ||
-      errno == ERANGE) {
-    error = "field '" + key + "' is not an integer";
-    return false;
+  if (integer_spelling(v->text, /*negative_ok=*/true)) {
+    errno = 0;
+    const long long parsed = std::strtoll(v->text.c_str(), nullptr, 10);
+    if (errno != ERANGE) {
+      out = parsed;
+      return true;
+    }
   }
-  out = parsed;
-  return true;
+  error = "field '" + key + "' is not an integer";
+  return false;
 }
 
 bool get_u64(const Value& obj, const std::string& key, std::uint64_t& out,
@@ -246,16 +262,17 @@ bool get_u64(const Value& obj, const std::string& key, std::uint64_t& out,
     if (required) error = "missing field '" + key + "'";
     return !required;
   }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v->text.c_str(), &end, 10);
-  if (v->text.empty() || end != v->text.c_str() + v->text.size() ||
-      errno == ERANGE) {
-    error = "field '" + key + "' is not an unsigned integer";
-    return false;
+  if (integer_spelling(v->text, /*negative_ok=*/false)) {
+    errno = 0;
+    const unsigned long long parsed =
+        std::strtoull(v->text.c_str(), nullptr, 10);
+    if (errno != ERANGE) {
+      out = parsed;
+      return true;
+    }
   }
-  out = parsed;
-  return true;
+  error = "field '" + key + "' is not an unsigned integer";
+  return false;
 }
 
 bool get_dbl(const Value& obj, const std::string& key, double& out,

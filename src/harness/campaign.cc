@@ -36,6 +36,19 @@ Axis Axis::cluster_size(const std::vector<int>& sizes) {
   return a;
 }
 
+Axis Axis::victims(const std::vector<int>& counts) {
+  Axis a;
+  a.name = "victims";
+  for (int c : counts) {
+    a.points.push_back({std::to_string(c), static_cast<std::uint64_t>(c),
+                        [c](Scenario& s) {
+                          s.timeline.entry(0).victims =
+                              fault::VictimSelector::uniform(c);
+                        }});
+  }
+  return a;
+}
+
 std::vector<NamedConfig> table1_configs(double alpha, double beta) {
   auto tune = [&](swim::Config c) {
     if (c.lha_suspicion) {

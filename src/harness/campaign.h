@@ -69,6 +69,9 @@ struct Axis {
 
   /// cluster_size sweep (salt = size).
   static Axis cluster_size(const std::vector<int>& sizes);
+  /// Uniform victim count of the base scenario's timeline entry 0 — the
+  /// paper's concurrency C (name "victims"; the count is label and salt).
+  static Axis victims(const std::vector<int>& counts);
   /// Protocol-configuration sweep. All points share salt 0: runs are paired
   /// across configurations by construction.
   static Axis configs(const std::vector<NamedConfig>& cfgs);
@@ -141,8 +144,8 @@ std::vector<GridPoint> expand_grid(const Campaign& c);
 /// Per-trial seed derivation: a SplitMix64 chain over the base seed, each
 /// axis salt in axis order, and the repetition index. Depends only on the
 /// campaign descriptor — never on thread scheduling — so every trial replays
-/// bit-identically at any `jobs` level. The interval and threshold sweeps
-/// (sweep.h) salt it with {c, d_us, i_us}.
+/// bit-identically at any `jobs` level. The paper ledger's interval and
+/// threshold sweeps (paper.h) salt it with {c, d_us, i_us} and {c, d_us, 0}.
 std::uint64_t trial_seed(std::uint64_t base,
                          const std::vector<std::uint64_t>& salts, int rep);
 

@@ -14,7 +14,7 @@
 //   CsvReporter   — a header row plus one row per trial (axis labels as
 //     leading columns after the trial coordinates).
 //   ProgressReporter — "\rname: done/total trials" on a stream (stderr for
-//     bench binaries); prints a newline when the run completes.
+//     command-line runs); prints a newline when the run completes.
 #pragma once
 
 #include <iosfwd>
@@ -74,7 +74,7 @@ class CsvReporter : public Reporter {
 /// Live one-line progress meter ("name: 12/36 trials").
 class ProgressReporter : public Reporter {
  public:
-  /// Writes to `out` (pass stderr-backed streams for bench binaries).
+  /// Writes to `out` (pass stderr-backed streams for command-line runs).
   explicit ProgressReporter(std::string label, std::ostream& out);
   /// Convenience: writes to std::clog (stderr).
   explicit ProgressReporter(std::string label);

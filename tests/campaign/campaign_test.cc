@@ -9,23 +9,9 @@
 #include <vector>
 
 #include "harness/report.h"
-#include "harness/sweep.h"
 
 namespace lifeguard::harness {
 namespace {
-
-/// Sweeps the uniform victim count of timeline entry 0 (salt = count).
-Axis victims_axis(const std::vector<int>& counts) {
-  Axis a = Axis::custom("victims", {});
-  for (int c : counts) {
-    a.points.push_back({std::to_string(c), static_cast<std::uint64_t>(c),
-                        [c](Scenario& s) {
-                          s.timeline.entry(0).victims =
-                              fault::VictimSelector::uniform(c);
-                        }});
-  }
-  return a;
-}
 
 /// Sweeps the blocked span D of timeline entry 0's cycles (salt = us).
 Axis period_axis(const std::vector<Duration>& values) {
@@ -57,7 +43,7 @@ Campaign tiny_campaign() {
                  fault::VictimSelector::uniform(2));
   s.run_length = sec(8);
   c.base = s;
-  c.axes = {victims_axis({1, 2}), period_axis({msec(1000), msec(3000)})};
+  c.axes = {Axis::victims({1, 2}), period_axis({msec(1000), msec(3000)})};
   c.repetitions = 2;
   c.base_seed = 99;
   return c;
@@ -152,7 +138,7 @@ TEST(ExpandGrid, NoAxesYieldsSingleBasePoint) {
 
 TEST(ExpandGrid, ConfigAxisIsSeedPaired) {
   Campaign c = tiny_campaign();
-  c.axes = {victims_axis({2}),
+  c.axes = {Axis::victims({2}),
             Axis::configs({{"SWIM", swim::Config::swim_baseline()},
                            {"Lifeguard", swim::Config::lifeguard()}})};
   const auto grid = expand_grid(c);
@@ -179,7 +165,7 @@ TEST(Campaign, ValidateReportsActionableDefects) {
 
   // Per-grid-point scenario defects name the offending coordinates.
   Campaign bad = tiny_campaign();
-  bad.axes = {victims_axis({2, 64})};  // 64 > cluster_size 12
+  bad.axes = {Axis::victims({2, 64})};  // 64 > cluster_size 12
   errors = bad.validate();
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_NE(errors[0].find("grid point 1 (victims=64)"), std::string::npos);

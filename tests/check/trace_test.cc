@@ -165,7 +165,8 @@ TEST(TraceFormat, TruncatedTraceIsRejected) {
 TEST(TraceFormat, IntegersBeyondTheirFieldAreRejected) {
   // Each value fits an int64 but not its field, where a bare cast would
   // wrap 4294967306 nodes to 10, rbuf -1 to SIZE_MAX and node index
-  // 4294967296 to 0.
+  // 4294967296 to 0; an incarnation of "-1" is not an unsigned integer,
+  // though strtoull reads it as 2^64 - 1.
   const Scenario s = *ScenarioRegistry::builtin().find("steady-state");
   check::Trace t;
   t.scenario = s;
@@ -175,6 +176,7 @@ TEST(TraceFormat, IntegersBeyondTheirFieldAreRejected) {
   e.node = 3;
   e.peer = 7;
   e.origin = 3;
+  e.incarnation = 5;
   t.events.push_back(e);
   std::stringstream buf;
   check::save_trace(t, buf);
@@ -193,6 +195,7 @@ TEST(TraceFormat, IntegersBeyondTheirFieldAreRejected) {
       {field("n", 3), field("n", 4294967296), "'n'"},
       {field("m", 7), field("m", -4294967297), "'m'"},
       {field("o", 3), field("o", 2147483648), "'o'"},
+      {field("inc", 5), "\"inc\":\"-1\"", "'inc'"},
   };
   for (const auto& c : cases) expect_rejected(text, c.from, c.to, c.key);
 }

@@ -35,6 +35,13 @@ TEST(ScenarioFileValidator, UnknownKeyIsNamed) {
 TEST(ScenarioFileValidator, BadTypeNamesTheField) {
   expect_rejected("\"nodes\": \"plenty\"",
                   {"field 'nodes'", "not an integer"});
+  // Only an integer's spelling: strtoull reads "-1" as 2^64 - 1 without a
+  // range error, and both integer parsers skip a leading space and a '+'.
+  expect_rejected("\"seed\": \"-1\"",
+                  {"field 'seed'", "not an unsigned integer"});
+  expect_rejected("\"seed\": \" 9\"",
+                  {"field 'seed'", "not an unsigned integer"});
+  expect_rejected("\"nodes\": \"+64\"", {"field 'nodes'", "not an integer"});
   expect_rejected("\"checked\": 3", {"field 'checked'", "not a boolean"});
   expect_rejected("\"timeline\": \"block\"",
                   {"field 'timeline'", "not an array"});
