@@ -102,6 +102,9 @@
 //   ./examples/scenario_runner --export-scenarios DIR
 //       Write every registry scenario to DIR/<name>.json (the committed
 //       scenarios/ tree; CI re-exports and fails when it is stale).
+//       Like every registry subcommand below (--validate-scenarios,
+//       --record-baselines, --gate-registry, --paper) and --replay, it
+//       refuses any flag it does not list, and any listed flag given twice.
 //
 //   ./examples/scenario_runner --validate-scenarios PATH
 //       Strictly validate one scenario file, or every *.json under a
@@ -151,7 +154,8 @@
 //       default; --full runs Tables II/III verbatim (10 repetitions, hours
 //       of compute). --reps overrides every grid's repetitions, --seed is
 //       the base seed (default 42), and the tables are identical at every
-//       --jobs level. `all` runs a sweep shared by two artifacts once.
+//       --jobs level. `all` runs a campaign shared by several rows (one
+//       grid, one config) once.
 //
 // Prints the paper's metrics for the single run: FP, FP-, detection and
 // dissemination latencies, message load. Malformed or out-of-range flag
@@ -171,10 +175,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "check/replay.h"
 #include "check/spec.h"
@@ -206,6 +213,24 @@ namespace {
                "catalog; see the file header for flags)\n",
                msg.c_str());
   std::exit(2);
+}
+
+/// A one-per-invocation subcommand's flag rule: every flag in `given` (the
+/// command line's flags, in order) is `subcommand` or one of `allowed`, and
+/// none appears twice. Otherwise exits 2 with `usage` and the flag at fault.
+void only_flags(const std::vector<std::string>& given,
+                const std::string& subcommand,
+                std::initializer_list<std::string_view> allowed,
+                const std::string& usage) {
+  for (const std::string& flag : given) {
+    if (flag != subcommand &&
+        std::find(allowed.begin(), allowed.end(), flag) == allowed.end()) {
+      usage_error(usage + " (got " + flag + ")");
+    }
+    if (std::count(given.begin(), given.end(), flag) > 1) {
+      usage_error(usage + " (got " + flag + " twice)");
+    }
+  }
 }
 
 /// Strict integer flag parser: the whole value must be a decimal number
@@ -760,9 +785,11 @@ int main(int argc, char** argv) {
   harness::Backend backend = harness::Backend::kSim;
   std::optional<Duration> watchdog_timeout;
   std::string live_logs = "live-logs";
+  std::vector<std::string> flags;  // as given, without their values
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    flags.push_back(arg);
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) usage_error("missing value for " + arg);
       return argv[++i];
@@ -889,20 +916,34 @@ int main(int argc, char** argv) {
     if (full && !paper_name) {
       usage_error("--full selects the paper's full grids and needs --paper");
     }
-    if (export_dir) return run_export_scenarios(*export_dir);
-    if (validate_path) return run_validate_scenarios(*validate_path);
-    if (record_path) return run_record_baselines(*record_path, include_big,
-                                                 jobs.value_or(0));
+    if (export_dir) {
+      only_flags(flags, "--export-scenarios", {},
+                 "--export-scenarios DIR takes no other flag");
+      return run_export_scenarios(*export_dir);
+    }
+    if (validate_path) {
+      only_flags(flags, "--validate-scenarios", {},
+                 "--validate-scenarios PATH takes no other flag");
+      return run_validate_scenarios(*validate_path);
+    }
+    if (record_path) {
+      only_flags(flags, "--record-baselines", {"--include-big", "--jobs"},
+                 "--record-baselines FILE takes only --include-big and "
+                 "--jobs N, each at most once");
+      return run_record_baselines(*record_path, include_big,
+                                  jobs.value_or(0));
+    }
     if (gate_registry_path) {
+      only_flags(flags, "--gate-registry", {"--include-big", "--jobs"},
+                 "--gate-registry FILE takes only --include-big and --jobs "
+                 "N, each at most once");
       return run_gate_registry(*gate_registry_path, include_big,
                                jobs.value_or(0));
     }
     if (paper_name) {
-      if (argc != 3 + (full ? 1 : 0) + (reps ? 2 : 0) + (seed ? 2 : 0) +
-                      (jobs ? 2 : 0)) {
-        usage_error("--paper NAME takes only --full, --reps N, --seed S and "
-                    "--jobs N, each at most once");
-      }
+      only_flags(flags, "--paper", {"--full", "--reps", "--seed", "--jobs"},
+                 "--paper NAME takes only --full, --reps N, --seed S and "
+                 "--jobs N, each at most once");
       paper::Ledger ledger({full, reps.value_or(0), seed.value_or(42),
                             jobs.value_or(0)});
       for (const paper::Artifact& a : paper::artifacts()) {
@@ -921,11 +962,10 @@ int main(int argc, char** argv) {
   }
 
   if (replay_path) {
-    if (argc != 3 + (metrics_out ? 2 : 0)) {
-      usage_error("--replay FILE re-executes a recorded trace and takes no "
-                  "other flags (except --metrics-out DIR for offline metric "
-                  "extraction) — the trace header is the scenario");
-    }
+    only_flags(flags, "--replay", {"--metrics-out"},
+               "--replay FILE re-executes a recorded trace and takes no "
+               "other flags (except --metrics-out DIR for offline metric "
+               "extraction) — the trace header is the scenario");
     return run_replay(*replay_path, metrics_out);
   }
 

@@ -32,40 +32,4 @@ void BufWriter::patch_u32(std::size_t offset, std::uint32_t v) {
   }
 }
 
-std::uint8_t BufReader::u8() { return read_le<std::uint8_t>(); }
-std::uint16_t BufReader::u16() { return read_le<std::uint16_t>(); }
-std::uint32_t BufReader::u32() { return read_le<std::uint32_t>(); }
-std::uint64_t BufReader::u64() { return read_le<std::uint64_t>(); }
-
-std::uint64_t BufReader::varint() {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (!require(1)) return 0;
-    const std::uint8_t b = data_[pos_++];
-    if (shift >= 63 && (b & 0x7e) != 0) {  // overflow: >64 significant bits
-      ok_ = false;
-      return 0;
-    }
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) return v;
-    shift += 7;
-  }
-}
-
-std::string BufReader::str() {
-  const std::uint64_t n = varint();
-  if (!require(n)) return {};
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
-  pos_ += n;
-  return s;
-}
-
-std::span<const std::uint8_t> BufReader::raw(std::size_t n) {
-  if (!require(n)) return {};
-  auto out = data_.subspan(pos_, n);
-  pos_ += n;
-  return out;
-}
-
 }  // namespace lifeguard

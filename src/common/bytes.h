@@ -64,15 +64,47 @@ class BufReader {
   bool ok() const { return ok_; }
   std::size_t remaining() const { return data_.size() - pos_; }
   bool at_end() const { return pos_ == data_.size(); }
+  /// The bytes not read yet (zero-copy view into the input).
+  std::span<const std::uint8_t> rest() const { return data_.subspan(pos_); }
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::uint64_t varint();
-  std::string str();
+  // Every read is inline: the wire codec parses each received frame field
+  // by field, and a call per field would cost more than the read.
+  std::uint8_t u8() { return read_le<std::uint8_t>(); }
+  std::uint16_t u16() { return read_le<std::uint16_t>(); }
+  std::uint32_t u32() { return read_le<std::uint32_t>(); }
+  std::uint64_t u64() { return read_le<std::uint64_t>(); }
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    int shift = 0;
+    while (true) {
+      if (!require(1)) return 0;
+      const std::uint8_t b = data_[pos_++];
+      if (shift >= 63 && (b & 0x7e) != 0) {  // overflow: >64 significant bits
+        ok_ = false;
+        return 0;
+      }
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) return v;
+      shift += 7;
+    }
+  }
+  /// Length-prefixed (varint) string, viewed in place: it stays valid only
+  /// as long as the input bytes do.
+  std::string_view str() {
+    const std::uint64_t n = varint();
+    if (!require(n)) return {};
+    const std::string_view s(reinterpret_cast<const char*>(data_.data() + pos_),
+                             n);
+    pos_ += n;
+    return s;
+  }
   /// Returns a subspan of `n` bytes (zero-copy view into the input).
-  std::span<const std::uint8_t> raw(std::size_t n);
+  std::span<const std::uint8_t> raw(std::size_t n) {
+    if (!require(n)) return {};
+    auto out = data_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
 
  private:
   template <typename T>
@@ -86,7 +118,7 @@ class BufReader {
     return v;
   }
 
-  bool require(std::size_t n) {
+  bool require(std::uint64_t n) {
     if (!ok_ || remaining() < n) {
       ok_ = false;
       return false;

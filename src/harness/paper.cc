@@ -1,5 +1,7 @@
 #include "harness/paper.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "harness/report.h"
@@ -44,12 +46,20 @@ Axis span_axis(std::string name, const std::vector<Duration>& values,
   return a;
 }
 
+/// A grid and the sweep key that names it.
+struct Grid {
+  std::string key;
+  Campaign campaign;
+};
+
 /// The interval experiment (§V-D2): table4-false-positives with its victims
-/// C, blocked span D and open gap I swept, salts {c, d_us, i_us}. Table III
-/// under --full, else the quick grid given.
-Campaign interval_grid(const Options& opt, std::vector<int> c,
-                       std::vector<Duration> d, std::vector<Duration> i) {
+/// C, blocked span D and open gap I swept, salts {c, d_us, i_us}. Under
+/// --full every interval grid is Table III, keyed "table3"; else the quick
+/// grid given, keyed `key`.
+Grid interval_grid(const Options& opt, std::string key, std::vector<int> c,
+                   std::vector<Duration> d, std::vector<Duration> i) {
   if (opt.full) {
+    key = "table3";
     c = kPaperC;
     d = kPaperD;
     i = kPaperI;
@@ -58,17 +68,19 @@ Campaign interval_grid(const Options& opt, std::vector<int> c,
   g.axes = {Axis::victims(c), span_axis("duration", d, &fault::Fault::period),
             span_axis("interval", i, &fault::Fault::gap)};
   g.repetitions = repetitions(opt, 1);
-  return g;
+  return {std::move(key), std::move(g)};
 }
 
 /// The threshold experiment (§V-D1): table5-latency with its victims C and
 /// block length D swept, observed for 70 s (105 s under --full: anomaly,
 /// detection and recovery within the paper's 120 s). The trailing
-/// single-point axis keeps the salt chain {c, d_us, 0}. Table II under
-/// --full, else the quick grid given.
-Campaign threshold_grid(const Options& opt, std::vector<int> c,
-                        std::vector<Duration> d) {
+/// single-point axis keeps the salt chain {c, d_us, 0}. Under --full every
+/// threshold grid is Table II, keyed "table2"; else the quick grid given,
+/// keyed `key`.
+Grid threshold_grid(const Options& opt, std::string key, std::vector<int> c,
+                    std::vector<Duration> d) {
   if (opt.full) {
+    key = "table2";
     c = kPaperC;
     d = kPaperD;
   }
@@ -77,15 +89,14 @@ Campaign threshold_grid(const Options& opt, std::vector<int> c,
   g.axes = {Axis::victims(c), Axis::timeline_duration(0, d),
             Axis::custom("interval", {{"0ms", 0, {}}})};
   g.repetitions = repetitions(opt, 2);
-  return g;
+  return {std::move(key), std::move(g)};
 }
 
 /// `grid` once per config row, each campaign named after its row.
-Sweep per_row(std::string key, const Campaign& grid,
-              const std::vector<NamedConfig>& rows) {
-  Sweep s{std::move(key), {}};
+Sweep per_row(const Grid& grid, const std::vector<NamedConfig>& rows) {
+  Sweep s{grid.key, {}};
   for (const NamedConfig& row : rows) {
-    Campaign c = grid;
+    Campaign c = grid.campaign;
     c.name = row.name;
     c.base.config = row.config;
     s.campaigns.push_back(std::move(c));
@@ -98,8 +109,7 @@ Sweep per_row(std::string key, const Campaign& grid,
 // straddle the SWIM suspicion timeout from above, and intervals spanning
 // tight flapping to long recovery windows.
 std::vector<Sweep> table1_interval(const Options& opt) {
-  return {per_row("interval",
-                  interval_grid(opt, {1, 8, 16, 32},
+  return {per_row(interval_grid(opt, "interval", {1, 8, 16, 32},
                                 {msec(512), msec(16384), msec(32768)},
                                 {msec(4), msec(256), msec(4096)}),
                   table1_configs())};
@@ -108,8 +118,7 @@ std::vector<Sweep> table1_interval(const Options& opt) {
 // Only D above the suspicion timeout yields completed true detections; the
 // smaller D values, which confirm that none happens, stay in the full grid.
 std::vector<Sweep> table1_threshold(const Options& opt) {
-  return {per_row("threshold",
-                  threshold_grid(opt, {1, 8, 16, 32},
+  return {per_row(threshold_grid(opt, "threshold", {1, 8, 16, 32},
                                  {msec(16384), msec(32768)}),
                   table1_configs())};
 }
@@ -117,9 +126,8 @@ std::vector<Sweep> table1_threshold(const Options& opt) {
 // Figs. 2 and 3 need every concurrency level; the quick grid narrows (D, I)
 // to the large-D cells. Under --full this is Table III, the interval sweep.
 std::vector<Sweep> table1_figure(const Options& opt) {
-  if (opt.full) return table1_interval(opt);
-  return {per_row("figure",
-                  interval_grid(opt, kPaperC, {msec(16384), msec(32768)},
+  return {per_row(interval_grid(opt, "figure", kPaperC,
+                                {msec(16384), msec(32768)},
                                 {msec(4), msec(256)}),
                   table1_configs())};
 }
@@ -243,10 +251,11 @@ std::vector<NamedConfig> table7_rows() {
 
 std::vector<Sweep> table7_sweeps(const Options& opt) {
   const std::vector<NamedConfig> rows = table7_rows();
-  return {per_row("table7-threshold",
-                  threshold_grid(opt, {8}, {msec(16384), msec(32768)}), rows),
-          per_row("table7-interval",
-                  interval_grid(opt, {16}, {msec(8192), msec(32768)},
+  return {per_row(threshold_grid(opt, "table7-threshold", {8},
+                                 {msec(16384), msec(32768)}),
+                  rows),
+          per_row(interval_grid(opt, "table7-interval", {16},
+                                {msec(8192), msec(32768)},
                                 {msec(4), msec(256)}),
                   rows)};
 }
@@ -351,9 +360,8 @@ std::vector<Sweep> nack_sweeps(const Options& opt) {
   swim::Config on = swim::Config::lifeguard();
   swim::Config off = on;
   off.nack_enabled = false;
-  return {per_row("ablation-nack",
-                  interval_grid(opt, {8, 16}, {msec(8192), msec(32768)},
-                                {msec(4)}),
+  return {per_row(interval_grid(opt, "ablation-nack", {8, 16},
+                                {msec(8192), msec(32768)}, {msec(4)}),
                   {{"Lifeguard (nack on)", on},
                    {"Lifeguard (nack off)", off}})};
 }
@@ -371,14 +379,15 @@ Table nack_fold(const std::vector<const SweepResult*>& r) {
 
 /// An ablation's two sweeps over one knob's values: FP and load from the
 /// interval experiment, detection latency from the threshold experiment.
-std::vector<Sweep> knob_sweeps(const std::string& key, const Options& opt,
+/// Every knob shares the two grids, so a default-valued row (K=3, S=8: plain
+/// Lifeguard) runs once for all of them.
+std::vector<Sweep> knob_sweeps(const Options& opt,
                                const std::vector<NamedConfig>& rows) {
-  return {per_row(key + "-interval",
-                  interval_grid(opt, {16}, {msec(8192), msec(32768)},
-                                {msec(4)}),
+  return {per_row(interval_grid(opt, "knob-interval", {16},
+                                {msec(8192), msec(32768)}, {msec(4)}),
                   rows),
-          per_row(key + "-threshold",
-                  threshold_grid(opt, {8}, {msec(32768)}), rows)};
+          per_row(threshold_grid(opt, "knob-threshold", {8}, {msec(32768)}),
+                  rows)};
 }
 
 std::vector<Sweep> regossip_sweeps(const Options& opt) {
@@ -388,7 +397,7 @@ std::vector<Sweep> regossip_sweeps(const Options& opt) {
     cfg.suspicion_k = k;
     rows.push_back({std::to_string(k), cfg});
   }
-  return knob_sweeps("ablation-regossip", opt, rows);
+  return knob_sweeps(opt, rows);
 }
 
 Table regossip_fold(const std::vector<const SweepResult*>& r) {
@@ -413,7 +422,7 @@ std::vector<Sweep> lhm_sweeps(const Options& opt) {
     cfg.lhm_max = s;
     rows.push_back({std::to_string(s), cfg});
   }
-  return knob_sweeps("ablation-lhm", opt, rows);
+  return knob_sweeps(opt, rows);
 }
 
 Table lhm_fold(const std::vector<const SweepResult*>& r) {
@@ -537,21 +546,29 @@ void Ledger::print(const Artifact& a, std::FILE* out) {
                opt_.jobs == 0 ? "auto" : std::to_string(opt_.jobs).c_str());
   std::fflush(out);
 
-  std::vector<const SweepResult*> results;
+  std::vector<SweepResult> results;
   for (const Sweep& sweep : a.sweeps(opt_)) {
-    auto it = done_.find(sweep.key);
-    if (it == done_.end()) {
-      SweepResult r;
-      for (const Campaign& c : sweep.campaigns) {
-        ProgressReporter meter(c.name);
-        r.push_back(harness::run(c, {&meter}));
-      }
-      it = done_.emplace(sweep.key, std::move(r)).first;
-    }
-    results.push_back(&it->second);
+    SweepResult& r = results.emplace_back();
+    for (const Campaign& c : sweep.campaigns) r.push_back(row(sweep.key, c));
   }
-  std::fputs(a.fold(results).render().c_str(), out);
+  std::vector<const SweepResult*> fold_in;
+  for (const SweepResult& r : results) fold_in.push_back(&r);
+  std::fputs(a.fold(fold_in).render().c_str(), out);
   std::fprintf(out, "\n%s", a.note.c_str());
+}
+
+CampaignResult Ledger::row(const std::string& key, const Campaign& c) {
+  auto it = std::find_if(done_.begin(), done_.end(), [&](const Done& d) {
+    return d.key == key && d.config == c.base.config;
+  });
+  if (it == done_.end()) {
+    ProgressReporter meter(c.name);
+    done_.push_back({key, c.base.config, harness::run(c, {&meter})});
+    it = std::prev(done_.end());
+  }
+  CampaignResult r = it->result;
+  r.campaign_name = c.name;
+  return r;
 }
 
 }  // namespace lifeguard::harness::paper

@@ -20,13 +20,13 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "harness/campaign.h"
 #include "harness/table.h"
+#include "swim/config.h"
 
 namespace lifeguard::harness::paper {
 
@@ -41,8 +41,9 @@ struct Options {
 };
 
 /// One experiment of an artifact: the same grid as one campaign per config
-/// row, each named after its row. Sweeps with the same key are the same
-/// sweep, so a ledger runs a key once however many artifacts fold it.
+/// row, each named after its row. The key names the grid: sweeps with one
+/// key run one grid, so a ledger runs each (key, config) pair once however
+/// many rows and artifacts fold it.
 struct Sweep {
   std::string key;
   std::vector<Campaign> campaigns;
@@ -68,17 +69,29 @@ const Artifact* find(std::string_view name);
 /// "table4, table5, ..." — for error messages.
 std::string names();
 
-/// Runs artifacts under one set of options, each sweep key at most once.
+/// Runs artifacts under one set of options, each (sweep key, config) pair
+/// at most once.
 class Ledger {
  public:
   explicit Ledger(Options opt) : opt_(opt) {}
-  /// Prints `a`'s banner, runs the sweeps it needs (progress on stderr) and
-  /// prints its table and note.
+  /// Prints `a`'s banner, runs the campaigns it needs (progress on stderr)
+  /// and prints its table and note.
   void print(const Artifact& a, std::FILE* out);
+  /// Campaigns run so far: one per distinct (sweep key, config) pair.
+  std::size_t campaigns_run() const { return done_.size(); }
 
  private:
+  struct Done {
+    std::string key;
+    swim::Config config;
+    CampaignResult result;
+  };
+  /// The result of `c`, a campaign of the sweep `key`, named after `c`:
+  /// run once per (key, config) and copied for every later row.
+  CampaignResult row(const std::string& key, const Campaign& c);
+
   Options opt_;
-  std::map<std::string, SweepResult> done_;
+  std::vector<Done> done_;
 };
 
 /// One config row's campaign, summed over trials: the interval

@@ -1,7 +1,9 @@
 #include "perf/suite.h"
 
 #include <chrono>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/task.h"
 #include "proto/broadcast.h"
@@ -106,6 +108,42 @@ Measurement bench_codec_roundtrip(const SuiteOptions& opt) {
       BufReader r(bytes);
       auto msg = proto::decode(r);
       if (!msg) throw std::runtime_error("codec roundtrip failed");
+    }
+  });
+}
+
+Measurement bench_codec_join_datagram(const SuiteOptions& opt) {
+  // A join-storm datagram: 56 Alive frames, as a node at n=512 piggybacks
+  // them, walked and parsed in place the way swim::Node::on_packet does.
+  // Items are frames.
+  constexpr int kFrames = 56;
+  constexpr std::int64_t kDatagrams = 2'000;
+  proto::CompoundWriter w;
+  for (int i = 0; i < kFrames; ++i) {
+    BufWriter f;
+    proto::encode(proto::AliveView{"node-" + std::to_string(100 + i), 1,
+                                   Address{static_cast<std::uint32_t>(i), 7946}},
+                  f);
+    w.add(f.bytes());
+  }
+  const std::vector<std::uint8_t> datagram = std::move(w).take();
+  return timed_loop(opt, kDatagrams * kFrames, [&datagram] {
+    std::uint64_t sink = 0;
+    for (std::int64_t d = 0; d < kDatagrams; ++d) {
+      proto::FrameWalk walk(datagram);
+      for (std::span<const std::uint8_t> frame; walk.next(frame);) {
+        BufReader r(frame);
+        const bool ok = proto::parse(r, [&sink](const auto& m) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(m)>,
+                                       proto::AliveView>) {
+            sink += m.member.size() + m.incarnation;
+          }
+        });
+        if (!ok) throw std::runtime_error("join datagram failed to parse");
+      }
+    }
+    if (sink != static_cast<std::uint64_t>(kDatagrams) * kFrames * 9) {
+      throw std::runtime_error("join datagram parsed wrong");
     }
   });
 }
@@ -270,6 +308,9 @@ const std::vector<BenchCase>& micro_cases() {
        bench_task_dispatch, false},
       {"micro/codec-roundtrip", "ping encode+decode round trip",
        bench_codec_roundtrip, false},
+      {"micro/codec-join-datagram",
+       "frame walk + in-place parse of a 56-frame Alive datagram",
+       bench_codec_join_datagram, false},
       {"micro/broadcast-queue", "piggyback queue churn + MTU-fill selection",
        bench_broadcast_queue, false},
       {"micro/broadcast-queue-join",

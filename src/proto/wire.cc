@@ -44,78 +44,8 @@ MsgType message_type(const Message& m) {
   return std::visit(Visitor{}, m);
 }
 
-namespace {
-
-void write_addr(BufWriter& w, const Address& a) {
-  w.u32(a.ip);
-  w.u16(a.port);
-}
-
-Address read_addr(BufReader& r) {
-  Address a;
-  a.ip = r.u32();
-  a.port = r.u16();
-  return a;
-}
-
-}  // namespace
-
 void encode(const Message& m, BufWriter& w) {
-  w.u8(static_cast<std::uint8_t>(message_type(m)));
-  struct Visitor {
-    BufWriter& w;
-    void operator()(const Ping& p) const {
-      w.u32(p.seq);
-      w.str(p.target);
-      w.str(p.source);
-      write_addr(w, p.source_addr);
-    }
-    void operator()(const PingReq& p) const {
-      w.u32(p.seq);
-      w.str(p.target);
-      write_addr(w, p.target_addr);
-      w.str(p.source);
-      write_addr(w, p.source_addr);
-      w.u64(static_cast<std::uint64_t>(p.probe_timeout_us));
-      w.u8(p.want_nack ? 1 : 0);
-    }
-    void operator()(const Ack& a) const {
-      w.u32(a.seq);
-      w.str(a.from);
-    }
-    void operator()(const Nack& n) const {
-      w.u32(n.seq);
-      w.str(n.from);
-    }
-    void operator()(const Suspect& s) const {
-      w.str(s.member);
-      w.u64(s.incarnation);
-      w.str(s.from);
-    }
-    void operator()(const Alive& a) const {
-      w.str(a.member);
-      w.u64(a.incarnation);
-      write_addr(w, a.addr);
-    }
-    void operator()(const Dead& d) const {
-      w.str(d.member);
-      w.u64(d.incarnation);
-      w.str(d.from);
-    }
-    void operator()(const PushPull& p) const {
-      w.u8(p.join ? 1 : 0);
-      w.str(p.from);
-      write_addr(w, p.from_addr);
-      w.varint(p.members.size());
-      for (const auto& s : p.members) {
-        w.str(s.name);
-        write_addr(w, s.addr);
-        w.u64(s.incarnation);
-        w.u8(s.state);
-      }
-    }
-  };
-  std::visit(Visitor{w}, m);
+  std::visit([&w](const auto& msg) { encode(msg, w); }, m);
 }
 
 std::vector<std::uint8_t> encode_datagram(const Message& m) {
@@ -124,96 +54,63 @@ std::vector<std::uint8_t> encode_datagram(const Message& m) {
   return std::move(w).take();
 }
 
-std::optional<Message> decode(BufReader& r) {
-  const auto tag = static_cast<MsgType>(r.u8());
-  if (!r.ok()) return std::nullopt;
-  Message out;
-  switch (tag) {
-    case MsgType::kPing: {
-      Ping p;
-      p.seq = r.u32();
-      p.target = r.str();
-      p.source = r.str();
-      p.source_addr = read_addr(r);
-      out = std::move(p);
-      break;
-    }
-    case MsgType::kPingReq: {
-      PingReq p;
-      p.seq = r.u32();
-      p.target = r.str();
-      p.target_addr = read_addr(r);
-      p.source = r.str();
-      p.source_addr = read_addr(r);
-      p.probe_timeout_us = static_cast<std::int64_t>(r.u64());
-      p.want_nack = r.u8() != 0;
-      out = std::move(p);
-      break;
-    }
-    case MsgType::kAck: {
-      Ack a;
-      a.seq = r.u32();
-      a.from = r.str();
-      out = std::move(a);
-      break;
-    }
-    case MsgType::kNack: {
-      Nack n;
-      n.seq = r.u32();
-      n.from = r.str();
-      out = std::move(n);
-      break;
-    }
-    case MsgType::kSuspect: {
-      Suspect s;
-      s.member = r.str();
-      s.incarnation = r.u64();
-      s.from = r.str();
-      out = std::move(s);
-      break;
-    }
-    case MsgType::kAlive: {
-      Alive a;
-      a.member = r.str();
-      a.incarnation = r.u64();
-      a.addr = read_addr(r);
-      out = std::move(a);
-      break;
-    }
-    case MsgType::kDead: {
-      Dead d;
-      d.member = r.str();
-      d.incarnation = r.u64();
-      d.from = r.str();
-      out = std::move(d);
-      break;
-    }
-    case MsgType::kPushPullReq:
-    case MsgType::kPushPullResp: {
-      PushPull p;
-      p.is_response = tag == MsgType::kPushPullResp;
-      p.join = r.u8() != 0;
-      p.from = r.str();
-      p.from_addr = read_addr(r);
-      const std::uint64_t n = r.varint();
-      if (!r.ok() || n > 1'000'000) return std::nullopt;
-      p.members.reserve(n);
-      for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-        MemberSnapshot s;
-        s.name = r.str();
-        s.addr = read_addr(r);
-        s.incarnation = r.u64();
-        s.state = r.u8();
-        p.members.push_back(std::move(s));
-      }
-      out = std::move(p);
-      break;
-    }
-    default:
-      return std::nullopt;
+namespace {
+
+// The copy behind decode(): each view into its owned form.
+
+std::string own(std::string_view s) { return std::string(s); }
+
+Ping owned(const PingView& p) {
+  return {p.seq, own(p.target), own(p.source), p.source_addr};
+}
+PingReq owned(const PingReqView& p) {
+  return {p.seq,          own(p.target),      p.target_addr, own(p.source),
+          p.source_addr, p.probe_timeout_us, p.want_nack};
+}
+Ack owned(const AckView& a) { return {a.seq, own(a.from)}; }
+Nack owned(const NackView& n) { return {n.seq, own(n.from)}; }
+Suspect owned(const SuspectView& s) {
+  return {own(s.member), s.incarnation, own(s.from)};
+}
+Alive owned(const AliveView& a) {
+  return {own(a.member), a.incarnation, a.addr};
+}
+Dead owned(const DeadView& d) {
+  return {own(d.member), d.incarnation, own(d.from)};
+}
+PushPull owned(const PushPullView& p) {
+  PushPull out{p.is_response, p.join, own(p.from), p.from_addr, {}};
+  out.members.reserve(p.members.size());
+  for (const MemberSnapshotView& s : p.members) {
+    out.members.push_back({own(s.name), s.addr, s.incarnation, s.state});
   }
-  if (!r.ok()) return std::nullopt;
   return out;
+}
+
+}  // namespace
+
+std::optional<Message> decode(BufReader& r) {
+  std::optional<Message> out;
+  parse(r, [&out](const auto& view) { out.emplace(owned(view)); });
+  return out;
+}
+
+FrameWalk::FrameWalk(std::span<const std::uint8_t> datagram) : r_(datagram) {
+  if (datagram.empty()) return;
+  if (static_cast<MsgType>(datagram[0]) != MsgType::kCompound) {
+    left_ = 1;
+    ok_ = true;
+    return;
+  }
+  compound_ = true;
+  (void)r_.u8();
+  const std::uint16_t count = r_.u16();
+  BufReader check = r_;
+  for (std::uint16_t i = 0; i < count && check.ok(); ++i) {
+    check.raw(check.varint());
+  }
+  ok_ = check.ok();
+  if (ok_) left_ = count;
 }
 
 CompoundWriter::CompoundWriter(std::vector<std::uint8_t> reuse)
@@ -254,21 +151,11 @@ std::vector<std::uint8_t> pack_compound(
 bool unpack_compound(std::span<const std::uint8_t> datagram,
                      std::vector<std::span<const std::uint8_t>>& frames_out) {
   frames_out.clear();
-  if (datagram.empty()) return false;
-  if (static_cast<MsgType>(datagram[0]) != MsgType::kCompound) {
-    frames_out.push_back(datagram);
-    return true;
-  }
-  BufReader r(datagram);
-  (void)r.u8();
-  const std::uint16_t count = r.u16();
-  for (std::uint16_t i = 0; i < count; ++i) {
-    const std::uint64_t len = r.varint();
-    auto frame = r.raw(len);
-    if (!r.ok()) return false;
+  FrameWalk walk(datagram);
+  for (std::span<const std::uint8_t> frame; walk.next(frame);) {
     frames_out.push_back(frame);
   }
-  return r.ok();
+  return walk.ok();
 }
 
 std::size_t compound_frame_overhead(std::size_t frame_size) {

@@ -46,7 +46,7 @@ membership::AgentParams Simulator::agent_params(int index) const {
 }
 
 void Simulator::ProbeTap::span(check::TraceEventKind kind,
-                               const std::string& peer, double value) {
+                               std::string_view peer, double value) {
   if (!sim->wants(kind)) return;
   sim->note(kind, node, check::node_index_of(peer), value);
 }
@@ -69,7 +69,7 @@ void Simulator::ProbeTap::on_probe_fail(const std::string& target) {
 }
 
 void Simulator::ProbeTap::on_probe_nack(const std::string& /*target*/,
-                                        const std::string& relay) {
+                                        std::string_view relay) {
   span(check::TraceEventKind::kProbeNack, relay);
 }
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/events.h"
@@ -182,14 +183,14 @@ class Simulator {
   struct ProbeTap final : swim::ProbeObserver {
     Simulator* sim = nullptr;
     int node = -1;
-    void span(check::TraceEventKind kind, const std::string& peer,
+    void span(check::TraceEventKind kind, std::string_view peer,
               double value = 0);
     void on_probe_start(const std::string& target) override;
     void on_probe_ack(const std::string& target, Duration rtt) override;
     void on_probe_indirect(const std::string& target) override;
     void on_probe_fail(const std::string& target) override;
     void on_probe_nack(const std::string& target,
-                       const std::string& relay) override;
+                       std::string_view relay) override;
   };
 
   TimePoint now_{};

@@ -43,11 +43,12 @@ void MembershipTable::IdSet::rename(Id from, Id to) {
 
 // ---- name index ----
 
-std::uint32_t MembershipTable::hash_name(const std::string& name) {
-  return static_cast<std::uint32_t>(std::hash<std::string>{}(name));
+std::uint32_t MembershipTable::hash_name(std::string_view name) {
+  // std::hash<std::string_view> equals std::hash<std::string>.
+  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
 }
 
-std::size_t MembershipTable::bucket_of(const std::string& name,
+std::size_t MembershipTable::bucket_of(std::string_view name,
                                        std::uint32_t hash) const {
   const std::size_t mask = index_.size() - 1;
   for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
@@ -58,7 +59,7 @@ std::size_t MembershipTable::bucket_of(const std::string& name,
   }
 }
 
-MembershipTable::Id MembershipTable::lookup(const std::string& name) const {
+MembershipTable::Id MembershipTable::lookup(std::string_view name) const {
   if (index_.empty()) return kNone;
   return index_[bucket_of(name, hash_name(name))].id;
 }
@@ -96,17 +97,17 @@ void MembershipTable::unindex(std::size_t pos) {
 MembershipTable::MembershipTable(std::string self_name)
     : self_(std::move(self_name)) {}
 
-Member* MembershipTable::find(const std::string& name) {
+Member* MembershipTable::find(std::string_view name) {
   const Id id = lookup(name);
   return id == kNone ? nullptr : &slots_[id];
 }
 
-const Member* MembershipTable::find(const std::string& name) const {
+const Member* MembershipTable::find(std::string_view name) const {
   const Id id = lookup(name);
   return id == kNone ? nullptr : &slots_[id];
 }
 
-bool MembershipTable::contains(const std::string& name) const {
+bool MembershipTable::contains(std::string_view name) const {
   return lookup(name) != kNone;
 }
 
@@ -148,7 +149,7 @@ void MembershipTable::set_state(Member& m, MemberState s, TimePoint now) {
   track(static_cast<Id>(&m - slots_.data()));
 }
 
-void MembershipTable::remove(const std::string& name) {
+void MembershipTable::remove(std::string_view name) {
   if (index_.empty()) return;
   const std::size_t pos = bucket_of(name, hash_name(name));
   const Id id = index_[pos].id;

@@ -17,6 +17,7 @@
 #include <ranges>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,9 +36,9 @@ class MembershipTable {
   /// The stored record, or nullptr. The pointer is invalidated by a later
   /// add(), which may grow the slot vector, and by remove(), which moves the
   /// last slot into the freed one.
-  Member* find(const std::string& name);
-  const Member* find(const std::string& name) const;
-  bool contains(const std::string& name) const;
+  Member* find(std::string_view name);
+  const Member* find(std::string_view name) const;
+  bool contains(std::string_view name) const;
   const std::string& self_name() const { return self_; }
 
   /// Number of known members in active states (alive or suspect), including
@@ -76,7 +77,7 @@ class MembershipTable {
   /// order (inactive members are skipped lazily at selection time).
   void set_state(Member& m, MemberState s, TimePoint now);
   /// Drop a member entirely (dead-reclaim housekeeping).
-  void remove(const std::string& name);
+  void remove(std::string_view name);
 
   // ---- probe order ----
   /// Next round-robin probe target: skips self and non-active members;
@@ -125,11 +126,11 @@ class MembershipTable {
     std::uint32_t hash = 0;
   };
 
-  static std::uint32_t hash_name(const std::string& name);
+  static std::uint32_t hash_name(std::string_view name);
   /// Position of `name`'s bucket, or of the empty bucket that ends its probe
   /// run. `index_` must be non-empty.
-  std::size_t bucket_of(const std::string& name, std::uint32_t hash) const;
-  Id lookup(const std::string& name) const;
+  std::size_t bucket_of(std::string_view name, std::uint32_t hash) const;
+  Id lookup(std::string_view name) const;
   void grow_index();
   /// Backward-shift deletion of the bucket at `pos` (no tombstones).
   void unindex(std::size_t pos);

@@ -39,7 +39,7 @@ void Node::start() {
   self.state_change = rt_.now();
   table_.add(std::move(self), rt_.rng());
   // Announce ourselves; a lone bootstrap node's broadcast simply expires.
-  broadcast(name_, proto::Alive{name_, incarnation_, addr_});
+  broadcast(name_, proto::AliveView{name_, incarnation_, addr_});
   schedule_ticks();
 }
 
@@ -91,7 +91,7 @@ void Node::leave() {
     table_.set_state(*self, MemberState::kLeft, rt_.now());
   }
   // from == member encodes the graceful-leave intent (memberlist).
-  broadcast(name_, proto::Dead{name_, incarnation_, name_});
+  broadcast(name_, proto::DeadView{name_, incarnation_, name_});
   obs_.leaves().add();
 }
 
@@ -322,14 +322,6 @@ void Node::count_sent(const char* type, std::size_t bytes, Channel ch) {
   obs_.gossip_pending().set(static_cast<double>(bcast_.pending()));
 }
 
-void Node::broadcast(const std::string& member, const proto::Message& m) {
-  BufWriter w(std::move(bcast_frame_));
-  proto::encode(m, w);
-  bcast_.queue(member, w.bytes());
-  bcast_frame_ = std::move(w).take();
-  obs_.gossip_pending().set(static_cast<double>(bcast_.pending()));
-}
-
 // ---- inbound dispatch ------------------------------------------------------
 
 void Node::on_packet(const Address& from, std::span<const std::uint8_t> payload,
@@ -337,32 +329,32 @@ void Node::on_packet(const Address& from, std::span<const std::uint8_t> payload,
   if (!running_) return;
   obs_.count_received(payload.size());
 
-  std::vector<std::span<const std::uint8_t>> frames;
-  if (!proto::unpack_compound(payload, frames)) {
+  // Each frame is parsed in place and handed to its handler as a view into
+  // `payload`, whose buffer the runtime reuses once this returns.
+  proto::FrameWalk walk(payload);
+  if (!walk.ok()) {
     obs_.malformed().add();
     return;
   }
-  for (const auto& frame : frames) {
+  struct Dispatch {
+    Node& n;
+    const Address& from;
+    Channel ch;
+    void operator()(const proto::PingView& p) { n.handle_ping(from, p, ch); }
+    void operator()(const proto::PingReqView& p) { n.handle_ping_req(p, ch); }
+    void operator()(const proto::AckView& a) { n.handle_ack(a); }
+    void operator()(const proto::NackView& x) { n.handle_nack(x); }
+    void operator()(const proto::SuspectView& s) { n.on_suspect_msg(s); }
+    void operator()(const proto::AliveView& a) { n.on_alive_msg(a); }
+    void operator()(const proto::DeadView& d) { n.on_dead_msg(d); }
+    void operator()(const proto::PushPullView& p) { n.handle_push_pull(p); }
+  };
+  for (std::span<const std::uint8_t> frame; walk.next(frame);) {
     BufReader r(frame);
-    auto msg = proto::decode(r);
-    if (!msg) {
+    if (!proto::parse(r, Dispatch{*this, from, channel})) {
       obs_.malformed().add();
       continue;
     }
-    struct Visitor {
-      Node& n;
-      const Address& from;
-      Channel ch;
-      void operator()(const proto::Ping& p) { n.handle_ping(from, p, ch); }
-      void operator()(const proto::PingReq& p) { n.handle_ping_req(p, ch); }
-      void operator()(const proto::Ack& a) { n.handle_ack(a); }
-      void operator()(const proto::Nack& x) { n.handle_nack(x); }
-      void operator()(const proto::Suspect& s) { n.on_suspect_msg(s); }
-      void operator()(const proto::Alive& a) { n.on_alive_msg(a); }
-      void operator()(const proto::Dead& d) { n.on_dead_msg(d); }
-      void operator()(const proto::PushPull& p) { n.handle_push_pull(p); }
-    };
-    std::visit(Visitor{*this, from, channel}, *msg);
     if (!running_) break;  // a handler may have stopped the node
   }
 }

@@ -20,9 +20,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -136,8 +138,10 @@ class Node : public membership::Agent {
   /// Pure gossip datagram (dedicated gossip tick); no-op if nothing queued.
   void send_gossip(const Address& to);
   void count_sent(const char* type, std::size_t bytes, Channel ch);
-  /// Enqueue an encoded state update for gossip dissemination.
-  void broadcast(const std::string& member, const proto::Message& m);
+  /// Enqueue a state update (either message form) for gossip
+  /// dissemination.
+  template <class Update>
+  void broadcast(std::string_view member, const Update& update);
 
   // ---- schedules (node.cc) ----
   void schedule_ticks();
@@ -170,23 +174,25 @@ class Node : public membership::Agent {
   void finish_probe();
   Duration scaled_probe_interval() const;
   Duration scaled_probe_timeout() const;
-  void handle_ping(const Address& from, const proto::Ping& p, Channel ch);
-  void handle_ping_req(const proto::PingReq& p, Channel ch);
-  void handle_ack(const proto::Ack& a);
-  void handle_nack(const proto::Nack& n);
+  // Inbound handlers take views into the datagram (proto/wire.h), valid
+  // until on_packet returns: whatever a handler keeps, it copies.
+  void handle_ping(const Address& from, const proto::PingView& p, Channel ch);
+  void handle_ping_req(const proto::PingReqView& p, Channel ch);
+  void handle_ack(const proto::AckView& a);
+  void handle_nack(const proto::NackView& n);
 
   // ---- state machine (node_handlers.cc) ----
-  void on_alive_msg(const proto::Alive& a);
-  void on_suspect_msg(const proto::Suspect& s);
-  void on_dead_msg(const proto::Dead& d);
+  void on_alive_msg(const proto::AliveView& a);
+  void on_suspect_msg(const proto::SuspectView& s);
+  void on_dead_msg(const proto::DeadView& d);
   void start_suspicion(Member& m, std::uint64_t incarnation,
-                       const std::string& from);
+                       std::string_view from);
   void arm_suspicion_timer(Suspicion& susp);
   void on_suspicion_timeout(const std::string& member);
-  void cancel_suspicion(const std::string& member);
+  void cancel_suspicion(std::string_view member);
   /// Gossip a higher-incarnation alive about self; bumps local health.
   void refute(std::uint64_t suspected_incarnation);
-  void emit(EventType type, const Member& m, const std::string& origin,
+  void emit(EventType type, const Member& m, std::string_view origin,
             bool originated);
   /// Encoded suspect frame about `target` iff we currently suspect it
   /// (Buddy System priority frame).
@@ -194,9 +200,9 @@ class Node : public membership::Agent {
       const std::string& target);
 
   // ---- anti-entropy (node_sync.cc) ----
-  void handle_push_pull(const proto::PushPull& p);
+  void handle_push_pull(const proto::PushPullView& p);
   std::vector<proto::MemberSnapshot> snapshot_state() const;
-  void merge_remote_state(const proto::PushPull& p);
+  void merge_remote_state(const proto::PushPullView& p);
 
   // ---- data ----
   std::string name_;
@@ -259,7 +265,6 @@ class Node : public membership::Agent {
   /// Relay bookkeeping for ping-req service: our ping seq -> origin.
   struct RelayState {
     std::uint32_t origin_seq = 0;
-    std::string origin;
     Address origin_addr;
     Channel channel = Channel::kUdp;
     bool acked = false;
@@ -269,7 +274,10 @@ class Node : public membership::Agent {
   };
   std::unordered_map<std::uint32_t, RelayState> relays_;
 
-  std::unordered_map<std::string, Suspicion> suspicions_;
+  /// Looked up by std::string_view (a member name in a datagram) without
+  /// building a key string.
+  std::unordered_map<std::string, Suspicion, NameHash, std::equal_to<>>
+      suspicions_;
 
   /// Seeds of the most recent join(), kept for the retry loop; join_synced_
   /// flips once any push-pull response merges, which ends the retries.
@@ -283,5 +291,14 @@ class Node : public membership::Agent {
   TimerId join_retry_timer_ = kInvalidTimer;
   TimerId housekeeping_timer_ = kInvalidTimer;
 };
+
+template <class Update>
+void Node::broadcast(std::string_view member, const Update& update) {
+  BufWriter w(std::move(bcast_frame_));
+  proto::encode(update, w);
+  bcast_.queue(member, w.bytes());
+  bcast_frame_ = std::move(w).take();
+  obs_.gossip_pending().set(static_cast<double>(bcast_.pending()));
+}
 
 }  // namespace lifeguard::swim

@@ -5,7 +5,7 @@
 
 namespace lifeguard::swim {
 
-void Node::emit(EventType type, const Member& m, const std::string& origin,
+void Node::emit(EventType type, const Member& m, std::string_view origin,
                 bool originated) {
   MemberEvent e;
   e.at = rt_.now();
@@ -18,7 +18,7 @@ void Node::emit(EventType type, const Member& m, const std::string& origin,
   events_.publish(e);
 }
 
-void Node::on_alive_msg(const proto::Alive& a) {
+void Node::on_alive_msg(const proto::AliveView& a) {
   if (a.member == name_) {
     // Only we may speak for ourselves with a higher incarnation; competing
     // alive claims about self are dropped (they can only equal ours).
@@ -27,7 +27,7 @@ void Node::on_alive_msg(const proto::Alive& a) {
   Member* m = table_.find(a.member);
   if (m == nullptr) {
     Member nm;
-    nm.name = a.member;
+    nm.name = std::string(a.member);
     nm.addr = a.addr;
     nm.incarnation = a.incarnation;
     nm.state = MemberState::kAlive;
@@ -56,7 +56,7 @@ void Node::on_alive_msg(const proto::Alive& a) {
   broadcast(a.member, a);  // refutation must keep spreading
 }
 
-void Node::on_suspect_msg(const proto::Suspect& s) {
+void Node::on_suspect_msg(const proto::SuspectView& s) {
   if (s.member == name_) {
     // Someone suspects us: refute with a higher incarnation. Needing to do
     // so is evidence of our own slowness (paper: LHM +1).
@@ -95,7 +95,7 @@ void Node::on_suspect_msg(const proto::Suspect& s) {
 }
 
 void Node::start_suspicion(Member& m, std::uint64_t incarnation,
-                           const std::string& from) {
+                           std::string_view from) {
   m.incarnation = incarnation;
   table_.set_state(m, MemberState::kSuspect, rt_.now());
 
@@ -110,13 +110,14 @@ void Node::start_suspicion(Member& m, std::uint64_t incarnation,
 
   auto [it, inserted] = suspicions_.emplace(
       m.name,
-      Suspicion(m.name, incarnation, from, min_t, max_t, k, rt_.now()));
+      Suspicion(m.name, incarnation, std::string(from), min_t, max_t, k,
+                rt_.now()));
   arm_suspicion_timer(it->second);
 
   emit(EventType::kSuspect, m, from, from == name_);
   obs_.suspicion_started().add();
   // SWIM: a member that suspects (or adopts a suspicion) gossips it.
-  broadcast(m.name, proto::Suspect{m.name, incarnation, from});
+  broadcast(m.name, proto::SuspectView{m.name, incarnation, from});
 }
 
 void Node::arm_suspicion_timer(Suspicion& susp) {
@@ -150,17 +151,17 @@ void Node::on_suspicion_timeout(const std::string& member) {
   table_.set_state(*m, MemberState::kDead, rt_.now());
   emit(EventType::kFailed, *m, name_, true);
   obs_.dead_declared().add();
-  broadcast(member, proto::Dead{member, inc, name_});
+  broadcast(member, proto::DeadView{member, inc, name_});
 }
 
-void Node::cancel_suspicion(const std::string& member) {
+void Node::cancel_suspicion(std::string_view member) {
   auto it = suspicions_.find(member);
   if (it == suspicions_.end()) return;
   cancel_timer(it->second.timer);
   suspicions_.erase(it);
 }
 
-void Node::on_dead_msg(const proto::Dead& d) {
+void Node::on_dead_msg(const proto::DeadView& d) {
   if (d.member == name_) {
     // We are reported dead. Unless we are deliberately leaving, refute.
     if (!leaving_ && d.incarnation >= incarnation_) {
@@ -199,7 +200,7 @@ void Node::refute(std::uint64_t suspected_incarnation) {
   health_.refuted_suspicion();
   obs_.lhm().set(static_cast<double>(health_.score()));
   obs_.refutations().add();
-  broadcast(name_, proto::Alive{name_, incarnation_, addr_});
+  broadcast(name_, proto::AliveView{name_, incarnation_, addr_});
 }
 
 std::optional<std::vector<std::uint8_t>> Node::buddy_frame(
@@ -210,7 +211,7 @@ std::optional<std::vector<std::uint8_t>> Node::buddy_frame(
   const std::uint64_t inc =
       it != suspicions_.end() ? it->second.incarnation() : m->incarnation;
   BufWriter w(48);
-  proto::encode(proto::Suspect{target, inc, name_}, w);
+  proto::encode(proto::SuspectView{target, inc, name_}, w);
   obs_.buddy_prioritized().add();
   return std::move(w).take();
 }

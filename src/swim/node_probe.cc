@@ -146,12 +146,12 @@ void Node::finish_probe() {
   if (m == nullptr || !is_active(m->state)) return;
   // Locally originated suspicion: feed it through the same path gossip
   // takes, with ourselves as the independent originator.
-  on_suspect_msg(proto::Suspect{target, m->incarnation, name_});
+  on_suspect_msg(proto::SuspectView{target, m->incarnation, name_});
 }
 
 // ---- probe message handlers -------------------------------------------------
 
-void Node::handle_ping(const Address& /*from*/, const proto::Ping& p,
+void Node::handle_ping(const Address& /*from*/, const proto::PingView& p,
                        Channel ch) {
   if (p.target != name_) {
     // Stale addressing (e.g. a reused address); memberlist drops these.
@@ -162,19 +162,18 @@ void Node::handle_ping(const Address& /*from*/, const proto::Ping& p,
   send_message(p.source_addr, ch, ack, nullptr);
 }
 
-void Node::handle_ping_req(const proto::PingReq& p, Channel ch) {
+void Node::handle_ping_req(const proto::PingReqView& p, Channel ch) {
   // Serve as relay: probe the target with our own sequence number and map it
   // back to the origin's.
   const std::uint32_t relay_seq = next_seq_++;
   RelayState relay;
   relay.origin_seq = p.seq;
-  relay.origin = p.source;
   relay.origin_addr = p.source_addr;
   relay.channel = ch;
   relay.nack_wanted = p.want_nack;
 
-  proto::Ping ping{relay_seq, p.target, name_, addr_};
-  send_message(p.target_addr, Channel::kUdp, ping, &p.target);
+  proto::Ping ping{relay_seq, std::string(p.target), name_, addr_};
+  send_message(p.target_addr, Channel::kUdp, ping, &ping.target);
   obs_.probe_relayed().add();
 
   const Duration timeout{std::max<std::int64_t>(p.probe_timeout_us, 1000)};
@@ -203,7 +202,7 @@ void Node::handle_ping_req(const proto::PingReq& p, Channel ch) {
   relays_.emplace(relay_seq, relay);
 }
 
-void Node::handle_ack(const proto::Ack& a) {
+void Node::handle_ack(const proto::AckView& a) {
   if (probe_ && probe_->seq == a.seq) {
     // Success: the probe completes immediately (memberlist's probeNode
     // returns on the first ack), freeing the loop for the next tick.
@@ -231,13 +230,13 @@ void Node::handle_ack(const proto::Ack& a) {
   RelayState& relay = it->second;
   if (!relay.acked) {
     relay.acked = true;
-    proto::Ack fwd{relay.origin_seq, a.from};
+    proto::Ack fwd{relay.origin_seq, std::string(a.from)};
     send_message(relay.origin_addr, relay.channel, fwd, nullptr);
     obs_.probe_ack_forwarded().add();
   }
 }
 
-void Node::handle_nack(const proto::Nack& n) {
+void Node::handle_nack(const proto::NackView& n) {
   if (probe_ && probe_->seq == n.seq) {
     ++probe_->nacks_received;
     obs_.probe_nack_received().add();

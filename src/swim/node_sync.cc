@@ -24,7 +24,7 @@ std::vector<proto::MemberSnapshot> Node::snapshot_state() const {
   return out;
 }
 
-void Node::handle_push_pull(const proto::PushPull& p) {
+void Node::handle_push_pull(const proto::PushPullView& p) {
   obs_.sync_received().add();
   if (p.is_response) {
     // Only a response to the *join* exchange ends the retry loop. A periodic
@@ -48,13 +48,13 @@ void Node::handle_push_pull(const proto::PushPull& p) {
   merge_remote_state(p);
 }
 
-void Node::merge_remote_state(const proto::PushPull& p) {
-  for (const auto& s : p.members) {
+void Node::merge_remote_state(const proto::PushPullView& p) {
+  for (const proto::MemberSnapshotView& s : p.members) {
     if (s.name.empty()) continue;
     const auto state = static_cast<MemberState>(s.state);
     switch (state) {
       case MemberState::kAlive:
-        on_alive_msg(proto::Alive{s.name, s.incarnation, s.addr});
+        on_alive_msg(proto::AliveView{s.name, s.incarnation, s.addr});
         break;
       case MemberState::kSuspect:
       case MemberState::kDead:
@@ -64,10 +64,10 @@ void Node::merge_remote_state(const proto::PushPull& p) {
         // must not masquerade as independent suspicions (that would collapse
         // LHA-Suspicion timeouts spuriously). Unknown members are ignored by
         // the suspect handler, matching memberlist.
-        on_suspect_msg(proto::Suspect{s.name, s.incarnation, name_});
+        on_suspect_msg(proto::SuspectView{s.name, s.incarnation, name_});
         break;
       case MemberState::kLeft:
-        on_dead_msg(proto::Dead{s.name, s.incarnation, s.name});
+        on_dead_msg(proto::DeadView{s.name, s.incarnation, s.name});
         break;
     }
     if (!running_) return;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "common/types.h"
 
@@ -39,7 +40,7 @@ class ProbeObserver {
   /// A relay reported its own timeliness with a nack (Lifeguard §IV-A)
   /// while the probe of `target` was still unresolved.
   virtual void on_probe_nack(const std::string& /*target*/,
-                             const std::string& /*relay*/) {}
+                             std::string_view /*relay*/) {}
 };
 
 }  // namespace lifeguard::swim

@@ -33,9 +33,10 @@ Suspicion::Suspicion(std::string member, std::uint64_t incarnation,
   seen_from_.insert(std::move(first_from));
 }
 
-bool Suspicion::confirm(const std::string& from) {
+bool Suspicion::confirm(std::string_view from) {
   if (confirmation_count_ >= k_) return false;
-  if (!seen_from_.insert(from).second) return false;
+  if (seen_from_.contains(from)) return false;
+  seen_from_.emplace(from);
   ++confirmation_count_;
   return true;
 }

@@ -16,7 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -24,6 +26,17 @@
 #include "runtime/runtime.h"
 
 namespace lifeguard::swim {
+
+/// std::hash<std::string> for containers keyed by member name that are
+/// looked up by std::string_view (with std::equal_to<>): the two hashes are
+/// equal, so a lookup builds no key string and the iteration order is that
+/// of a std::hash<std::string> container.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view name) const {
+    return std::hash<std::string_view>{}(name);
+  }
+};
 
 /// The paper's timeout formula, exposed for tests and benches.
 /// C < 0 is treated as 0; K <= 0 yields Min-style fixed behaviour via Max.
@@ -46,7 +59,7 @@ class Suspicion {
   /// is new AND more confirmations were still wanted — the caller should then
   /// re-gossip the suspicion and re-arm its timer (paper: the first K
   /// independent suspicions are re-gossiped).
-  bool confirm(const std::string& from);
+  bool confirm(std::string_view from);
 
   /// Current timeout given confirmations so far.
   Duration timeout() const;
@@ -77,7 +90,7 @@ class Suspicion {
   int k_;
   TimePoint start_;
   int confirmation_count_ = 0;  // C: independent confirmations after creation
-  std::unordered_set<std::string> seen_from_;
+  std::unordered_set<std::string, NameHash, std::equal_to<>> seen_from_;
 };
 
 }  // namespace lifeguard::swim

@@ -10,7 +10,10 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "swim/config.h"
 
 namespace lifeguard::harness::paper {
 namespace {
@@ -102,10 +105,8 @@ TEST(Sweep, QuickGridsAreSubsetsOfPaperGrids) {
       {"table7-threshold", {{8}, big_d, {0}, 2}},
       {"table7-interval", {{16}, {8192000, 32768000}, {4000, 256000}, 1}},
       {"ablation-nack", {{8, 16}, {8192000, 32768000}, {4000}, 1}},
-      {"ablation-regossip-interval", {{16}, {8192000, 32768000}, {4000}, 1}},
-      {"ablation-regossip-threshold", {{8}, {32768000}, {0}, 2}},
-      {"ablation-lhm-interval", {{16}, {8192000, 32768000}, {4000}, 1}},
-      {"ablation-lhm-threshold", {{8}, {32768000}, {0}, 2}},
+      {"knob-interval", {{16}, {8192000, 32768000}, {4000}, 1}},
+      {"knob-threshold", {{8}, {32768000}, {0}, 2}},
   };
   const auto subset = [](const std::vector<std::uint64_t>& v,
                          const std::vector<std::uint64_t>& of) {
@@ -317,6 +318,59 @@ TEST(PaperLedger, TheTenArtifactsAndTheirSharedSweeps) {
   EXPECT_EQ(key("fig2", full), key("table4", full));
 }
 
+/// The (sweep key, config) pairs of every artifact's rows: what a ledger
+/// printing all ten runs, one campaign each.
+std::size_t distinct_campaigns(const Options& opt, std::size_t* rows) {
+  std::vector<std::pair<std::string, swim::Config>> seen;
+  *rows = 0;
+  for (const Artifact& a : artifacts()) {
+    for (const Sweep& s : a.sweeps(opt)) {
+      for (const Campaign& c : s.campaigns) {
+        ++*rows;
+        const std::pair<std::string, swim::Config> p{s.key, c.base.config};
+        if (std::find(seen.begin(), seen.end(), p) == seen.end()) {
+          seen.push_back(p);
+        }
+      }
+    }
+  }
+  return seen.size();
+}
+
+TEST(PaperLedger, EachGridAndConfigRunsOnce) {
+  // The re-gossip and LHM ablations share their two grids, and their K=3
+  // and S=8 rows are both plain Lifeguard.
+  const auto row = [](const char* artifact, std::size_t sweep,
+                      const std::string& name, const Options& opt) {
+    const Sweep s = find(artifact)->sweeps(opt)[sweep];
+    for (const Campaign& c : s.campaigns) {
+      if (c.name == name) return std::pair{s.key, c.base.config};
+    }
+    ADD_FAILURE() << artifact << " has no row " << name;
+    return std::pair{std::string(), swim::Config{}};
+  };
+  for (const std::size_t sweep : {0u, 1u}) {
+    EXPECT_EQ(row("ablation-regossip", sweep, "3", {}),
+              row("ablation-lhm", sweep, "8", {}));
+  }
+  // Under --full, Table VII's SWIM and a=5 b=6 rows are Tables IV and V's
+  // SWIM and Lifeguard rows.
+  Options full;
+  full.full = true;
+  EXPECT_EQ(row("table7", 0, "SWIM", full), row("table5", 0, "SWIM", full));
+  EXPECT_EQ(row("table7", 1, "SWIM", full), row("table4", 0, "SWIM", full));
+  EXPECT_EQ(row("table7", 0, "a=5 b=6", full),
+            row("table5", 0, "Lifeguard", full));
+  EXPECT_EQ(row("table7", 1, "a=5 b=6", full),
+            row("table4", 0, "Lifeguard", full));
+
+  std::size_t rows = 0;
+  EXPECT_EQ(distinct_campaigns({}, &rows), 54u);
+  EXPECT_EQ(rows, 66u);
+  EXPECT_EQ(distinct_campaigns(full, &rows), 42u);
+  EXPECT_EQ(rows, 66u);
+}
+
 // Two artifacts over one sweep key: the ledger runs its trials once and
 // folds the one result for both.
 std::atomic<int> g_trials{0};
@@ -344,6 +398,67 @@ Table tiny_fold(const std::vector<const SweepResult*>& r) {
   Table t({"Trials"});
   t.add_row({std::to_string(r[0]->front().trials.size())});
   return t;
+}
+
+// Rows over one grid: X and Z run one config, Y and W two others. A
+// campaign of one config over another grid is another campaign.
+Campaign tiny_row(const Options& opt, const char* name, int k) {
+  Campaign c = tiny_sweeps(opt).front().campaigns.front();
+  c.name = name;
+  c.base.config = swim::Config::lifeguard();
+  c.base.config.suspicion_k = k;
+  return c;
+}
+
+std::vector<Sweep> xy_sweeps(const Options& opt) {
+  return {{"tiny", {tiny_row(opt, "X", 3), tiny_row(opt, "Y", 1)}}};
+}
+
+std::vector<Sweep> zw_sweeps(const Options& opt) {
+  return {{"tiny", {tiny_row(opt, "Z", 3), tiny_row(opt, "W", 0)}},
+          {"other", {tiny_row(opt, "X", 3)}}};
+}
+
+Table names_fold(const std::vector<const SweepResult*>& r) {
+  Table t({"Row", "Trials"});
+  for (const SweepResult* sweep : r) {
+    for (const CampaignResult& row : *sweep) {
+      t.add_row({row.campaign_name, std::to_string(row.trials.size())});
+    }
+  }
+  return t;
+}
+
+TEST(PaperLedger, RepeatedRowsRunOnceUnderTheirOwnNames) {
+  const Artifact xy{"xy", "XY", "nothing", "", xy_sweeps, names_fold};
+  const Artifact zw{"zw", "ZW", "nothing", "", zw_sweeps, names_fold};
+  Options opt;
+  opt.reps = 2;
+  opt.jobs = 1;
+  Ledger ledger(opt);
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  g_trials = 0;
+  ledger.print(xy, out);
+  EXPECT_EQ(ledger.campaigns_run(), 2u);
+  ledger.print(zw, out);
+  // Z is X's campaign: only W and the other grid's X run.
+  EXPECT_EQ(ledger.campaigns_run(), 4u);
+  EXPECT_EQ(g_trials, 8);
+
+  std::rewind(out);
+  std::string text;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, out) != nullptr) text += buf;
+  std::fclose(out);
+  // Z's row folds X's result under its own name.
+  Table want({"Row", "Trials"});
+  for (const char* name : {"Z", "W", "X"}) want.add_row({name, "2"});
+  EXPECT_NE(text.find("== ZW ==\nReproduces: nothing\nMode: quick grid, "
+                      "--reps 2, seed 42, jobs 1\n\n" +
+                      want.render()),
+            std::string::npos)
+      << text;
 }
 
 TEST(PaperLedger, SharedSweepRunsOnceAndPrintsTheBanner) {
