@@ -93,7 +93,7 @@ void CentralAgent::publish(swim::EventType type, std::uint32_t member_index,
 void CentralAgent::send_bytes(const Address& to,
                               std::vector<std::uint8_t> bytes,
                               const char* type) {
-  det_.count_sent(type, bytes.size());
+  det_.count_sent(type, bytes.size(), Channel::kUdp);
   rt_.send(to, std::move(bytes), Channel::kUdp);
 }
 

@@ -25,6 +25,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/names.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "runtime/runtime.h"
@@ -78,6 +79,7 @@ class UdpRuntime final : public Runtime {
   void send(const Address& to, std::vector<std::uint8_t> payload,
             Channel channel) override;
   Rng& rng() override { return rng_; }
+  NameIndex& names() override { return names_; }
 
  private:
   struct Timer {
@@ -114,6 +116,7 @@ class UdpRuntime final : public Runtime {
   std::deque<std::function<void()>> tasks_;
 
   // Loop-thread-only state.
+  NameIndex names_;
   std::priority_queue<Timer, std::vector<Timer>, TimerLater> timers_;
   std::unordered_set<TimerId> cancelled_;
   TimerId next_timer_id_ = 1;

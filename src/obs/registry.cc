@@ -2,17 +2,47 @@
 
 namespace lifeguard::obs {
 
-NodeMetrics::NodeMetrics(Metrics& m)
+NetMetrics::NetMetrics(Metrics& m, bool per_channel)
     : metrics_(&m),
       msgs_sent_(&m.counter("net.msgs_sent")),
       bytes_sent_(&m.counter("net.bytes_sent")),
       msgs_received_(&m.counter("net.msgs_received")),
       bytes_received_(&m.counter("net.bytes_received")),
-      malformed_(&m.counter("net.malformed")),
-      sent_ch_{&m.counter(std::string("net.sent_ch.") +
-                          channel_name(Channel::kUdp)),
-               &m.counter(std::string("net.sent_ch.") +
-                          channel_name(Channel::kReliable))},
+      malformed_(&m.counter("net.malformed")) {
+  if (!per_channel) return;
+  for (const Channel ch : {Channel::kUdp, Channel::kReliable}) {
+    sent_ch_[static_cast<std::size_t>(ch)] =
+        &m.counter(std::string("net.sent_ch.") + channel_name(ch));
+  }
+}
+
+void NetMetrics::count_sent(const char* type, std::size_t bytes, Channel ch) {
+  msgs_sent_->add();
+  bytes_sent_->add(static_cast<std::int64_t>(bytes));
+  Counter* type_counter = nullptr;
+  for (const auto& [t, c] : sent_type_) {
+    if (t == type) {
+      type_counter = c;
+      break;
+    }
+  }
+  if (type_counter == nullptr) {
+    type_counter = &metrics_->counter(std::string("net.sent.") + type);
+    sent_type_.emplace_back(type, type_counter);
+  }
+  type_counter->add();
+  if (Counter* by_channel = sent_ch_[static_cast<std::size_t>(ch)]) {
+    by_channel->add();
+  }
+}
+
+void NetMetrics::count_received(std::size_t bytes) {
+  msgs_received_->add();
+  bytes_received_->add(static_cast<std::int64_t>(bytes));
+}
+
+NodeMetrics::NodeMetrics(Metrics& m)
+    : NetMetrics(m, true),
       probe_started_(&m.counter("probe.started")),
       probe_indirect_(&m.counter("probe.indirect")),
       probe_failed_(&m.counter("probe.failed")),
@@ -45,60 +75,10 @@ NodeMetrics::NodeMetrics(Metrics& m)
       sync_received_(&m.counter("sync.received")),
       reconnect_attempts_(&m.counter("sync.reconnect_attempts")) {}
 
-void NodeMetrics::count_sent(const char* type, std::size_t bytes, Channel ch) {
-  msgs_sent_->add();
-  bytes_sent_->add(static_cast<std::int64_t>(bytes));
-  Counter* type_counter = nullptr;
-  for (const auto& [t, c] : sent_type_) {
-    if (t == type) {
-      type_counter = c;
-      break;
-    }
-  }
-  if (type_counter == nullptr) {
-    type_counter = &metrics_->counter(std::string("net.sent.") + type);
-    sent_type_.emplace_back(type, type_counter);
-  }
-  type_counter->add();
-  sent_ch_[static_cast<std::size_t>(ch)]->add();
-}
-
-void NodeMetrics::count_received(std::size_t bytes) {
-  msgs_received_->add();
-  bytes_received_->add(static_cast<std::int64_t>(bytes));
-}
-
 DetectionMetrics::DetectionMetrics(Metrics& m)
-    : metrics_(&m),
-      msgs_sent_(&m.counter("net.msgs_sent")),
-      bytes_sent_(&m.counter("net.bytes_sent")),
-      msgs_received_(&m.counter("net.msgs_received")),
-      bytes_received_(&m.counter("net.bytes_received")),
-      malformed_(&m.counter("net.malformed")),
+    : NetMetrics(m, false),
       heartbeat_sent_(&m.counter("detect.heartbeat_sent")),
       heartbeat_missed_(&m.counter("detect.heartbeat_missed")),
       coordinator_rtt_us_(&m.histogram("detect.coordinator_rtt_us")) {}
-
-void DetectionMetrics::count_sent(const char* type, std::size_t bytes) {
-  msgs_sent_->add();
-  bytes_sent_->add(static_cast<std::int64_t>(bytes));
-  Counter* type_counter = nullptr;
-  for (const auto& [t, c] : sent_type_) {
-    if (t == type) {
-      type_counter = c;
-      break;
-    }
-  }
-  if (type_counter == nullptr) {
-    type_counter = &metrics_->counter(std::string("net.sent.") + type);
-    sent_type_.emplace_back(type, type_counter);
-  }
-  type_counter->add();
-}
-
-void DetectionMetrics::count_received(std::size_t bytes) {
-  msgs_received_->add();
-  bytes_received_->add(static_cast<std::int64_t>(bytes));
-}
 
 }  // namespace lifeguard::obs

@@ -40,7 +40,36 @@ class Gauge {
   double value_ = 0.0;
 };
 
-class NodeMetrics {
+/// The net.* counters every backend keeps, resolved in `m` (net.sent_ch.<ch>
+/// only when `per_channel`): one count_sent() keeps harness message-load
+/// accounting backend-uniform.
+class NetMetrics {
+ public:
+  NetMetrics(Metrics& m, bool per_channel);
+
+  /// One outbound datagram: bumps net.msgs_sent / net.bytes_sent, the
+  /// per-kind "net.sent.<type>" counter and, if resolved, the per-channel
+  /// one. `type` must be a string literal (pointer identity keys the
+  /// per-kind cache).
+  void count_sent(const char* type, std::size_t bytes, Channel ch);
+  void count_received(std::size_t bytes);
+  Counter& malformed() { return *malformed_; }
+
+ private:
+  Metrics* metrics_;
+  Counter* msgs_sent_;
+  Counter* bytes_sent_;
+  Counter* msgs_received_;
+  Counter* bytes_received_;
+  Counter* malformed_;
+  Counter* sent_ch_[2] = {};  ///< by Channel; null unless per_channel
+  /// Per-message-kind counters, keyed by literal pointer identity (a
+  /// duplicated literal only costs one redundant entry aimed at the same
+  /// counter).
+  std::vector<std::pair<const char*, Counter*>> sent_type_;
+};
+
+class NodeMetrics : public NetMetrics {
  public:
   /// Resolves every fixed-name counter and histogram in `m`. Counter
   /// references are node-stable (std::map) for the registry's lifetime, so
@@ -48,15 +77,6 @@ class NodeMetrics {
   /// zero) even when an event never fires; counter_value() reads the same
   /// either way.
   explicit NodeMetrics(Metrics& m);
-
-  // ---- network, labelled by message kind and channel ----
-  /// One outbound datagram: bumps net.msgs_sent / net.bytes_sent plus the
-  /// per-kind ("net.sent.<type>") and per-channel ("net.sent_ch.<ch>")
-  /// counters. `type` must be a string literal (pointer identity keys the
-  /// per-kind cache, as count_sent() always did).
-  void count_sent(const char* type, std::size_t bytes, Channel ch);
-  void count_received(std::size_t bytes);
-  Counter& malformed() { return *malformed_; }
 
   // ---- probe pipeline, labelled by phase ----
   Counter& probe_started() { return *probe_started_; }
@@ -106,19 +126,6 @@ class NodeMetrics {
   const Gauge& gossip_pending() const { return gossip_pending_; }
 
  private:
-  Metrics* metrics_;
-
-  Counter* msgs_sent_;
-  Counter* bytes_sent_;
-  Counter* msgs_received_;
-  Counter* bytes_received_;
-  Counter* malformed_;
-  Counter* sent_ch_[2];  ///< by Channel
-  /// Per-message-kind counters, keyed by literal pointer identity (a
-  /// duplicated literal only costs one redundant entry aimed at the same
-  /// counter).
-  std::vector<std::pair<const char*, Counter*>> sent_type_;
-
   Counter* probe_started_;
   Counter* probe_indirect_;
   Counter* probe_failed_;
@@ -164,17 +171,10 @@ class NodeMetrics {
 /// paths bump plain pointers. The names feed the obs catalog ids 16..18
 /// (obs/catalog.h); swim leaves them untouched, so the sampler only emits
 /// those series for non-swim backends.
-class DetectionMetrics {
+class DetectionMetrics : public NetMetrics {
  public:
+  /// Resolves the net.* counters, without per-channel ones, and the rest.
   explicit DetectionMetrics(Metrics& m);
-
-  /// One outbound protocol datagram: bumps net.msgs_sent / net.bytes_sent
-  /// plus the per-kind "net.sent.<type>" counter, mirroring
-  /// NodeMetrics::count_sent so harness message-load accounting is
-  /// backend-uniform. `type` must be a string literal.
-  void count_sent(const char* type, std::size_t bytes);
-  void count_received(std::size_t bytes);
-  Counter& malformed() { return *malformed_; }
 
   Counter& heartbeat_sent() { return *heartbeat_sent_; }
   Counter& heartbeat_missed() { return *heartbeat_missed_; }
@@ -183,13 +183,6 @@ class DetectionMetrics {
   const Histogram& coordinator_rtt_us() const { return *coordinator_rtt_us_; }
 
  private:
-  Metrics* metrics_;
-  Counter* msgs_sent_;
-  Counter* bytes_sent_;
-  Counter* msgs_received_;
-  Counter* bytes_received_;
-  Counter* malformed_;
-  std::vector<std::pair<const char*, Counter*>> sent_type_;
   Counter* heartbeat_sent_;
   Counter* heartbeat_missed_;
   Histogram* coordinator_rtt_us_;

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <functional>
+#include <memory>
 #include <stdexcept>
-#include <utility>
 
 #include "proto/wire.h"
 
@@ -24,6 +23,14 @@ int retransmit_limit(int retransmit_mult, int n) {
   const double scale = std::ceil(std::log10(static_cast<double>(n) + 1.0));
   return static_cast<int>(retransmit_mult * std::max(1.0, scale));
 }
+
+BroadcastQueue::BroadcastQueue(int retransmit_mult)
+    : own_names_(std::make_unique<NameIndex>()),
+      names_(own_names_.get()),
+      retransmit_mult_(retransmit_mult) {}
+
+BroadcastQueue::BroadcastQueue(int retransmit_mult, NameIndex& names)
+    : names_(&names), retransmit_mult_(retransmit_mult) {}
 
 // ---- per-count sets ----
 
@@ -47,62 +54,11 @@ void BroadcastQueue::unplace(std::uint32_t pos) {
   --counts_[t];
 }
 
-// ---- key index ----
-
-std::uint32_t BroadcastQueue::hash_key(std::string_view key) {
-  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(key));
-}
-
-std::size_t BroadcastQueue::bucket_of(std::string_view key,
-                                      std::uint32_t hash) const {
-  const std::size_t mask = index_.size() - 1;
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    const Bucket& b = index_[i];
-    if (b.pos == kNone) return i;
-    if (b.hash != hash) continue;
-    if (key_of(entries_[b.pos]) == key) return i;
-  }
-}
-
-void BroadcastQueue::insert_bucket(Bucket b) {
-  const std::size_t mask = index_.size() - 1;
-  std::size_t i = b.hash & mask;
-  while (index_[i].pos != kNone) i = (i + 1) & mask;
-  index_[i] = b;
-}
-
-void BroadcastQueue::grow_index() {
-  const std::size_t capacity = std::max<std::size_t>(16, 2 * index_.size());
-  const std::vector<Bucket> old =
-      std::exchange(index_, std::vector<Bucket>(capacity));
-  for (const Bucket& b : old) {
-    if (b.pos != kNone) insert_bucket(b);
-  }
-}
-
-void BroadcastQueue::unindex(std::size_t pos) {
-  const std::size_t mask = index_.size() - 1;
-  for (std::size_t i = (pos + 1) & mask; index_[i].pos != kNone;
-       i = (i + 1) & mask) {
-    // Shift the entry back into the hole unless that would put it before
-    // its home bucket on the probe path.
-    const std::size_t home = index_[i].hash & mask;
-    if (((i - home) & mask) >= ((i - pos) & mask)) {
-      index_[pos] = index_[i];
-      pos = i;
-    }
-  }
-  index_[pos] = Bucket{};
-}
-
 // ---- storage ----
 
 void BroadcastQueue::erase(std::uint32_t pos) {
   Entry& e = entries_[pos];
-  const std::size_t mask = index_.size() - 1;
-  std::size_t b = e.hash & mask;
-  while (index_[b].pos != pos) b = (b + 1) & mask;
-  unindex(b);
+  pos_of_.at(e.key, *names_) = kNone;
   e.transmits = kHole;
   --live_;
 }
@@ -114,31 +70,26 @@ void BroadcastQueue::compact() {
   std::uint32_t write = 0;
   for (Entry e : entries_) {
     if (e.transmits == kHole) continue;
-    const std::uint32_t bytes = e.key_size + e.frame_size;
     if (write != e.at) {  // moves down: `write` never passes `e.at`
-      std::copy_n(arena_.begin() + e.at, bytes, arena_.begin() + write);
+      std::copy_n(arena_.begin() + e.at, e.frame_size, arena_.begin() + write);
     }
     e.at = write;
-    write += bytes;
+    write += e.frame_size;
     entries_[next] = e;
     place(next, e.transmits);
+    pos_of_.at(e.key, *names_) = next;
     ++next;
   }
   entries_.resize(next);
   arena_.resize(write);
-  std::fill(index_.begin(), index_.end(), Bucket{});
-  for (std::uint32_t pos = 0; pos < next; ++pos) {
-    insert_bucket(Bucket{pos, entries_[pos].hash});
-  }
 }
 
 void BroadcastQueue::release_if_drained() {
   if (live_ != 0) return;
   entries_ = std::vector<Entry>();
   arena_ = std::vector<std::uint8_t>();
-  index_ = std::vector<Bucket>();
-  // The sets hold a word per 64 positions per count: emptied, not freed,
-  // so a short queue that drains and refills does not reallocate them.
+  // pos_of_ (all kNone) stays, and the sets, a word per 64 positions per
+  // count, are emptied, not freed: a refilled short queue reuses them.
   for (std::vector<std::uint64_t>& words : sets_) words.clear();
   std::fill(counts_.begin(), counts_.end(), 0);
   min_frame_size_ = SIZE_MAX;
@@ -152,37 +103,31 @@ void BroadcastQueue::queue(std::string_view member,
       2 * (entries_.size() - live_) >= entries_.size()) {
     compact();
   }
-  if (entries_.size() >= kNone ||
-      arena_.size() + member.size() + frame.size() > UINT32_MAX) {
+  if (entries_.size() >= kNone || arena_.size() + frame.size() > UINT32_MAX) {
     throw std::length_error("broadcast queue arena exceeds 32-bit offsets");
   }
-  if (2 * (live_ + 1) > index_.size()) grow_index();
-  const std::uint32_t hash = hash_key(member);
+  const NameIndex::Id key = names_->intern(member);
   const auto pos = static_cast<std::uint32_t>(entries_.size());
-  Bucket& b = index_[bucket_of(member, hash)];
-  if (b.pos != kNone) {
+  std::uint32_t& queued = pos_of_.at(key, *names_);
+  if (queued != kNone) {
     // The new update supersedes the queued one, whose position is a hole.
-    unplace(b.pos);
-    entries_[b.pos].transmits = kHole;
-    b.pos = pos;
+    unplace(queued);
+    entries_[queued].transmits = kHole;
   } else {
-    b = Bucket{pos, hash};
     ++live_;
   }
+  queued = pos;
   Entry& e = entries_.emplace_back();
   e.at = static_cast<std::uint32_t>(arena_.size());
-  e.key_size = static_cast<std::uint32_t>(member.size());
   e.frame_size = static_cast<std::uint32_t>(frame.size());
-  e.hash = hash;
-  arena_.insert(arena_.end(), member.begin(), member.end());
+  e.key = key;
   arena_.insert(arena_.end(), frame.begin(), frame.end());
   place(pos, 0);
   min_frame_size_ = std::min(min_frame_size_, frame.size());
 }
 
 void BroadcastQueue::invalidate(std::string_view member) {
-  if (index_.empty()) return;
-  const std::uint32_t pos = index_[bucket_of(member, hash_key(member))].pos;
+  const std::uint32_t pos = pos_of_.get(names_->find(member));
   if (pos == kNone) return;
   unplace(pos);
   erase(pos);

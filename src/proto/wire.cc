@@ -28,22 +28,6 @@ const char* msg_type_name(MsgType t) {
   return "?";
 }
 
-MsgType message_type(const Message& m) {
-  struct Visitor {
-    MsgType operator()(const Ping&) const { return MsgType::kPing; }
-    MsgType operator()(const PingReq&) const { return MsgType::kPingReq; }
-    MsgType operator()(const Ack&) const { return MsgType::kAck; }
-    MsgType operator()(const Nack&) const { return MsgType::kNack; }
-    MsgType operator()(const Suspect&) const { return MsgType::kSuspect; }
-    MsgType operator()(const Alive&) const { return MsgType::kAlive; }
-    MsgType operator()(const Dead&) const { return MsgType::kDead; }
-    MsgType operator()(const PushPull& p) const {
-      return p.is_response ? MsgType::kPushPullResp : MsgType::kPushPullReq;
-    }
-  };
-  return std::visit(Visitor{}, m);
-}
-
 void encode(const Message& m, BufWriter& w) {
   std::visit([&w](const auto& msg) { encode(msg, w); }, m);
 }

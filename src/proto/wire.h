@@ -236,8 +236,6 @@ using PushPullView = BasicPushPull<std::string_view>;
 using Message = std::variant<Ping, PingReq, Ack, Nack, Suspect, Alive, Dead,
                              PushPull>;
 
-MsgType message_type(const Message& m);
-
 // ---- encoding: each message with its type tag, from either form ----------
 
 template <class Str>

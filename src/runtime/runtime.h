@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "common/names.h"
 #include "common/rng.h"
 #include "common/task.h"
 #include "common/types.h"
@@ -54,6 +55,10 @@ class Runtime {
   /// fresh vector. Purely a capacity hint — contents and semantics of the
   /// buffer are the caller's.
   virtual std::vector<std::uint8_t> acquire_buffer() { return {}; }
+
+  /// The name index (common/names.h) the node's table and gossip queue key
+  /// members by: the simulator's one index, or a real runtime's own.
+  virtual NameIndex& names() = 0;
 
   /// True while an injected anomaly is blocking this node's message I/O.
   /// The simulator uses this to model the paper's blocked send/recv

@@ -44,6 +44,8 @@ std::vector<std::uint8_t> SimRuntime::acquire_buffer() {
   return sim_.acquire_buffer();
 }
 
+NameIndex& SimRuntime::names() { return sim_.names(); }
+
 void SimRuntime::deliver(const Address& from,
                          std::vector<std::uint8_t> payload, Channel channel) {
   if (!blocked_ && pending_in_.empty()) {

@@ -49,6 +49,7 @@ class SimRuntime final : public Runtime {
   Rng& rng() override { return rng_; }
   bool blocked() const override { return blocked_; }
   std::vector<std::uint8_t> acquire_buffer() override;
+  NameIndex& names() override;
 
   // Simulator-facing.
   void attach(PacketHandler* handler, std::function<void()> on_unblock);

@@ -22,6 +22,10 @@ Simulator::Simulator(int num_nodes, const swim::Config& cfg, SimParams params)
   agents_.reserve(static_cast<std::size_t>(num_nodes));
   subscriptions_.resize(static_cast<std::size_t>(num_nodes));
   crashed_.assign(static_cast<std::size_t>(num_nodes), false);
+  // Node i's name is id i of the index its nodes share.
+  for (int i = 0; i < num_nodes; ++i) {
+    names_.intern("node-" + std::to_string(i));
+  }
   for (int i = 0; i < num_nodes; ++i) {
     // Backend creation is argument-for-argument the old direct
     // make_unique<swim::Node> call and draws no randomness, preserving the
@@ -36,7 +40,7 @@ Simulator::Simulator(int num_nodes, const swim::Config& cfg, SimParams params)
 
 membership::AgentParams Simulator::agent_params(int index) const {
   membership::AgentParams p;
-  p.name = "node-" + std::to_string(index);
+  p.name = std::string(names_.name(static_cast<NameIndex::Id>(index)));
   p.address = sim_address(index);
   p.index = index;
   p.cluster_size = static_cast<int>(crashed_.size());

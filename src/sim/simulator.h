@@ -15,6 +15,7 @@
 
 #include "check/events.h"
 #include "common/metrics.h"
+#include "common/names.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "membership/backend.h"
@@ -115,6 +116,8 @@ class Simulator {
   SimRuntime& runtime(int index) {
     return *runtimes_[static_cast<std::size_t>(index)];
   }
+  /// The name index all nodes' tables and queues share; node i is id i.
+  NameIndex& names() { return names_; }
   /// Cluster-wide feed of every node's membership events; survives
   /// restart_node (new incarnations are re-attached).
   swim::EventBus& event_bus() { return bus_; }
@@ -201,6 +204,7 @@ class Simulator {
   const membership::Backend* backend_ = nullptr;
   swim::EventBus bus_;
   std::unique_ptr<Network> network_;
+  NameIndex names_;  ///< outlives the runtimes and agents below
   std::vector<std::unique_ptr<SimRuntime>> runtimes_;
   std::vector<std::unique_ptr<membership::Agent>> agents_;
   std::vector<swim::EventBus::Subscription> subscriptions_;

@@ -1,7 +1,6 @@
 #include "swim/membership.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 namespace lifeguard::swim {
@@ -41,61 +40,19 @@ void MembershipTable::IdSet::rename(Id from, Id to) {
   at[from] = kNone;
 }
 
-// ---- name index ----
-
-std::uint32_t MembershipTable::hash_name(std::string_view name) {
-  // std::hash<std::string_view> equals std::hash<std::string>.
-  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
-}
-
-std::size_t MembershipTable::bucket_of(std::string_view name,
-                                       std::uint32_t hash) const {
-  const std::size_t mask = index_.size() - 1;
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    const Bucket& b = index_[i];
-    if (b.id == kNone || (b.hash == hash && slots_[b.id].name == name)) {
-      return i;
-    }
-  }
-}
-
-MembershipTable::Id MembershipTable::lookup(std::string_view name) const {
-  if (index_.empty()) return kNone;
-  return index_[bucket_of(name, hash_name(name))].id;
-}
-
-void MembershipTable::grow_index() {
-  const std::size_t capacity = std::max<std::size_t>(16, 2 * index_.size());
-  std::vector<Bucket> old =
-      std::exchange(index_, std::vector<Bucket>(capacity));
-  const std::size_t mask = index_.size() - 1;
-  for (const Bucket& b : old) {
-    if (b.id == kNone) continue;
-    std::size_t i = b.hash & mask;
-    while (index_[i].id != kNone) i = (i + 1) & mask;
-    index_[i] = b;
-  }
-}
-
-void MembershipTable::unindex(std::size_t pos) {
-  const std::size_t mask = index_.size() - 1;
-  for (std::size_t i = (pos + 1) & mask; index_[i].id != kNone;
-       i = (i + 1) & mask) {
-    // Shift the entry back into the hole unless that would put it before
-    // its home bucket on the probe path.
-    const std::size_t home = index_[i].hash & mask;
-    if (((i - home) & mask) >= ((i - pos) & mask)) {
-      index_[pos] = index_[i];
-      pos = i;
-    }
-  }
-  index_[pos] = Bucket{};
-}
-
 // ---- table ----
 
 MembershipTable::MembershipTable(std::string self_name)
-    : self_(std::move(self_name)) {}
+    : own_names_(std::make_unique<NameIndex>()),
+      names_(own_names_.get()),
+      self_(std::move(self_name)) {}
+
+MembershipTable::MembershipTable(std::string self_name, NameIndex& names)
+    : names_(&names), self_(std::move(self_name)) {}
+
+MembershipTable::Id MembershipTable::lookup(std::string_view name) const {
+  return slot_of_.get(names_->find(name));
+}
 
 Member* MembershipTable::find(std::string_view name) {
   const Id id = lookup(name);
@@ -119,14 +76,10 @@ void MembershipTable::track(Id id) {
 }
 
 Member& MembershipTable::add(Member m, Rng& rng) {
-  const std::uint32_t hash = hash_name(m.name);
-  if (!index_.empty()) {
-    const Id known = index_[bucket_of(m.name, hash)].id;
-    if (known != kNone) return slots_[known];
-  }
-  if (2 * (slots_.size() + 1) > index_.size()) grow_index();
+  Id& slot = slot_of_.at(names_->intern(m.name), *names_);
+  if (slot != kNone) return slots_[slot];
   const Id id = static_cast<Id>(slots_.size());
-  index_[bucket_of(m.name, hash)] = Bucket{id, hash};
+  slot = id;
   slots_.push_back(std::move(m));
   if (slots_[id].name == self_) {
     self_id_ = id;
@@ -150,11 +103,9 @@ void MembershipTable::set_state(Member& m, MemberState s, TimePoint now) {
 }
 
 void MembershipTable::remove(std::string_view name) {
-  if (index_.empty()) return;
-  const std::size_t pos = bucket_of(name, hash_name(name));
-  const Id id = index_[pos].id;
+  const Id id = lookup(name);
   if (id == kNone) return;
-  unindex(pos);
+  slot_of_.at(names_->find(name), *names_) = kNone;
   active_.erase(id);
   dead_.erase(id);
   if (id == self_id_) self_id_ = kNone;
@@ -171,8 +122,7 @@ void MembershipTable::remove(std::string_view name) {
   // Keep the slots dense: the last member moves into the freed id.
   const Id last = static_cast<Id>(slots_.size() - 1);
   if (id != last) {
-    const std::string& moved = slots_[last].name;
-    index_[bucket_of(moved, hash_name(moved))].id = id;
+    slot_of_.at(names_->find(slots_[last].name), *names_) = id;
     active_.rename(last, id);
     dead_.rename(last, id);
     std::replace(probe_order_.begin(), probe_order_.end(), last, id);

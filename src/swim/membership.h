@@ -6,20 +6,22 @@
 // the list is reshuffled after each full pass. This bounds worst-case
 // first-detection latency while preserving the expected-case analysis.
 //
-// Members live in dense slots addressed by a table-local id. A flat
-// open-addressing index maps names to ids, and two maintained id sets (the
-// active members and the dead ones, self excluded) let every uniform random
-// pick (gossip targets, ping-req relays, push-pull and reconnect peers) cost
-// O(k) instead of a scan of all n members.
+// Members live in dense slots addressed by a table-local id, found through
+// an id → slot vector over a shared NameIndex (common/names.h). Two
+// maintained id sets (the active members and the dead ones, self excluded)
+// let every uniform random pick (gossip targets, ping-req relays, push-pull
+// and reconnect peers) cost O(k) instead of a scan of all n members.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <ranges>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/names.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "swim/member.h"
@@ -29,10 +31,12 @@ namespace lifeguard::swim {
 class MembershipTable {
  public:
   /// `self` is excluded from probe/gossip target selection but stored like
-  /// any member (it must appear in push-pull state).
+  /// any member (it must appear in push-pull state). Names resolve through
+  /// `names` (which must outlive the table), or a private NameIndex.
   explicit MembershipTable(std::string self_name);
+  MembershipTable(std::string self_name, NameIndex& names);
 
-  // ---- lookup ----
+  // ---- lookup (never interns a name) ----
   /// The stored record, or nullptr. The pointer is invalidated by a later
   /// add(), which may grow the slot vector, and by remove(), which moves the
   /// last slot into the freed one.
@@ -67,16 +71,17 @@ class MembershipTable {
   }
 
   // ---- mutation ----
-  /// Insert a new member (or return the stored one if the name is known).
-  /// Members other than self also enter the probe list at a random position
-  /// (SWIM's join rule). The returned reference is invalidated like find()'s
-  /// pointer: by the next add() or remove().
+  /// Insert a new member (or return the stored one if the name is known);
+  /// the one call that interns a name. Members other than self also enter
+  /// the probe list at a random position (SWIM's join rule). The returned
+  /// reference is invalidated like find()'s pointer: by the next add() or
+  /// remove().
   Member& add(Member m, Rng& rng);
   /// Update state; moves the member between the active and dead sets. `m`
   /// must be a record of this table (from find or add). Does not touch probe
   /// order (inactive members are skipped lazily at selection time).
   void set_state(Member& m, MemberState s, TimePoint now);
-  /// Drop a member entirely (dead-reclaim housekeeping).
+  /// Drop a member entirely (dead-reclaim housekeeping); its name stays.
   void remove(std::string_view name);
 
   // ---- probe order ----
@@ -119,21 +124,8 @@ class MembershipTable {
     /// The member with id `from` now has id `to` (which is not in the set).
     void rename(Id from, Id to);
   };
-  /// Name-index bucket: the member's id and 32 bits of its name's hash, so
-  /// a probe compares strings only on a hash match.
-  struct Bucket {
-    Id id = kNone;
-    std::uint32_t hash = 0;
-  };
-
-  static std::uint32_t hash_name(std::string_view name);
-  /// Position of `name`'s bucket, or of the empty bucket that ends its probe
-  /// run. `index_` must be non-empty.
-  std::size_t bucket_of(std::string_view name, std::uint32_t hash) const;
+  /// The slot of `name`, or kNone; never interns.
   Id lookup(std::string_view name) const;
-  void grow_index();
-  /// Backward-shift deletion of the bucket at `pos` (no tombstones).
-  void unindex(std::size_t pos);
   /// Puts a non-self member into the sets its state calls for.
   void track(Id id);
   /// The first `k` positions of a partial Fisher–Yates over the sequence
@@ -143,13 +135,14 @@ class MembershipTable {
   std::vector<Member*> sample(int k, Rng& rng, IdSet& set, std::size_t end,
                               std::vector<Id> extra);
 
+  std::unique_ptr<NameIndex> own_names_;  ///< set when built without one
+  NameIndex* names_;
   std::string self_;
   Id self_id_ = kNone;
   /// Member records by id. Dense: remove() moves the last slot into the gap.
   std::vector<Member> slots_;
-  /// Open-addressing name → id index (linear probing, power-of-two size, at
-  /// most half full).
-  std::vector<Bucket> index_;
+  /// Each member's slot by name id.
+  IdMap slot_of_;
   IdSet active_;
   IdSet dead_;
   /// Round-robin probe order as ids (self never appears).

@@ -13,14 +13,14 @@ Node::Node(std::string name, Address addr, Config cfg, Runtime& rt)
       addr_(addr),
       cfg_(cfg),
       rt_(rt),
-      table_(name_),
-      bcast_(cfg.retransmit_mult),
+      table_(name_, rt.names()),
+      bcast_(cfg.retransmit_mult, rt.names()),
       health_(cfg.lhm_max, cfg.lha_probe),
       log_(name_, LogLevel::kOff),
       obs_(metrics_) {
   if (cfg_.buddy_system) {
     piggyback_ = std::make_unique<BuddyPiggyback>(
-        bcast_, [this](const std::string& t) { return buddy_frame(t); });
+        bcast_, [this](std::string_view t) { return buddy_frame(t); });
   } else {
     piggyback_ = std::make_unique<DefaultPiggyback>(bcast_);
   }
@@ -71,7 +71,7 @@ void Node::send_join_requests() {
     req.from = name_;
     req.from_addr = addr_;
     req.members = snapshot_state();
-    send_message(seed, Channel::kReliable, req, nullptr);
+    send_message(seed, Channel::kReliable, req);
   }
 }
 
@@ -199,7 +199,7 @@ void Node::push_pull_round() {
   req.from = name_;
   req.from_addr = addr_;
   req.members = snapshot_state();
-  send_message(peers.front()->addr, Channel::kReliable, req, nullptr);
+  send_message(peers.front()->addr, Channel::kReliable, req);
 }
 
 void Node::reconnect_tick() {
@@ -218,7 +218,7 @@ void Node::reconnect_tick() {
   req.from = name_;
   req.from_addr = addr_;
   req.members = snapshot_state();
-  send_message(dead.front()->addr, Channel::kReliable, req, nullptr);
+  send_message(dead.front()->addr, Channel::kReliable, req);
   obs_.reconnect_attempts().add();
 }
 
@@ -280,17 +280,11 @@ void Node::on_unblocked() {
 
 // ---- outbound ------------------------------------------------------------
 
-void Node::send_message(const Address& to, Channel ch,
-                        const proto::Message& control,
-                        const std::string* ping_target) {
-  BufWriter cw(64);
-  proto::encode(control, cw);
-  const std::vector<std::uint8_t> control_frame = std::move(cw).take();
-
+void Node::send_control(const Address& to, Channel ch,
+                        std::string_view ping_target) {
   proto::CompoundWriter datagram(rt_.acquire_buffer());
-  const std::size_t base =
-      control_frame.size() + proto::kCompoundHeaderBytes +
-      proto::compound_frame_overhead(control_frame.size());
+  const std::size_t base = frame_.size() + proto::kCompoundHeaderBytes +
+                           proto::compound_frame_overhead(frame_.size());
   if (base < cfg_.max_packet_bytes) {
     piggyback_->select(datagram, cfg_.max_packet_bytes - base,
                        table_.num_active(), ping_target);
@@ -298,11 +292,13 @@ void Node::send_message(const Address& to, Channel ch,
   // Gossip first, control last: a buddy-carried suspect about the ping
   // target is then processed before the ping, so the ack can already carry
   // the refutation.
-  datagram.add(control_frame);
+  datagram.add(frame_);
   auto bytes = std::move(datagram).take();
-  count_sent(proto::msg_type_name(proto::message_type(control)), bytes.size(),
-             ch);
+  count_sent(proto::msg_type_name(static_cast<proto::MsgType>(frame_[0])),
+             bytes.size(), ch);
   rt_.send(to, std::move(bytes), ch);
+  // A push-pull's frame holds n snapshots: keep at most a packet's worth.
+  if (frame_.capacity() > cfg_.max_packet_bytes) frame_ = decltype(frame_)();
 }
 
 void Node::send_gossip(const Address& to) {
@@ -310,7 +306,7 @@ void Node::send_gossip(const Address& to) {
   proto::CompoundWriter datagram(rt_.acquire_buffer());
   piggyback_->select(datagram,
                      cfg_.max_packet_bytes - proto::kCompoundHeaderBytes,
-                     table_.num_active(), nullptr);
+                     table_.num_active(), {});
   if (datagram.count() == 0) return;
   auto bytes = std::move(datagram).take();
   count_sent("gossip", bytes.size(), Channel::kUdp);

@@ -130,11 +130,17 @@ class Node : public membership::Agent {
 
  private:
   // ---- outbound (node.cc) ----
-  /// Encode `control` plus piggybacked gossip into one compound datagram and
-  /// transmit it. Gossip frames precede the control frame so a refutation
-  /// triggered by a buddy suspect is processed before the ping it rides on.
-  void send_message(const Address& to, Channel ch, const proto::Message& control,
-                    const std::string* ping_target);
+  /// Encode `control` (either message form) plus piggybacked gossip into one
+  /// compound datagram and transmit it. Gossip frames precede the control
+  /// frame so a refutation triggered by a buddy suspect is processed before
+  /// the ping it rides on. `ping_target` names a ping's target; it is a null
+  /// view for any other message.
+  template <class Control>
+  void send_message(const Address& to, Channel ch, const Control& control,
+                    std::string_view ping_target = {});
+  /// send_message's non-template half, for the control frame in frame_.
+  void send_control(const Address& to, Channel ch,
+                    std::string_view ping_target);
   /// Pure gossip datagram (dedicated gossip tick); no-op if nothing queued.
   void send_gossip(const Address& to);
   void count_sent(const char* type, std::size_t bytes, Channel ch);
@@ -197,7 +203,7 @@ class Node : public membership::Agent {
   /// Encoded suspect frame about `target` iff we currently suspect it
   /// (Buddy System priority frame).
   std::optional<std::vector<std::uint8_t>> buddy_frame(
-      const std::string& target);
+      std::string_view target);
 
   // ---- anti-entropy (node_sync.cc) ----
   void handle_push_pull(const proto::PushPullView& p);
@@ -213,9 +219,9 @@ class Node : public membership::Agent {
 
   MembershipTable table_;
   proto::BroadcastQueue bcast_;
-  /// Encode buffer for broadcast(): the queue copies each frame into its
-  /// arena, so one buffer serves every update.
-  std::vector<std::uint8_t> bcast_frame_;
+  /// Encode buffer for broadcast() and send_message(): the queue and the
+  /// datagram each copy the frame, so one buffer serves every frame.
+  std::vector<std::uint8_t> frame_;
   std::unique_ptr<PiggybackSelector> piggyback_;
   LocalHealth health_;
   Logger log_;
@@ -292,12 +298,21 @@ class Node : public membership::Agent {
   TimerId housekeeping_timer_ = kInvalidTimer;
 };
 
+template <class Control>
+void Node::send_message(const Address& to, Channel ch, const Control& control,
+                        std::string_view ping_target) {
+  BufWriter w(std::move(frame_));
+  proto::encode(control, w);
+  frame_ = std::move(w).take();
+  send_control(to, ch, ping_target);
+}
+
 template <class Update>
 void Node::broadcast(std::string_view member, const Update& update) {
-  BufWriter w(std::move(bcast_frame_));
+  BufWriter w(std::move(frame_));
   proto::encode(update, w);
   bcast_.queue(member, w.bytes());
-  bcast_frame_ = std::move(w).take();
+  frame_ = std::move(w).take();
   obs_.gossip_pending().set(static_cast<double>(bcast_.pending()));
 }
 

@@ -204,7 +204,7 @@ void Node::refute(std::uint64_t suspected_incarnation) {
 }
 
 std::optional<std::vector<std::uint8_t>> Node::buddy_frame(
-    const std::string& target) {
+    std::string_view target) {
   const Member* m = table_.find(target);
   if (m == nullptr || m->state != MemberState::kSuspect) return std::nullopt;
   const auto it = suspicions_.find(target);

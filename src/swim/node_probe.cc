@@ -54,8 +54,9 @@ void Node::begin_probe(Member& target) {
   obs_.probe_started().add();
   if (probe_observer_ != nullptr) probe_observer_->on_probe_start(target.name);
 
-  proto::Ping ping{probe_->seq, target.name, name_, addr_};
-  send_message(target.addr, Channel::kUdp, ping, &target.name);
+  send_message(target.addr, Channel::kUdp,
+               proto::PingView{probe_->seq, target.name, name_, addr_},
+               target.name);
 
   probe_->timeout_timer = rt_.schedule(scaled_probe_timeout(),
                                        [this] { probe_timeout_expired(); });
@@ -93,23 +94,21 @@ void Node::launch_indirect() {
   auto relays = table_.random_active(cfg_.indirect_checks, rt_.rng(),
                                      {probe_->target});
   probe_->nacks_expected = want_nack ? static_cast<int>(relays.size()) : 0;
-  for (Member* relay : relays) {
-    proto::PingReq req;
-    req.seq = probe_->seq;
-    req.target = probe_->target;
-    req.target_addr = target->addr;
-    req.source = name_;
-    req.source_addr = addr_;
-    req.probe_timeout_us = scaled_probe_timeout().us;
-    req.want_nack = want_nack;
-    send_message(relay->addr, Channel::kUdp, req, nullptr);
-  }
+  const proto::PingReqView req{.seq = probe_->seq,
+                               .target = probe_->target,
+                               .target_addr = target->addr,
+                               .source = name_,
+                               .source_addr = addr_,
+                               .probe_timeout_us = scaled_probe_timeout().us,
+                               .want_nack = want_nack};
+  for (Member* relay : relays) send_message(relay->addr, Channel::kUdp, req);
 
   // memberlist extension: in parallel with the indirect probes, retry the
   // direct probe over the reliable channel (catches UDP-only pathologies).
   if (cfg_.reliable_fallback_probe) {
-    proto::Ping ping{probe_->seq, probe_->target, name_, addr_};
-    send_message(target->addr, Channel::kReliable, ping, &probe_->target);
+    send_message(target->addr, Channel::kReliable,
+                 proto::PingView{probe_->seq, probe_->target, name_, addr_},
+                 probe_->target);
   }
 }
 
@@ -158,8 +157,7 @@ void Node::handle_ping(const Address& /*from*/, const proto::PingView& p,
     obs_.probe_misrouted_ping().add();
     return;
   }
-  proto::Ack ack{p.seq, name_};
-  send_message(p.source_addr, ch, ack, nullptr);
+  send_message(p.source_addr, ch, proto::AckView{p.seq, name_});
 }
 
 void Node::handle_ping_req(const proto::PingReqView& p, Channel ch) {
@@ -172,8 +170,8 @@ void Node::handle_ping_req(const proto::PingReqView& p, Channel ch) {
   relay.channel = ch;
   relay.nack_wanted = p.want_nack;
 
-  proto::Ping ping{relay_seq, std::string(p.target), name_, addr_};
-  send_message(p.target_addr, Channel::kUdp, ping, &ping.target);
+  send_message(p.target_addr, Channel::kUdp,
+               proto::PingView{relay_seq, p.target, name_, addr_}, p.target);
   obs_.probe_relayed().add();
 
   const Duration timeout{std::max<std::int64_t>(p.probe_timeout_us, 1000)};
@@ -185,9 +183,8 @@ void Node::handle_ping_req(const proto::PingReqView& p, Channel ch) {
           auto it = relays_.find(relay_seq);
           if (it == relays_.end() || it->second.acked) return;
           it->second.nack_timer = kInvalidTimer;
-          proto::Nack nack{it->second.origin_seq, name_};
-          send_message(it->second.origin_addr, it->second.channel, nack,
-                       nullptr);
+          send_message(it->second.origin_addr, it->second.channel,
+                       proto::NackView{it->second.origin_seq, name_});
           obs_.probe_nack_sent().add();
         });
   }
@@ -230,8 +227,8 @@ void Node::handle_ack(const proto::AckView& a) {
   RelayState& relay = it->second;
   if (!relay.acked) {
     relay.acked = true;
-    proto::Ack fwd{relay.origin_seq, std::string(a.from)};
-    send_message(relay.origin_addr, relay.channel, fwd, nullptr);
+    send_message(relay.origin_addr, relay.channel,
+                 proto::AckView{relay.origin_seq, a.from});
     obs_.probe_ack_forwarded().add();
   }
 }

@@ -43,7 +43,7 @@ void Node::handle_push_pull(const proto::PushPullView& p) {
     resp.from = name_;
     resp.from_addr = addr_;
     resp.members = snapshot_state();
-    send_message(p.from_addr, Channel::kReliable, resp, nullptr);
+    send_message(p.from_addr, Channel::kReliable, resp);
   }
   merge_remote_state(p);
 }

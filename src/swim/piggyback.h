@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "proto/broadcast.h"
@@ -25,10 +25,10 @@ class PiggybackSelector {
 
   /// Appends the frames to piggyback on an outgoing packet to `out`.
   /// `byte_budget` is the remaining room in the packet; `n` the active
-  /// cluster size (for retransmit limits); `ping_target` is non-null iff the
-  /// packet is a ping to that member.
+  /// cluster size (for retransmit limits); `ping_target` names a ping's
+  /// target, and is a null view (data() == nullptr) for any other packet.
   virtual void select(proto::CompoundWriter& out, std::size_t byte_budget,
-                      int n, const std::string* ping_target) = 0;
+                      int n, std::string_view ping_target) = 0;
 };
 
 /// SWIM's policy: drain the broadcast queue, fewest-transmits first.
@@ -37,7 +37,7 @@ class DefaultPiggyback : public PiggybackSelector {
   explicit DefaultPiggyback(proto::BroadcastQueue& queue) : queue_(queue) {}
 
   void select(proto::CompoundWriter& out, std::size_t byte_budget, int n,
-              const std::string* ping_target) override;
+              std::string_view ping_target) override;
 
  protected:
   proto::BroadcastQueue& queue_;
@@ -49,13 +49,13 @@ class BuddyPiggyback : public DefaultPiggyback {
  public:
   using PriorityFrameFn =
       std::function<std::optional<std::vector<std::uint8_t>>(
-          const std::string& target)>;
+          std::string_view target)>;
 
   BuddyPiggyback(proto::BroadcastQueue& queue, PriorityFrameFn priority_frame)
       : DefaultPiggyback(queue), priority_frame_(std::move(priority_frame)) {}
 
   void select(proto::CompoundWriter& out, std::size_t byte_budget, int n,
-              const std::string* ping_target) override;
+              std::string_view ping_target) override;
 
  private:
   PriorityFrameFn priority_frame_;

@@ -72,7 +72,9 @@ TEST(UdpRuntime, DeadPeerIsDetectedOverRealSockets) {
   auto a = std::make_unique<LiveNode>("alpha", 11, cfg);
   auto b = std::make_unique<LiveNode>("beta", 12, cfg);
   const Address seed_addr = a->rt->local_address();
-  b->rt->post([&b, seed_addr] { b->node->join({seed_addr}); });
+  // The task holds the node, not `b`: the main thread resets `b` below
+  // while beta's loop thread is still running.
+  b->rt->post([node = b->node.get(), seed_addr] { node->join({seed_addr}); });
 
   for (int i = 0; i < 150 && active_count(*a) != 2; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));

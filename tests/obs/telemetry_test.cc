@@ -18,6 +18,8 @@
 #include "obs/catalog.h"
 #include "obs/export.h"
 #include "obs/registry.h"
+#include "sim/simulator.h"
+#include "swim/config.h"
 
 namespace lifeguard::obs {
 namespace {
@@ -89,6 +91,59 @@ TEST(NodeMetrics, FacadeWritesThroughToTheNamedRegistry) {
   EXPECT_EQ(m.counter_value("net.bytes_sent"), 48);
   EXPECT_EQ(m.counter_value("net.sent.ping"), 1);
   EXPECT_EQ(m.histogram("probe.rtt_us").count(), 1u);
+}
+
+TEST(NetMetrics, OneCountSentServesBothFacades) {
+  // swim counts per channel; the heartbeat backends keep the same kind
+  // counters without channel ones.
+  Metrics node_m;
+  Metrics det_m;
+  NodeMetrics nm(node_m);
+  DetectionMetrics dm(det_m);
+  nm.count_sent("ping", 48, Channel::kReliable);
+  nm.count_sent("ping", 40, Channel::kUdp);
+  dm.count_sent("heartbeat", 20, Channel::kUdp);
+  EXPECT_EQ(node_m.counter_value("net.msgs_sent"), 2);
+  EXPECT_EQ(node_m.counter_value("net.bytes_sent"), 88);
+  EXPECT_EQ(node_m.counter_value("net.sent.ping"), 2);
+  EXPECT_EQ(node_m.counter_value("net.sent_ch.reliable"), 1);
+  EXPECT_EQ(node_m.counter_value("net.sent_ch.udp"), 1);
+  EXPECT_EQ(det_m.counter_value("net.msgs_sent"), 1);
+  EXPECT_EQ(det_m.counter_value("net.bytes_sent"), 20);
+  EXPECT_EQ(det_m.counter_value("net.sent.heartbeat"), 1);
+  for (const auto& [name, c] : det_m.counters()) {
+    EXPECT_NE(name.rfind("net.sent_ch.", 0), 0u) << name;
+  }
+}
+
+TEST(NodeMetrics, EveryDatagramCountsUnderItsKindAndChannel) {
+  // A node counts each control datagram by its frame's tag byte. A run with
+  // a blocked member has every kind: pings, ping-reqs and the relays'
+  // nacks, acks, push-pull requests and responses, and pure gossip. The
+  // per-kind and the per-channel counters each sum to net.msgs_sent.
+  sim::SimParams p;
+  p.seed = 3;
+  sim::Simulator sim(8, swim::Config::lifeguard(), p);
+  sim.start_all();
+  sim.run_for(sec(10));
+  sim.block_node(3);
+  sim.run_for(sec(8));
+  sim.unblock_node(3);
+  sim.run_for(sec(40));
+  const Metrics m = sim.aggregate_metrics();
+  for (const char* kind : {"ping", "ping-req", "ack", "nack", "push-pull-req",
+                           "push-pull-resp", "gossip"}) {
+    EXPECT_GT(m.counter_value(std::string("net.sent.") + kind), 0) << kind;
+  }
+  std::int64_t by_kind = 0;
+  for (const auto& [name, c] : m.counters()) {
+    if (name.rfind("net.sent.", 0) == 0) by_kind += c.value();
+  }
+  const std::int64_t sent = m.counter_value("net.msgs_sent");
+  EXPECT_EQ(by_kind, sent);
+  EXPECT_EQ(m.counter_value("net.sent_ch.udp") +
+                m.counter_value("net.sent_ch.reliable"),
+            sent);
 }
 
 TEST(NodeMetrics, EagerResolutionSurvivesUnrelatedInsertions) {

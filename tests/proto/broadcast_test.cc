@@ -383,5 +383,86 @@ TEST(BroadcastQueueOracle, MatchesAtJoinStormDepth) {
   }
 }
 
+// ---- queues on a shared name index ----
+
+TEST(BroadcastQueueSharedNames, BehavesExactlyLikeAPrivateIndexAndTheOracle) {
+  // One scripted sequence drives a queue with a private index, a queue
+  // whose index is shared (holding the names in reverse order, plus names
+  // a neighbour queue interns as it goes), and the rank-ordered reference.
+  // Every selection must be the same bytes on all three.
+  NameIndex shared;
+  for (int i = 119; i >= 0; --i) shared.intern("node-" + std::to_string(i));
+  BroadcastQueue own(2);
+  BroadcastQueue mine(2, shared);
+  BroadcastQueue neighbour(2, shared);
+  ReferenceQueue ref(2);
+  constexpr int kN = 128;  // limit 2·3 = 6
+  int version = 0;
+  const auto queue = [&](int member) {
+    const std::string key = "node-" + std::to_string(member);
+    std::vector<std::uint8_t> frame(key.begin(), key.end());
+    frame.push_back(static_cast<std::uint8_t>(++version));
+    own.queue(key, frame);
+    mine.queue(key, frame);
+    ref.queue(key, frame);
+    neighbour.queue("peer-" + std::to_string(version), frame);
+  };
+  const auto invalidate = [&](int member) {
+    const std::string key = "node-" + std::to_string(member);
+    own.invalidate(key);
+    mine.invalidate(key);
+    ref.invalidate(key);
+  };
+  const auto select = [&](std::size_t budget) {
+    const auto want = ref.get_broadcasts(0, budget, kN);
+    EXPECT_EQ(own.get_broadcasts(0, budget, kN), want);
+    EXPECT_EQ(mine.get_broadcasts(0, budget, kN), want);
+    EXPECT_EQ(own.pending(), ref.pending());
+    EXPECT_EQ(mine.pending(), ref.pending());
+    EXPECT_EQ(mine.total_transmits(), ref.total_transmits());
+    return want.size();
+  };
+
+  // 100 updates: a position space past one bitset word.
+  for (int i = 0; i < 100; ++i) queue(i);
+  select(300);
+  // Requeue every one of them (100 holes), then one more update: the
+  // queue compacts 100 live positions, then takes the new one.
+  for (int i = 0; i < 100; ++i) queue(i);
+  queue(100);
+  select(300);
+  // After compaction, requeues and invalidations must find the moved
+  // positions.
+  for (int i = 0; i < 100; i += 7) queue(i);
+  for (int i = 3; i < 100; i += 11) invalidate(i);
+  invalidate(100);
+  invalidate(100);   // already gone
+  invalidate(5000);  // never queued
+  for (int round = 0; round < 30; ++round) select(150);
+  for (int i = 40; i < 90; ++i) queue(i);
+  // Drain to empty, then refill the released queue.
+  for (int round = 0; ref.pending() > 0; ++round) {
+    ASSERT_LT(round, 1000);
+    select(100'000);
+  }
+  EXPECT_TRUE(mine.empty());
+  for (int i = 119; i >= 50; --i) queue(i);
+  invalidate(60);
+  for (int round = 0; round < 10; ++round) select(200);
+  queue(60);
+  while (select(400) > 0) {
+  }
+  EXPECT_TRUE(own.empty());
+  EXPECT_TRUE(mine.empty());
+
+  // Only queue() interns: invalidating unknown names leaves the index as
+  // it is.
+  const std::size_t interned = shared.size();
+  EXPECT_EQ(interned, 120u + static_cast<std::size_t>(version));
+  mine.invalidate("nobody");
+  neighbour.invalidate("nobody-else");
+  EXPECT_EQ(shared.size(), interned);
+}
+
 }  // namespace
 }  // namespace lifeguard::proto

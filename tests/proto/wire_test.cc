@@ -89,20 +89,6 @@ TEST(Wire, PushPullRoundTrip) {
   EXPECT_EQ(q.members[3].state, 3);
 }
 
-TEST(Wire, MessageTypeMapping) {
-  EXPECT_EQ(message_type(Message{Ping{}}), MsgType::kPing);
-  EXPECT_EQ(message_type(Message{PingReq{}}), MsgType::kPingReq);
-  EXPECT_EQ(message_type(Message{Ack{}}), MsgType::kAck);
-  EXPECT_EQ(message_type(Message{Nack{}}), MsgType::kNack);
-  EXPECT_EQ(message_type(Message{Suspect{}}), MsgType::kSuspect);
-  EXPECT_EQ(message_type(Message{Alive{}}), MsgType::kAlive);
-  EXPECT_EQ(message_type(Message{Dead{}}), MsgType::kDead);
-  PushPull req;
-  EXPECT_EQ(message_type(Message{req}), MsgType::kPushPullReq);
-  req.is_response = true;
-  EXPECT_EQ(message_type(Message{req}), MsgType::kPushPullResp);
-}
-
 TEST(Wire, DecodeRejectsUnknownTag) {
   std::vector<std::uint8_t> bad{0x7f, 0, 0, 0};
   BufReader r(bad);

@@ -5,6 +5,9 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace lifeguard::swim {
 namespace {
@@ -329,6 +332,118 @@ TEST(Membership, GossipTargetsAreDistinctAndRoughlyUniform) {
   for (const auto& [name, c] : counts) {
     EXPECT_NEAR(c, kRounds / 8, kRounds / 8 / 4) << name;
   }
+}
+
+// ---- tables on a shared name index ----
+
+/// Each member's name and state, in slot order.
+std::vector<std::pair<std::string, MemberState>> slots_of(
+    const MembershipTable& t) {
+  std::vector<std::pair<std::string, MemberState>> out;
+  for (const Member& m : t.all()) out.emplace_back(m.name, m.state);
+  return out;
+}
+
+std::vector<std::string> names_of(const std::vector<Member*>& picked) {
+  std::vector<std::string> out;
+  for (const Member* m : picked) out.push_back(m->name);
+  return out;
+}
+
+TEST(MembershipSharedNames, BehavesExactlyLikeAPrivateIndex) {
+  // One scripted sequence drives a table with a private index and a table
+  // whose index it shares with another node's table. The shared index
+  // holds the names in another order, and foreign ones, so every name has
+  // a different id in each index. Slots, probe order and every random pick
+  // must still agree, draw for draw.
+  NameIndex shared;
+  shared.intern("elsewhere");
+  for (int i = 11; i >= 0; --i) shared.intern("m" + std::to_string(i));
+  MembershipTable own("self");
+  MembershipTable mine("self", shared);
+  MembershipTable other("other", shared);
+  Rng own_rng(5);
+  Rng mine_rng(5);
+  Rng other_rng(99);
+  const auto both = [&](const auto& op) {
+    op(own, own_rng);
+    op(mine, mine_rng);
+    ASSERT_EQ(slots_of(own), slots_of(mine));
+  };
+  const auto add = [&](const std::string& name,
+                       MemberState s = MemberState::kAlive) {
+    both([&](MembershipTable& t, Rng& rng) { t.add(mk(name, s), rng); });
+  };
+  const auto remove = [&](const std::string& name) {
+    both([&](MembershipTable& t, Rng&) { t.remove(name); });
+  };
+  const auto set_state = [&](const std::string& name, MemberState s) {
+    both([&](MembershipTable& t, Rng&) {
+      t.set_state(*t.find(name), s, TimePoint{} + sec(1));
+    });
+  };
+  const auto probe = [&](int times) {
+    for (int i = 0; i < times; ++i) {
+      const Member* a = own.next_probe_target(own_rng);
+      const Member* b = mine.next_probe_target(mine_rng);
+      ASSERT_NE(a, nullptr);
+      ASSERT_NE(b, nullptr);
+      ASSERT_EQ(a->name, b->name) << "probe " << i;
+    }
+  };
+
+  add("self");
+  for (int i = 0; i < 12; ++i) {
+    add("m" + std::to_string(i));
+    // The other node grows the shared index in between.
+    other.add(mk(i % 3 == 0 ? "x" + std::to_string(i) : "m" + std::to_string(i)),
+              other_rng);
+  }
+  set_state("m3", MemberState::kSuspect);
+  set_state("m6", MemberState::kDead);
+  set_state("m8", MemberState::kLeft);
+  probe(5);
+
+  // A middle slot: the last member moves into it; re-adding appends.
+  remove("m5");
+  probe(3);
+  add("m5");
+  // The last slot: nothing moves.
+  const std::string last = own.all().back().name;
+  ASSERT_EQ(last, "m5");
+  remove(last);
+  add(last, MemberState::kSuspect);
+  set_state("m6", MemberState::kAlive);
+  probe(40);
+
+  for (int round = 0; round < 20; ++round) {
+    ASSERT_EQ(names_of(own.random_active(4, own_rng, {"m1", "m2"})),
+              names_of(mine.random_active(4, mine_rng, {"m1", "m2"})));
+    ASSERT_EQ(names_of(own.random_dead(2, own_rng)),
+              names_of(mine.random_dead(2, mine_rng)));
+    ASSERT_EQ(
+        names_of(own.random_active_or_recently_dead(5, own_rng,
+                                                    TimePoint{} + sec(2), sec(5))),
+        names_of(mine.random_active_or_recently_dead(
+            5, mine_rng, TimePoint{} + sec(2), sec(5))));
+  }
+  EXPECT_EQ(own.num_active(), mine.num_active());
+
+  // The other node's table kept its own members.
+  EXPECT_EQ(other.size(), 12u);
+  EXPECT_NE(other.find("x9"), nullptr);
+  EXPECT_EQ(other.find("m9"), nullptr);
+  EXPECT_EQ(mine.find("x9"), nullptr);
+
+  // Only add() interns: lookups and removals of unknown names, and
+  // removals of known ones, leave the index as it is.
+  const std::size_t interned = shared.size();
+  EXPECT_EQ(interned, 1u + 12u + 1u + 4u);  // elsewhere, m*, self, x*
+  EXPECT_EQ(mine.find("nobody"), nullptr);
+  EXPECT_FALSE(mine.contains("nobody-else"));
+  mine.remove("nobody-at-all");
+  mine.remove("m4");
+  EXPECT_EQ(shared.size(), interned);
 }
 
 TEST(MemberState, NamesAndActivity) {

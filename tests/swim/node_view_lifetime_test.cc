@@ -51,6 +51,7 @@ class RecordingRuntime final : public Runtime {
     sent.push_back({now_, to, std::move(payload), channel});
   }
   Rng& rng() override { return rng_; }
+  NameIndex& names() override { return names_; }
 
   void run_for(Duration d) {
     const TimePoint end = now_ + d;
@@ -67,6 +68,7 @@ class RecordingRuntime final : public Runtime {
  private:
   TimePoint now_{};
   Rng rng_{77};
+  NameIndex names_;
   TimerId next_id_ = 1;
   std::map<std::pair<TimePoint, TimerId>, Task> timers_;
   std::set<TimerId> cancelled_;

@@ -18,7 +18,7 @@ std::vector<std::uint8_t> suspect_frame(const std::string& member) {
 /// The frames `pb` appends to an empty datagram, in order.
 std::vector<std::vector<std::uint8_t>> select(PiggybackSelector& pb,
                                               std::size_t byte_budget, int n,
-                                              const std::string* ping_target) {
+                                              std::string_view ping_target) {
   proto::CompoundWriter out;
   pb.select(out, byte_budget, n, ping_target);
   std::vector<std::span<const std::uint8_t>> spans;
@@ -32,7 +32,7 @@ TEST(DefaultPiggyback, DrainsQueue) {
   proto::BroadcastQueue q(4);
   q.queue("a", suspect_frame("a"));
   DefaultPiggyback pb(q);
-  auto frames = select(pb, 1000, 10, nullptr);
+  auto frames = select(pb, 1000, 10, {});
   EXPECT_EQ(frames.size(), 1u);
 }
 
@@ -40,14 +40,14 @@ TEST(DefaultPiggyback, IgnoresPingTarget) {
   proto::BroadcastQueue q(4);
   DefaultPiggyback pb(q);
   const std::string target = "t";
-  EXPECT_TRUE(select(pb, 1000, 10, &target).empty());
+  EXPECT_TRUE(select(pb, 1000, 10, target).empty());
 }
 
 TEST(BuddyPiggyback, PrependsSuspectFrameForPingTarget) {
   proto::BroadcastQueue q(4);
   q.queue("other", suspect_frame("other"));
   int priority_calls = 0;
-  BuddyPiggyback pb(q, [&](const std::string& t)
+  BuddyPiggyback pb(q, [&](std::string_view t)
                            -> std::optional<std::vector<std::uint8_t>> {
     ++priority_calls;
     if (t == "suspected") return suspect_frame("suspected");
@@ -55,7 +55,7 @@ TEST(BuddyPiggyback, PrependsSuspectFrameForPingTarget) {
   });
 
   const std::string target = "suspected";
-  auto frames = select(pb, 1000, 10, &target);
+  auto frames = select(pb, 1000, 10, target);
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(priority_calls, 1);
   // The buddy frame must come FIRST so the target refutes before acking.
@@ -67,36 +67,36 @@ TEST(BuddyPiggyback, PrependsSuspectFrameForPingTarget) {
 
 TEST(BuddyPiggyback, NoPriorityFrameForUnsuspectedTarget) {
   proto::BroadcastQueue q(4);
-  BuddyPiggyback pb(q, [](const std::string&)
+  BuddyPiggyback pb(q, [](std::string_view)
                            -> std::optional<std::vector<std::uint8_t>> {
     return std::nullopt;
   });
   const std::string target = "healthy";
-  EXPECT_TRUE(select(pb, 1000, 10, &target).empty());
+  EXPECT_TRUE(select(pb, 1000, 10, target).empty());
 }
 
 TEST(BuddyPiggyback, NonPingPacketsSkipPriority) {
   proto::BroadcastQueue q(4);
   int calls = 0;
-  BuddyPiggyback pb(q, [&](const std::string&)
+  BuddyPiggyback pb(q, [&](std::string_view)
                            -> std::optional<std::vector<std::uint8_t>> {
     ++calls;
     return std::nullopt;
   });
-  (void)select(pb, 1000, 10, nullptr);
+  (void)select(pb, 1000, 10, {});
   EXPECT_EQ(calls, 0);
 }
 
 TEST(BuddyPiggyback, PriorityFrameRespectsBudget) {
   proto::BroadcastQueue q(4);
-  BuddyPiggyback pb(q, [](const std::string& t)
+  BuddyPiggyback pb(q, [](std::string_view t)
                            -> std::optional<std::vector<std::uint8_t>> {
     return std::vector<std::uint8_t>(100, 0);
     (void)t;
   });
   const std::string target = "t";
   // Budget too small for the 100-byte priority frame: dropped gracefully.
-  EXPECT_TRUE(select(pb, 20, 10, &target).empty());
+  EXPECT_TRUE(select(pb, 20, 10, target).empty());
 }
 
 TEST(BuddyPiggyback, GuaranteedEvenWhenQueueSaturated) {
@@ -107,12 +107,12 @@ TEST(BuddyPiggyback, GuaranteedEvenWhenQueueSaturated) {
     q.queue("m" + std::to_string(i),
             std::vector<std::uint8_t>(40, static_cast<std::uint8_t>(i)));
   }
-  BuddyPiggyback pb(q, [](const std::string& t)
+  BuddyPiggyback pb(q, [](std::string_view t)
                            -> std::optional<std::vector<std::uint8_t>> {
-    return suspect_frame(t);
+    return suspect_frame(std::string(t));
   });
   const std::string target = "victim";
-  auto frames = select(pb, 200, 128, &target);
+  auto frames = select(pb, 200, 128, target);
   ASSERT_FALSE(frames.empty());
   BufReader r(frames[0]);
   const auto msg = proto::decode(r);
