@@ -99,17 +99,13 @@
 //       --trace and --campaign compose with it. Malformed files are
 //       rejected with a message naming the offending key/value.
 //
-//   ./examples/scenario_runner --export-scenarios DIR
-//       Write every registry scenario to DIR/<name>.json (the committed
-//       scenarios/ tree; CI re-exports and fails when it is stale).
-//       Like every registry subcommand below (--validate-scenarios,
-//       --record-baselines, --gate-registry, --paper) and --replay, it
-//       refuses any flag it does not list, and any listed flag given twice.
-//
 //   ./examples/scenario_runner --validate-scenarios PATH
 //       Strictly validate one scenario file, or every *.json under a
 //       directory (scenarios/baselines.json validates as a baselines
-//       document). Exits 2 listing every defect.
+//       document). Exits 2 listing every defect. Like every registry
+//       subcommand below (--record-baselines, --gate-registry, --paper),
+//       --list and --replay, it refuses any flag it does not list, and any
+//       listed flag given twice.
 //
 //   ./examples/scenario_runner --fuzz N [--fuzz-seed S] [--fuzz-out DIR]
 //                              [--fuzz-jobs K] [flags]
@@ -172,7 +168,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
@@ -551,24 +546,6 @@ std::vector<RunResult> run_registry(const std::vector<Scenario>& all,
   return results;
 }
 
-int run_export_scenarios(const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const auto& all = ScenarioRegistry::builtin().all();
-  for (const Scenario& s : all) {
-    std::string error;
-    if (!ScenarioFile::save(s, dir + "/" + ScenarioFile::filename(s),
-                            error)) {
-      std::fprintf(stderr, "scenario_runner: --export-scenarios: %s\n",
-                   error.c_str());
-      return 2;
-    }
-  }
-  std::printf("exported %zu scenario files to %s/\n", all.size(),
-              dir.c_str());
-  return 0;
-}
-
 /// One file's strict validation, dispatched on the canonical filename:
 /// baselines.json is the band document, coverage.json the fuzz coverage
 /// report, everything else a scenario.
@@ -731,16 +708,20 @@ int main(int argc, char** argv) {
   // Catalog mode is handled up front so `--json` can be a bare flag here
   // while remaining `--json FILE` in campaign mode.
   {
-    bool list_mode = false, json_mode = false, markdown_mode = false;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--list") == 0) list_mode = true;
-      if (std::strcmp(argv[i], "--json") == 0) json_mode = true;
-      if (std::strcmp(argv[i], "--markdown") == 0) markdown_mode = true;
-    }
-    if (list_mode) {
-      if (json_mode) {
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    auto given = [&args](std::string_view flag) {
+      return std::find(args.begin(), args.end(), flag) != args.end();
+    };
+    if (given("--list")) {
+      const std::string usage =
+          "--list takes only --json or --markdown, not both";
+      only_flags(args, "--list", {"--json", "--markdown"}, usage);
+      if (given("--json") && given("--markdown")) {
+        usage_error(usage + " (got --json and --markdown)");
+      }
+      if (given("--json")) {
         list_catalog_json();
-      } else if (markdown_mode) {
+      } else if (given("--markdown")) {
         list_catalog_markdown();
       } else {
         list_catalog();
@@ -770,7 +751,7 @@ int main(int argc, char** argv) {
   std::optional<int> reps;  // --campaign default 5; --paper: the grid's
   std::optional<int> jobs;  // default 0 = one worker per hardware thread
   std::optional<std::string> json_path, csv_path, trace_path, replay_path;
-  std::optional<std::string> export_dir, validate_path, record_path;
+  std::optional<std::string> validate_path, record_path;
   std::optional<std::string> gate_path, gate_registry_path, paper_name;
   bool full = false;
   bool include_big = false;
@@ -814,8 +795,6 @@ int main(int argc, char** argv) {
       if (!loaded) usage_error("--scenario-file: " + error);
       s = *loaded;
       ad_hoc = false;
-    } else if (arg == "--export-scenarios") {
-      export_dir = next();
     } else if (arg == "--validate-scenarios") {
       validate_path = next();
     } else if (arg == "--record-baselines") {
@@ -904,22 +883,16 @@ int main(int argc, char** argv) {
   // The registry-wide subcommands don't run the composed scenario; they are
   // dispatched here, one per invocation.
   {
-    const int subcommands = (export_dir ? 1 : 0) + (validate_path ? 1 : 0) +
-                            (record_path ? 1 : 0) +
+    const int subcommands = (validate_path ? 1 : 0) + (record_path ? 1 : 0) +
                             (gate_registry_path ? 1 : 0) +
                             (paper_name ? 1 : 0);
     if (subcommands > 1) {
-      usage_error("--export-scenarios, --validate-scenarios, "
-                  "--record-baselines, --gate-registry and --paper are "
-                  "one-per-invocation subcommands");
+      usage_error("--validate-scenarios, --record-baselines, "
+                  "--gate-registry and --paper are one-per-invocation "
+                  "subcommands");
     }
     if (full && !paper_name) {
       usage_error("--full selects the paper's full grids and needs --paper");
-    }
-    if (export_dir) {
-      only_flags(flags, "--export-scenarios", {},
-                 "--export-scenarios DIR takes no other flag");
-      return run_export_scenarios(*export_dir);
     }
     if (validate_path) {
       only_flags(flags, "--validate-scenarios", {},

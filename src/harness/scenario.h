@@ -10,7 +10,7 @@
 // ScenarioRegistry::builtin() catalogs the paper's Fig. 1–3 and Table IV–VII
 // setups plus the new scenario kinds under stable names, so tools
 // (examples/scenario_runner --list / --scenario NAME) and tests run the
-// exact same descriptors.
+// exact same descriptors. The catalog is the committed scenarios/*.json.
 //
 // Validation is explicit and actionable: Scenario::validate() returns one
 // message per defect ("timeline[0] (block): resolves to 12 victims, more
@@ -204,6 +204,11 @@ class ScenarioRegistry {
  public:
   /// The built-in catalog: every paper figure/table setup plus the new
   /// partition / flapping / churn kinds. Names are stable public API.
+  /// Built on first use from the committed scenarios/*.json, which the
+  /// build embeds in the order CMakeLists.txt lists (scenarios/README.md).
+  /// Throws ScenarioError naming scenarios/<name>.json when a file is
+  /// malformed or invalid, its `name` is not its filename stem, or it is
+  /// listed twice.
   static const ScenarioRegistry& builtin();
 
   ScenarioRegistry() = default;

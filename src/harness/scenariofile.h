@@ -5,10 +5,11 @@
 // config (a Table I preset name plus explicit per-field overrides, so
 // hand-tuned configs round-trip exactly), the fault timeline as `--fault`
 // grammar strings (check::entry_spec), the membership backend spec, and the
-// invariant-checking knobs. ScenarioRegistry entries exported with save()
-// and committed under scenarios/*.json are the reviewable form of the
-// catalog; scenario_runner --scenario-file runs them on either backend
-// without recompiling, and the fuzzer can commit shrunk reproducers in the
+// invariant-checking knobs. The committed scenarios/*.json are the catalog
+// itself: ScenarioRegistry::builtin() reads the build's embedded copy of
+// each with from_json, and each file is exactly what to_json writes for its
+// entry. scenario_runner --scenario-file runs any file on either backend
+// without recompiling, and the fuzzer save()s shrunk reproducers in the
 // same format.
 //
 // Three documents share these keys, and read() is the one reader of all of
@@ -30,7 +31,7 @@
 //
 // Round-trip contract: the timeline is written losslessly in the `--fault`
 // grammar and the config field for field, so for every registry scenario
-// export -> load -> run reproduces the original run's metrics and trace
+// to_json -> load -> run reproduces the original run's metrics and trace
 // digest bit-for-bit. tests/scenariofile pins this.
 #pragma once
 
@@ -53,8 +54,9 @@ struct ScenarioFile {
   /// The documents that carry a whole scenario.
   enum class Document { kFile, kTraceHeader };
 
-  /// Pretty-printed JSON document for `s` (assumed valid — export callers
-  /// hold registry scenarios, which are validated on insertion).
+  /// Pretty-printed JSON document for `s`, the canonical form of a committed
+  /// scenario file (`s` is assumed valid, as registry and loaded scenarios
+  /// are).
   static std::string to_json(const Scenario& s);
 
   /// Parse + read one scenario file. Returns std::nullopt and sets `error`

@@ -1,13 +1,15 @@
-// Byte-parity between run-from-registry and export -> load -> run.
+// Byte-parity between run-from-registry and to_json -> load -> run.
 //
-// Scenario files are only trustworthy as versioned data if loading one back
-// reproduces the in-memory scenario *bit for bit*: same Rng draw order, same
-// event stream, same trace bytes. The suite runs every non-big registry
-// scenario both ways and compares the full RunResult plus an FNV-1a 64
-// digest of the saved trace (header, transitions, fault markers, metric
-// samples — every byte). A second test pins campaign artifacts: a campaign
-// whose base came through the file format emits byte-identical JSONL/CSV at
-// jobs=1 and jobs=8, matching the registry-based campaign exactly.
+// The registry is parsed from the committed scenario files, and a file
+// written by ScenarioFile::to_json (a committed one, a fuzz reproducer) is
+// only trustworthy if loading it back reproduces the in-memory scenario
+// *bit for bit*: same Rng draw order, same event stream, same trace bytes.
+// The suite runs every non-big registry scenario both ways and compares the
+// full RunResult plus an FNV-1a 64 digest of the saved trace (header,
+// transitions, fault markers, metric samples — every byte). A second test
+// pins campaign artifacts: a campaign whose base came through the file
+// format emits byte-identical JSONL/CSV at jobs=1 and jobs=8, matching the
+// registry-based campaign exactly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -102,7 +104,7 @@ TEST(ScenarioFileParity, EveryRegistryScenarioRunsIdenticallyAfterReload) {
     EXPECT_EQ(a.bytes_sent, b.bytes_sent) << o.name;
     EXPECT_TRUE(a.checks == b.checks) << o.name;
     EXPECT_EQ(o.from_registry.trace_digest, o.from_file.trace_digest)
-        << o.name << ": trace bytes diverged after export -> load";
+        << o.name << ": trace bytes diverged after to_json -> load";
   }
 }
 
