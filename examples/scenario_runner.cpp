@@ -22,7 +22,8 @@
 //                                                   (default lifeguard)
 //     --length S         observation length, seconds (default 120)
 //     --quiesce S        settling time, seconds      (default 15)
-//     --alpha A --beta B suspicion tuning            (default 5 / 6)
+//     --alpha A --beta B suspicion tuning            (default 5 / 6; only
+//                        for a config with LHA-Suspicion)
 //     --seed S           RNG seed                    (default 1)
 //     --membership NAME  membership backend: swim | central[:miss=N] |
 //                        static                      (default swim)
@@ -69,7 +70,8 @@
 //       values). In campaign mode the per-trial series fold into
 //       per-(time, metric) percentile bands: DIR/bands.jsonl and
 //       DIR/bands.csv. --spans additionally records probe-round span events
-//       (probe-start/ack/indirect/fail/nack) into --trace recordings.
+//       (probe-start/ack/indirect/fail/nack) into the run's recording, so it
+//       needs --trace or --check.
 //
 //   ./examples/scenario_runner --backend live [flags]
 //       Execute the scenario on the live tier (src/live) instead of the
@@ -79,7 +81,8 @@
 //       --backend sim (the default) picks the simulator. Extra live flags:
 //     --timeout S        wall-clock watchdog: on expiry every worker is
 //                        SIGKILLed and the runner exits 5 (no orphans)
-//     --live-logs DIR    write each worker's stderr to DIR/node-N.log
+//     --live-logs DIR    write each worker's stderr to DIR/node-N.log (live
+//                        only)
 //       --campaign and --replay are simulator-only (they depend on
 //       bit-identical determinism a wall clock cannot provide).
 //
@@ -102,10 +105,7 @@
 //   ./examples/scenario_runner --validate-scenarios PATH
 //       Strictly validate one scenario file, or every *.json under a
 //       directory (scenarios/baselines.json validates as a baselines
-//       document). Exits 2 listing every defect. Like every registry
-//       subcommand below (--record-baselines, --gate-registry, --paper),
-//       --list and --replay, it refuses any flag it does not list, and any
-//       listed flag given twice.
+//       document). Exits 2 listing every defect.
 //
 //   ./examples/scenario_runner --fuzz N [--fuzz-seed S] [--fuzz-out DIR]
 //                              [--fuzz-jobs K] [flags]
@@ -113,7 +113,8 @@
 //       mutated fault timelines run against the composed base scenario
 //       (cluster shape, config, membership and check tolerances compose
 //       as usual; the timeline is replaced per candidate and the
-//       invariant suite is force-enabled). Every violation is
+//       invariant suite is force-enabled, so --fault and --seed are
+//       refused: --fuzz-seed seeds the fuzzer). Every violation is
 //       auto-shrunk (check::shrink) and written to DIR as a committed-
 //       format reproducer scenario plus a baselines.json entry; the
 //       corpus of coverage-extending timelines and a coverage.json report
@@ -156,6 +157,9 @@
 // Prints the paper's metrics for the single run: FP, FP-, detection and
 // dissemination latencies, message load. Malformed or out-of-range flag
 // values are rejected with a message naming the flag and the accepted range.
+// Each mode above is one row of the mode table (kModes, above main): it
+// refuses any flag its row does not list, and any flag but --fault given
+// twice.
 //
 // Exit codes: 0 success, 2 usage / malformed input, 3 invariant violations,
 // 4 replay divergence, 5 live-run watchdog timeout, 6 baseline gate
@@ -171,7 +175,7 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
-#include <limits>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -208,24 +212,6 @@ namespace {
                "catalog; see the file header for flags)\n",
                msg.c_str());
   std::exit(2);
-}
-
-/// A one-per-invocation subcommand's flag rule: every flag in `given` (the
-/// command line's flags, in order) is `subcommand` or one of `allowed`, and
-/// none appears twice. Otherwise exits 2 with `usage` and the flag at fault.
-void only_flags(const std::vector<std::string>& given,
-                const std::string& subcommand,
-                std::initializer_list<std::string_view> allowed,
-                const std::string& usage) {
-  for (const std::string& flag : given) {
-    if (flag != subcommand &&
-        std::find(allowed.begin(), allowed.end(), flag) == allowed.end()) {
-      usage_error(usage + " (got " + flag + ")");
-    }
-    if (std::count(given.begin(), given.end(), flag) > 1) {
-      usage_error(usage + " (got " + flag + " twice)");
-    }
-  }
 }
 
 /// Strict integer flag parser: the whole value must be a decimal number
@@ -286,6 +272,101 @@ swim::Config config_by_name(const std::string& name) {
   if (name == "lifeguard") return swim::Config::lifeguard();
   usage_error("unknown --config '" + name +
               "' (expected swim|lha-probe|lha-suspicion|buddy|lifeguard)");
+}
+
+/// Every flag's value, whichever mode takes it. One parse loop (parse())
+/// fills it; the mode table decides which flags a command line may give.
+struct Options {
+  std::vector<std::string> flags;  // as given, without their values
+  std::string target;              // the mode flag's PATH, FILE or NAME
+  std::optional<Scenario> base;    // --scenario or --scenario-file
+  std::vector<fault::TimelineEntry> faults;
+  std::optional<int> nodes;
+  std::optional<swim::Config> config;
+  std::optional<std::string> membership;
+  std::optional<Duration> length, quiesce;
+  std::optional<double> alpha, beta;
+  std::optional<std::uint64_t> seed;
+  bool check = false;
+  std::optional<Duration> suspicion_cap;
+  std::optional<std::string> trace, gate, metrics_out, json, csv;
+  std::optional<Duration> metrics_interval;
+  bool spans = false, full = false, include_big = false;
+  bool list_json = false, list_markdown = false;
+  std::optional<int> reps;  // --campaign default 5; --paper: the grid's
+  int jobs = 0;             // 0 = one worker per hardware thread
+  int fuzz_trials = 0;
+  std::uint64_t fuzz_seed = 1;
+  std::optional<std::string> fuzz_out;
+  int fuzz_jobs = 0;  // 0 = one worker per hardware thread
+  harness::Backend backend = harness::Backend::kSim;
+  std::optional<Duration> timeout;
+  std::string live_logs = "live-logs";
+
+  bool given(std::string_view flag) const {
+    return std::find(flags.begin(), flags.end(), flag) != flags.end();
+  }
+};
+
+/// The scenario a single run, a campaign or the fuzzer starts from: the base
+/// (a catalog entry, a file or the ad-hoc default) with every override flag
+/// applied, announced on stdout.
+Scenario compose(const Options& o) {
+  Scenario s;
+  if (o.base) {
+    s = *o.base;
+  } else {
+    s.name = "custom";
+    s.summary = "ad-hoc scenario composed from flags";
+    s.cluster_size = 64;
+    s.config = swim::Config::lifeguard();
+    s.run_length = sec(120);
+  }
+  if (o.nodes) s.cluster_size = *o.nodes;
+  if (o.length) s.run_length = *o.length;
+  if (o.quiesce) s.quiesce = *o.quiesce;
+  if (o.seed) s.seed = *o.seed;
+  if (o.config) s.config = *o.config;
+  if (o.membership) s.membership = *o.membership;
+  if ((o.alpha || o.beta) && !s.config.lha_suspicion) {
+    usage_error("--alpha and --beta tune LHA-Suspicion, which " +
+                s.config.table1_name() + " does not use");
+  }
+  if (o.alpha) s.config.suspicion_alpha = *o.alpha;
+  if (o.beta) s.config.suspicion_beta = *o.beta;
+  if (!o.faults.empty()) {
+    s.timeline = fault::Timeline{};
+    for (const fault::TimelineEntry& e : o.faults) s.timeline.add(e);
+  } else if (!o.base) {
+    s.timeline.add(Duration{}, s.run_length,
+                   fault::Fault::interval_block(msec(16384), msec(4)),
+                   fault::VictimSelector::uniform(8));
+  }
+  if (o.backend == harness::Backend::kLive &&
+      membership::base_name(s.membership) != "swim") {
+    usage_error("the live tier only runs the swim backend — '" + s.membership +
+                "' is simulator-only");
+  }
+
+  // Mention the backend only when it isn't the default — keeps swim output
+  // (and anything diffing it) byte-identical to pre-backend versions.
+  const std::string membership_note =
+      s.membership == "swim" ? "" : " membership=" + s.membership;
+  std::printf("scenario: %s — %d nodes, %s, timeline [%s] "
+              "length=%.0fs seed=%llu%s\n\n",
+              s.name.c_str(), s.cluster_size, s.config.table1_name().c_str(),
+              s.timeline.summary().c_str(), s.run_length.seconds(),
+              static_cast<unsigned long long>(s.seed),
+              membership_note.c_str());
+
+  if (o.check) s.checks = check::Spec::all();
+  if (o.suspicion_cap) s.checks.suspicion_cap = *o.suspicion_cap;
+  if (o.metrics_interval) {
+    s.metrics_interval = *o.metrics_interval;
+  } else if (o.metrics_out && s.metrics_interval <= Duration{0}) {
+    s.metrics_interval = msec(500);
+  }
+  return s;
 }
 
 /// A catalog entry's fault timeline, as both catalog formats show it.
@@ -473,15 +554,29 @@ int write_metrics_artifacts(const std::string& dir, const obs::Series& series) {
   return 0;
 }
 
-int run_replay(const std::string& path,
-               const std::optional<std::string>& metrics_out) {
+int run_list(const Options& o) {
+  if (o.list_json && o.list_markdown) {
+    usage_error("--list takes --json or --markdown, not both");
+  }
+  if (o.list_json) {
+    list_catalog_json();
+  } else if (o.list_markdown) {
+    list_catalog_markdown();
+  } else {
+    list_catalog();
+  }
+  return 0;
+}
+
+int run_replay(const Options& o) {
+  const std::string& path = o.target;
   std::string error;
   const auto loaded = check::load_trace_file(path, error);
   if (!loaded) {
     std::fprintf(stderr, "scenario_runner: --replay: %s\n", error.c_str());
     return 2;
   }
-  if (metrics_out) {
+  if (o.metrics_out) {
     // Offline re-analysis: the samples are already in the trace, so no
     // re-execution is needed to export them.
     obs::SeriesCollector collector;
@@ -491,7 +586,7 @@ int run_replay(const std::string& path,
     const obs::Series series = collector.take();
     std::printf("extracting metrics from %s: %zu samples of %zu events\n",
                 path.c_str(), series.size(), loaded->events.size());
-    return write_metrics_artifacts(*metrics_out, series);
+    return write_metrics_artifacts(*o.metrics_out, series);
   }
   std::printf("replaying %s: scenario '%s', seed %llu, %zu recorded "
               "events\n",
@@ -522,30 +617,6 @@ std::vector<Scenario> registry_tier(bool include_big) {
   return out;
 }
 
-/// Run every scenario on a worker pool (the campaign-trial pattern: runs
-/// are independent and deterministic, so results are order-free).
-std::vector<RunResult> run_registry(const std::vector<Scenario>& all,
-                                    int jobs) {
-  std::vector<RunResult> results(all.size());
-  std::vector<std::thread> pool;
-  std::atomic<std::size_t> next{0};
-  const std::size_t workers = std::min<std::size_t>(
-      jobs > 0 ? static_cast<std::size_t>(jobs)
-               : std::max(1u, std::thread::hardware_concurrency()),
-      std::max<std::size_t>(1, all.size()));
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= all.size()) return;
-        results[i] = run(all[i]);
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-  return results;
-}
-
 /// One file's strict validation, dispatched on the canonical filename:
 /// baselines.json is the band document, coverage.json the fuzz coverage
 /// report, everything else a scenario.
@@ -559,7 +630,8 @@ bool validate_one(const std::filesystem::path& path, std::string& error) {
   return ScenarioFile::load(path.string(), error).has_value();
 }
 
-int run_validate_scenarios(const std::string& target) {
+int run_validate_scenarios(const Options& o) {
+  const std::string& target = o.target;
   std::vector<std::filesystem::path> files;
   std::error_code ec;
   if (std::filesystem::is_directory(target, ec)) {
@@ -594,38 +666,41 @@ int run_validate_scenarios(const std::string& target) {
   return 0;
 }
 
-int run_record_baselines(const std::string& file, bool include_big,
-                         int jobs) {
-  const std::vector<Scenario> all = registry_tier(include_big);
+int run_record_baselines(const Options& o) {
+  const std::vector<Scenario> all = registry_tier(o.include_big);
   std::printf("recording baselines for %zu scenario(s)...\n", all.size());
-  const std::vector<RunResult> results = run_registry(all, jobs);
+  std::vector<RunResult> results(all.size());
+  parallel_for(all.size(), o.jobs,
+               [&](std::size_t i) { results[i] = run(all[i]); });
   BaselineSet set;
   for (std::size_t i = 0; i < all.size(); ++i) {
     set.entries.push_back(record_baseline(all[i], results[i]));
   }
   std::string error;
-  if (!save_baselines_file(set, file, error)) {
+  if (!save_baselines_file(set, o.target, error)) {
     std::fprintf(stderr, "scenario_runner: --record-baselines: %s\n",
                  error.c_str());
     return 2;
   }
   std::printf("recorded %zu baseline(s) to %s\n", set.entries.size(),
-              file.c_str());
+              o.target.c_str());
   return 0;
 }
 
-int run_gate_registry(const std::string& file, bool include_big, int jobs) {
+int run_gate_registry(const Options& o) {
   std::string error;
-  const auto baselines = load_baselines_file(file, error);
+  const auto baselines = load_baselines_file(o.target, error);
   if (!baselines) {
     std::fprintf(stderr, "scenario_runner: --gate-registry: %s\n",
                  error.c_str());
     return 2;
   }
-  const std::vector<Scenario> all = registry_tier(include_big);
+  const std::vector<Scenario> all = registry_tier(o.include_big);
   std::printf("gating %zu scenario(s) against %s...\n", all.size(),
-              file.c_str());
-  const std::vector<RunResult> results = run_registry(all, jobs);
+              o.target.c_str());
+  std::vector<RunResult> results(all.size());
+  parallel_for(all.size(), o.jobs,
+               [&](std::size_t i) { results[i] = run(all[i]); });
   int failures = 0;
   for (std::size_t i = 0; i < all.size(); ++i) {
     const GateReport report = gate_run(all[i], results[i], *baselines);
@@ -654,17 +729,26 @@ int run_gate_registry(const std::string& file, bool include_big, int jobs) {
   return 0;
 }
 
-int run_fuzz(const Scenario& base, int trials, std::uint64_t fuzz_seed,
-             const std::optional<std::string>& out_dir, int fuzz_jobs) {
+int run_paper(const Options& o) {
+  paper::Ledger ledger({o.full, o.reps.value_or(0), o.seed.value_or(42),
+                        o.jobs});
+  for (const paper::Artifact& a : paper::artifacts()) {
+    if (o.target == "all" || a.name == o.target) ledger.print(a, stdout);
+  }
+  return 0;
+}
+
+int run_fuzz(const Options& o) {
+  const Scenario base = compose(o);
   fuzz::EngineOptions opts;
-  opts.trials = trials;
-  opts.seed = fuzz_seed;
-  opts.jobs = fuzz_jobs;
-  if (out_dir) opts.out_dir = *out_dir;
+  opts.trials = o.fuzz_trials;
+  opts.seed = o.fuzz_seed;
+  opts.jobs = o.fuzz_jobs;
+  if (o.fuzz_out) opts.out_dir = *o.fuzz_out;
   std::printf("fuzz: %d trial(s), seed %llu, jobs=%s, base '%s' "
               "(%d nodes, membership=%s)\n",
-              trials, static_cast<unsigned long long>(fuzz_seed),
-              fuzz_jobs == 0 ? "auto" : std::to_string(fuzz_jobs).c_str(),
+              o.fuzz_trials, static_cast<unsigned long long>(o.fuzz_seed),
+              o.fuzz_jobs == 0 ? "auto" : std::to_string(o.fuzz_jobs).c_str(),
               base.name.c_str(), base.cluster_size, base.membership.c_str());
   fuzz::Engine engine(base, opts);
   const fuzz::FuzzReport r = engine.run();
@@ -702,84 +786,210 @@ int run_fuzz(const Scenario& base, int trials, std::uint64_t fuzz_seed,
   return 0;
 }
 
-}  // namespace
+int run_campaign(const Options& o) {
+  const Scenario s = compose(o);
+  Campaign camp;
+  camp.name = s.name;
+  camp.base = s;
+  camp.repetitions = o.reps.value_or(5);
+  camp.jobs = o.jobs;
+  camp.base_seed = s.seed;
 
-int main(int argc, char** argv) {
-  // Catalog mode is handled up front so `--json` can be a bare flag here
-  // while remaining `--json FILE` in campaign mode.
-  {
-    const std::vector<std::string> args(argv + 1, argv + argc);
-    auto given = [&args](std::string_view flag) {
-      return std::find(args.begin(), args.end(), flag) != args.end();
-    };
-    if (given("--list")) {
-      const std::string usage =
-          "--list takes only --json or --markdown, not both";
-      only_flags(args, "--list", {"--json", "--markdown"}, usage);
-      if (given("--json") && given("--markdown")) {
-        usage_error(usage + " (got --json and --markdown)");
-      }
-      if (given("--json")) {
-        list_catalog_json();
-      } else if (given("--markdown")) {
-        list_catalog_markdown();
-      } else {
-        list_catalog();
-      }
-      return 0;
-    }
+  std::vector<Reporter*> reporters;
+  ProgressReporter meter(s.name);
+  reporters.push_back(&meter);
+  std::ofstream json_out, csv_out;
+  std::optional<JsonlReporter> jsonl;
+  std::optional<CsvReporter> csv;
+  if (o.json) {
+    json_out.open(*o.json);
+    if (!json_out) usage_error("cannot open --json file " + *o.json);
+    reporters.push_back(&jsonl.emplace(json_out));
+  }
+  if (o.csv) {
+    csv_out.open(*o.csv);
+    if (!csv_out) usage_error("cannot open --csv file " + *o.csv);
+    reporters.push_back(&csv.emplace(csv_out));
   }
 
-  Scenario s;
-  s.name = "custom";
-  s.summary = "ad-hoc scenario composed from flags";
-  s.cluster_size = 64;
-  s.config = swim::Config::lifeguard();
-  s.run_length = sec(120);
-  bool ad_hoc = true;  // no --scenario / --scenario-file base
+  std::printf("campaign: %d repetitions, jobs=%s\n\n", camp.repetitions,
+              camp.jobs == 0 ? "auto" : std::to_string(camp.jobs).c_str());
+  const CampaignResult result = run(camp, reporters);
+  report_campaign(result);
+  if (o.json) std::printf("\nJSONL artifact: %s\n", o.json->c_str());
+  if (o.csv) std::printf("CSV artifact: %s\n", o.csv->c_str());
+  if (o.metrics_out) {
+    // Runner campaigns have one grid point; its folded bands are the
+    // campaign's metric artifact.
+    const auto& bands = result.points.front().series;
+    ::mkdir(o.metrics_out->c_str(), 0755);
+    const std::string bands_jsonl = *o.metrics_out + "/bands.jsonl";
+    const std::string bands_csv = *o.metrics_out + "/bands.csv";
+    std::ofstream bj(bands_jsonl), bc(bands_csv);
+    if (!bj || !bc) {
+      std::fprintf(stderr, "scenario_runner: cannot write under %s\n",
+                   o.metrics_out->c_str());
+      return 2;
+    }
+    obs::write_bands_jsonl(bj, bands);
+    obs::write_bands_csv(bc, bands);
+    std::printf("metrics: %s, %s (%zu bands over %d trials)\n",
+                bands_jsonl.c_str(), bands_csv.c_str(), bands.size(),
+                result.points.front().trials);
+  }
+  int violating = 0;
+  for (const PointStats& ps : result.points) violating += ps.violating_trials;
+  if (violating > 0) {
+    std::fprintf(stderr,
+                 "\n%d trial(s) violated protocol invariants — see the "
+                 "per-trial artifacts\n",
+                 violating);
+    return 3;
+  }
+  return 0;
+}
 
-  // Flag values are collected first and applied on top of the base scenario
-  // (the catalog entry or the ad-hoc default) so order doesn't matter.
-  std::optional<double> alpha, beta;
-  std::optional<int> nodes;
-  std::optional<Duration> length, quiesce;
-  std::optional<std::uint64_t> seed;
-  std::optional<std::string> config_name, membership;
-  std::vector<fault::TimelineEntry> fault_entries;
-  bool campaign_mode = false;
-  bool check_mode = false;
-  std::optional<int> reps;  // --campaign default 5; --paper: the grid's
-  std::optional<int> jobs;  // default 0 = one worker per hardware thread
-  std::optional<std::string> json_path, csv_path, trace_path, replay_path;
-  std::optional<std::string> validate_path, record_path;
-  std::optional<std::string> gate_path, gate_registry_path, paper_name;
-  bool full = false;
-  bool include_big = false;
-  std::optional<std::string> metrics_out;
-  std::optional<Duration> metrics_interval;
-  bool spans = false;
-  std::optional<Duration> suspicion_cap;
-  std::optional<int> fuzz_trials;
-  std::uint64_t fuzz_seed = 1;
-  std::optional<std::string> fuzz_out;
-  int fuzz_jobs = 0;  // 0 = one worker per hardware thread
-  harness::Backend backend = harness::Backend::kSim;
-  std::optional<Duration> watchdog_timeout;
-  std::string live_logs = "live-logs";
-  std::vector<std::string> flags;  // as given, without their values
+int run_single(const Options& o) {
+  const bool live = o.backend == harness::Backend::kLive;
+  if (o.given("--live-logs") && !live) {
+    usage_error("--live-logs DIR keeps live workers' logs and needs "
+                "--backend live");
+  }
+  if (o.gate && live) {
+    usage_error("--gate checks one simulator run against its baseline and "
+                "cannot combine with --backend live");
+  }
+  if (o.spans && !o.trace && !o.check) {
+    usage_error("--spans records probe spans into the run's trace and needs "
+                "--trace FILE or --check");
+  }
+  const Scenario s = compose(o);
+  // Record whenever a trace was requested — and always under --check, so a
+  // violation ships with its replayable reproducer.
+  std::optional<check::TraceRecorder> recorder;
+  std::vector<check::TraceSink*> sinks;
+  if (o.trace || o.check) {
+    recorder.emplace(s, /*include_datagrams=*/false,
+                     /*include_probe_spans=*/o.spans);
+    sinks.push_back(&*recorder);
+  }
+  harness::RunOptions run_opts;
+  run_opts.backend = o.backend;
+  if (o.timeout) run_opts.timeout = *o.timeout;
+  run_opts.log_dir = o.live_logs;
+  const RunResult r = run(s, run_opts, sinks);
+  report(r);
+  if (r.checks.checked) report_checks(r.checks);
+  if (o.metrics_out) {
+    const int rc = write_metrics_artifacts(*o.metrics_out, r.series);
+    if (rc != 0) return rc;
+  }
 
+  std::string save_to;
+  if (o.trace) {
+    save_to = *o.trace;
+  } else if (!r.checks.passed() && r.checks.checked) {
+    save_to = s.name + "-violation.trace.jsonl";
+  }
+  if (!save_to.empty()) {
+    std::string error;
+    if (!check::save_trace_file(recorder->trace(), save_to, error)) {
+      std::fprintf(stderr, "scenario_runner: %s\n", error.c_str());
+      return 2;
+    }
+    std::printf("\ntrace: %s (%zu events; verify with --replay %s)\n",
+                save_to.c_str(), recorder->trace().events.size(),
+                save_to.c_str());
+  }
+  bool gate_failed = false;
+  if (o.gate) {
+    std::string error;
+    const auto baselines = load_baselines_file(*o.gate, error);
+    if (!baselines) {
+      std::fprintf(stderr, "scenario_runner: --gate: %s\n", error.c_str());
+      return 2;
+    }
+    const GateReport gr = gate_run(s, r, *baselines);
+    std::printf("\n%s\n", gr.describe().c_str());
+    gate_failed = !gr.passed;
+  }
+  if (r.checks.checked && !r.checks.passed()) return 3;
+  return gate_failed ? 6 : 0;
+}
+
+// ---------------------------------------------------------------------------
+// The mode table
+
+/// One mode: the flag that selects it (empty for a single run), its name in
+/// messages, every other flag it takes, and its handler.
+struct Mode {
+  std::string_view flag;
+  std::string_view usage;
+  std::vector<std::string_view> takes;
+  int (*run)(const Options&);
+};
+
+/// The flags of every mode that runs a composed scenario: those compose()
+/// reads but --fault and --seed (the fuzzer draws its own), and --timeout;
+/// plus `more`.
+std::vector<std::string_view> composing(
+    std::initializer_list<std::string_view> more) {
+  std::vector<std::string_view> flags = {
+      "--scenario", "--scenario-file", "--nodes", "--config", "--membership",
+      "--length", "--quiesce", "--alpha", "--beta", "--check",
+      "--suspicion-cap", "--timeout"};
+  flags.insert(flags.end(), more);
+  return flags;
+}
+
+const Mode kModes[] = {
+    {"--list", "--list", {"--json", "--markdown"}, run_list},
+    {"--validate-scenarios", "--validate-scenarios PATH", {},
+     run_validate_scenarios},
+    {"--record-baselines", "--record-baselines FILE",
+     {"--include-big", "--jobs"}, run_record_baselines},
+    {"--gate-registry", "--gate-registry FILE", {"--include-big", "--jobs"},
+     run_gate_registry},
+    {"--paper", "--paper NAME|all", {"--full", "--reps", "--seed", "--jobs"},
+     run_paper},
+    {"--replay", "--replay FILE", {"--metrics-out"}, run_replay},
+    {"--fuzz", "--fuzz N",
+     composing({"--fuzz-seed", "--fuzz-out", "--fuzz-jobs"}), run_fuzz},
+    {"--campaign", "--campaign",
+     composing({"--fault", "--seed", "--reps", "--jobs", "--json", "--csv",
+                "--metrics-out", "--metrics-interval"}),
+     run_campaign},
+    {"", "a single run",
+     composing({"--fault", "--seed", "--trace", "--spans", "--metrics-out",
+                "--metrics-interval", "--gate", "--backend", "--live-logs"}),
+     run_single},
+};
+
+/// The one parse loop: each flag's value, checked for type and range, lands
+/// in Options whatever the mode; pick_mode then applies the mode's rule.
+Options parse(int argc, char** argv) {
+  Options o;
+  // Under --list, --json is a bare format flag; elsewhere it is --json FILE.
+  const bool listing = std::find(argv + 1, argv + argc,
+                                 std::string_view("--list")) != argv + argc;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    flags.push_back(arg);
+    o.flags.push_back(arg);
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) usage_error("missing value for " + arg);
       return argv[++i];
     };
-    if (arg == "--fault") {
+    if (arg == "--list" || arg == "--campaign") {
+      // bare mode flags: pick_mode reads them from o.flags
+    } else if (arg == "--json" && listing) {
+      o.list_json = true;
+    } else if (arg == "--markdown") {
+      o.list_markdown = true;
+    } else if (arg == "--fault") {
       std::string error;
       const auto entry = fault::parse_timeline_entry(next(), error);
       if (!entry) usage_error("--fault: " + error);
-      fault_entries.push_back(*entry);
+      o.faults.push_back(*entry);
     } else if (arg == "--scenario") {
       const std::string name = next();
       const Scenario* found = ScenarioRegistry::builtin().find(name);
@@ -787,391 +997,153 @@ int main(int argc, char** argv) {
         usage_error("unknown scenario '" + name +
                     "' — run with --list to see the catalog");
       }
-      s = *found;
-      ad_hoc = false;
+      o.base = *found;
     } else if (arg == "--scenario-file") {
       std::string error;
       const auto loaded = ScenarioFile::load(next(), error);
       if (!loaded) usage_error("--scenario-file: " + error);
-      s = *loaded;
-      ad_hoc = false;
-    } else if (arg == "--validate-scenarios") {
-      validate_path = next();
-    } else if (arg == "--record-baselines") {
-      record_path = next();
-    } else if (arg == "--gate") {
-      gate_path = next();
-    } else if (arg == "--gate-registry") {
-      gate_registry_path = next();
+      o.base = *loaded;
+    } else if (arg == "--validate-scenarios" || arg == "--record-baselines" ||
+               arg == "--gate-registry" || arg == "--replay") {
+      o.target = next();
     } else if (arg == "--paper") {
-      paper_name = next();
-      if (*paper_name != "all" && paper::find(*paper_name) == nullptr) {
-        usage_error("unknown --paper '" + *paper_name +
+      o.target = next();
+      if (o.target != "all" && paper::find(o.target) == nullptr) {
+        usage_error("unknown --paper '" + o.target +
                     "' (expected all or one of: " + paper::names() + ")");
       }
+    } else if (arg == "--gate") {
+      o.gate = next();
     } else if (arg == "--full") {
-      full = true;
+      o.full = true;
     } else if (arg == "--include-big") {
-      include_big = true;
+      o.include_big = true;
     } else if (arg == "--nodes") {
-      nodes = static_cast<int>(parse_int(arg, next(), 2, 4096));
+      o.nodes = static_cast<int>(parse_int(arg, next(), 2, 4096));
     } else if (arg == "--config") {
-      config_name = next();
+      o.config = config_by_name(next());
     } else if (arg == "--membership") {
       std::string error;
-      membership = next();
-      if (!membership::parse_spec(*membership, &error)) {
+      o.membership = next();
+      if (!membership::parse_spec(*o.membership, &error)) {
         usage_error("--membership: " + error);
       }
     } else if (arg == "--length") {
-      length = sec(parse_int(arg, next(), 1, 86400));
+      o.length = sec(parse_int(arg, next(), 1, 86400));
     } else if (arg == "--quiesce") {
-      quiesce = sec(parse_int(arg, next(), 0, 3600));
+      o.quiesce = sec(parse_int(arg, next(), 0, 3600));
     } else if (arg == "--alpha") {
-      alpha = parse_double(arg, next(), 0.1, 1000.0);
+      o.alpha = parse_double(arg, next(), 0.1, 1000.0);
     } else if (arg == "--beta") {
-      beta = parse_double(arg, next(), 1.0, 1000.0);
+      o.beta = parse_double(arg, next(), 1.0, 1000.0);
     } else if (arg == "--seed") {
-      seed = parse_u64(arg, next());
-    } else if (arg == "--campaign") {
-      campaign_mode = true;
+      o.seed = parse_u64(arg, next());
     } else if (arg == "--check") {
-      check_mode = true;
+      o.check = true;
     } else if (arg == "--suspicion-cap") {
-      check_mode = true;
-      suspicion_cap = msec(parse_int(arg, next(), 1, 86400000));
+      o.check = true;
+      o.suspicion_cap = msec(parse_int(arg, next(), 1, 86400000));
     } else if (arg == "--fuzz") {
-      fuzz_trials = static_cast<int>(parse_int(arg, next(), 1, 1000000));
+      o.fuzz_trials = static_cast<int>(parse_int(arg, next(), 1, 1000000));
     } else if (arg == "--fuzz-seed") {
-      fuzz_seed = parse_u64(arg, next());
+      o.fuzz_seed = parse_u64(arg, next());
     } else if (arg == "--fuzz-out") {
-      fuzz_out = next();
+      o.fuzz_out = next();
     } else if (arg == "--fuzz-jobs") {
-      fuzz_jobs = static_cast<int>(parse_int(arg, next(), 0, 1024));
+      o.fuzz_jobs = static_cast<int>(parse_int(arg, next(), 0, 1024));
     } else if (arg == "--trace") {
-      trace_path = next();
-    } else if (arg == "--replay") {
-      replay_path = next();
+      o.trace = next();
     } else if (arg == "--metrics-out") {
-      metrics_out = next();
+      o.metrics_out = next();
     } else if (arg == "--metrics-interval") {
-      metrics_interval = msec(parse_int(arg, next(), 1, 86400000));
+      o.metrics_interval = msec(parse_int(arg, next(), 1, 86400000));
     } else if (arg == "--spans") {
-      spans = true;
+      o.spans = true;
     } else if (arg == "--reps") {
-      reps = static_cast<int>(parse_int(arg, next(), 1, 100000));
+      o.reps = static_cast<int>(parse_int(arg, next(), 1, 100000));
     } else if (arg == "--jobs") {
-      jobs = static_cast<int>(parse_int(arg, next(), 0, 1024));
+      o.jobs = static_cast<int>(parse_int(arg, next(), 0, 1024));
     } else if (arg == "--json") {
-      json_path = next();
+      o.json = next();
     } else if (arg == "--csv") {
-      csv_path = next();
+      o.csv = next();
     } else if (arg == "--backend") {
       const std::string name = next();
       const auto b = harness::backend_from_name(name);
       if (!b) usage_error("unknown --backend '" + name + "' (sim|live)");
-      backend = *b;
+      o.backend = *b;
     } else if (arg == "--timeout") {
-      watchdog_timeout = sec(parse_int(arg, next(), 1, 86400));
+      o.timeout = sec(parse_int(arg, next(), 1, 86400));
     } else if (arg == "--live-logs") {
-      live_logs = next();
+      o.live_logs = next();
     } else {
       usage_error("unknown option " + arg);
     }
   }
+  return o;
+}
 
-  // The registry-wide subcommands don't run the composed scenario; they are
-  // dispatched here, one per invocation.
-  {
-    const int subcommands = (validate_path ? 1 : 0) + (record_path ? 1 : 0) +
-                            (gate_registry_path ? 1 : 0) +
-                            (paper_name ? 1 : 0);
-    if (subcommands > 1) {
-      usage_error("--validate-scenarios, --record-baselines, "
-                  "--gate-registry and --paper are one-per-invocation "
-                  "subcommands");
+/// The mode the command line selects (the first row whose flag it gives,
+/// else a single run). Exits 2 on any flag that row does not list, and on
+/// any flag but --fault given twice.
+const Mode& pick_mode(const Options& o) {
+  const Mode* mode =
+      std::find_if(std::begin(kModes), std::end(kModes) - 1,
+                   [&o](const Mode& m) { return o.given(m.flag); });
+  for (const std::string& f : o.flags) {
+    if (f != mode->flag &&
+        std::find(mode->takes.begin(), mode->takes.end(), f) ==
+            mode->takes.end()) {
+      usage_error(std::string(mode->usage) + " does not take " + f);
     }
-    if (full && !paper_name) {
-      usage_error("--full selects the paper's full grids and needs --paper");
-    }
-    if (validate_path) {
-      only_flags(flags, "--validate-scenarios", {},
-                 "--validate-scenarios PATH takes no other flag");
-      return run_validate_scenarios(*validate_path);
-    }
-    if (record_path) {
-      only_flags(flags, "--record-baselines", {"--include-big", "--jobs"},
-                 "--record-baselines FILE takes only --include-big and "
-                 "--jobs N, each at most once");
-      return run_record_baselines(*record_path, include_big,
-                                  jobs.value_or(0));
-    }
-    if (gate_registry_path) {
-      only_flags(flags, "--gate-registry", {"--include-big", "--jobs"},
-                 "--gate-registry FILE takes only --include-big and --jobs "
-                 "N, each at most once");
-      return run_gate_registry(*gate_registry_path, include_big,
-                               jobs.value_or(0));
-    }
-    if (paper_name) {
-      only_flags(flags, "--paper", {"--full", "--reps", "--seed", "--jobs"},
-                 "--paper NAME takes only --full, --reps N, --seed S and "
-                 "--jobs N, each at most once");
-      paper::Ledger ledger({full, reps.value_or(0), seed.value_or(42),
-                            jobs.value_or(0)});
-      for (const paper::Artifact& a : paper::artifacts()) {
-        if (*paper_name == "all" || a.name == *paper_name) {
-          ledger.print(a, stdout);
-        }
-      }
-      return 0;
+    if (f != "--fault" && std::count(o.flags.begin(), o.flags.end(), f) > 1) {
+      usage_error(f + " given twice");
     }
   }
-  if (gate_path && (campaign_mode || replay_path ||
-                    backend != harness::Backend::kSim)) {
-    usage_error("--gate checks one simulator run against its baseline — "
-                "it cannot combine with --campaign, --replay or "
-                "--backend live");
-  }
+  return *mode;
+}
 
-  if (replay_path) {
-    only_flags(flags, "--replay", {"--metrics-out"},
-               "--replay FILE re-executes a recorded trace and takes no "
-               "other flags (except --metrics-out DIR for offline metric "
-               "extraction) — the trace header is the scenario");
-    return run_replay(*replay_path, metrics_out);
-  }
+/// Set when main returns, so the --timeout watchdog stands down.
+std::atomic<bool> finished{false};
 
-  if (nodes) s.cluster_size = *nodes;
-  if (length) s.run_length = *length;
-  if (quiesce) s.quiesce = *quiesce;
-  if (seed) s.seed = *seed;
-  if (config_name) s.config = config_by_name(*config_name);
-  if (membership) s.membership = *membership;
-  if (s.config.lha_suspicion) {
-    if (alpha) s.config.suspicion_alpha = *alpha;
-    if (beta) s.config.suspicion_beta = *beta;
-  }
-  if (!fault_entries.empty()) {
-    s.timeline = fault::Timeline{};
-    for (fault::TimelineEntry& e : fault_entries) s.timeline.add(std::move(e));
-  } else if (ad_hoc) {
-    s.timeline.add(Duration{}, s.run_length,
-                   fault::Fault::interval_block(msec(16384), msec(4)),
-                   fault::VictimSelector::uniform(8));
-  }
-
-  // Mention the backend only when it isn't the default — keeps swim output
-  // (and anything diffing it) byte-identical to pre-backend versions.
-  const std::string membership_note =
-      s.membership == "swim" ? "" : " membership=" + s.membership;
-  std::printf("scenario: %s — %d nodes, %s, timeline [%s] "
-              "length=%.0fs seed=%llu%s\n\n",
-              s.name.c_str(), s.cluster_size, s.config.table1_name().c_str(),
-              s.timeline.summary().c_str(), s.run_length.seconds(),
-              static_cast<unsigned long long>(s.seed),
-              membership_note.c_str());
-
-  if (check_mode) s.checks = check::Spec::all();
-  if (suspicion_cap) s.checks.suspicion_cap = *suspicion_cap;
-  if (metrics_interval) {
-    s.metrics_interval = *metrics_interval;
-  } else if (metrics_out && s.metrics_interval <= Duration{0}) {
-    s.metrics_interval = msec(500);
-  }
-
-  if (fuzz_trials) {
-    if (campaign_mode || trace_path || gate_path || metrics_out ||
-        backend != harness::Backend::kSim) {
-      usage_error("--fuzz is its own simulator-only mode and cannot combine "
-                  "with --campaign, --trace, --gate, --metrics-out or "
-                  "--backend live");
-    }
-    try {
-      return run_fuzz(s, *fuzz_trials, fuzz_seed, fuzz_out, fuzz_jobs);
-    } catch (const ScenarioError& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    } catch (const std::runtime_error& e) {
-      std::fprintf(stderr, "scenario_runner: %s\n", e.what());
-      return 2;
-    }
-  }
-
-  if (backend == harness::Backend::kLive && campaign_mode) {
-    usage_error("--campaign is simulator-only: a statistical sweep needs the "
-                "determinism and speed a real-process cluster cannot offer");
-  }
-  if (backend == harness::Backend::kLive &&
-      membership::base_name(s.membership) != "swim") {
-    usage_error("the live tier only runs the swim backend — '" + s.membership +
-                "' is simulator-only");
-  }
-
-  // Watchdog: a hard wall-clock ceiling on the whole invocation. On expiry
-  // every registered worker is SIGKILLed so no orphans survive, then the
-  // runner exits 5. Armed only when --timeout is given.
-  static std::atomic<bool> finished{false};
-  if (watchdog_timeout) {
-    const Duration limit = *watchdog_timeout;
-    std::thread([limit] {
-      const std::int64_t deadline =
-          net::steady_now_ns() + limit.us * 1000;
-      while (net::steady_now_ns() < deadline) {
-        if (finished.load()) return;
-        ::usleep(50 * 1000);
-      }
+/// --timeout's hard wall-clock ceiling on the whole invocation: on expiry
+/// every registered live worker is SIGKILLed, so no orphans survive, and the
+/// runner exits 5.
+void arm_watchdog(Duration limit) {
+  std::thread([limit] {
+    const std::int64_t deadline = net::steady_now_ns() + limit.us * 1000;
+    while (net::steady_now_ns() < deadline) {
       if (finished.load()) return;
-      std::fprintf(stderr,
-                   "scenario_runner: watchdog expired after %.0fs — killing "
-                   "workers\n",
-                   limit.seconds());
-      live::emergency_teardown();
-      std::_Exit(5);
-    }).detach();
-  }
-
-  try {
-    if (campaign_mode) {
-      if (trace_path) {
-        usage_error("--trace records one run and cannot be combined with "
-                    "--campaign (per-trial verdicts land in --json/--csv)");
-      }
-      Campaign camp;
-      camp.name = s.name;
-      camp.base = s;
-      camp.repetitions = reps.value_or(5);
-      camp.jobs = jobs.value_or(0);
-      camp.base_seed = s.seed;
-
-      std::vector<Reporter*> reporters;
-      ProgressReporter meter(s.name);
-      reporters.push_back(&meter);
-      std::ofstream json_out, csv_out;
-      std::optional<JsonlReporter> jsonl;
-      std::optional<CsvReporter> csv;
-      if (json_path) {
-        json_out.open(*json_path);
-        if (!json_out) usage_error("cannot open --json file " + *json_path);
-        reporters.push_back(&jsonl.emplace(json_out));
-      }
-      if (csv_path) {
-        csv_out.open(*csv_path);
-        if (!csv_out) usage_error("cannot open --csv file " + *csv_path);
-        reporters.push_back(&csv.emplace(csv_out));
-      }
-
-      std::printf("campaign: %d repetitions, jobs=%s\n\n", camp.repetitions,
-                  camp.jobs == 0 ? "auto"
-                                 : std::to_string(camp.jobs).c_str());
-      const CampaignResult result = run(camp, reporters);
-      report_campaign(result);
-      if (json_path) std::printf("\nJSONL artifact: %s\n", json_path->c_str());
-      if (csv_path) std::printf("CSV artifact: %s\n", csv_path->c_str());
-      if (metrics_out) {
-        // Runner campaigns have one grid point; its folded bands are the
-        // campaign's metric artifact.
-        const auto& bands = result.points.front().series;
-        ::mkdir(metrics_out->c_str(), 0755);
-        const std::string bands_jsonl = *metrics_out + "/bands.jsonl";
-        const std::string bands_csv = *metrics_out + "/bands.csv";
-        std::ofstream bj(bands_jsonl), bc(bands_csv);
-        if (!bj || !bc) {
-          std::fprintf(stderr, "scenario_runner: cannot write under %s\n",
-                       metrics_out->c_str());
-          return 2;
-        }
-        obs::write_bands_jsonl(bj, bands);
-        obs::write_bands_csv(bc, bands);
-        std::printf("metrics: %s, %s (%zu bands over %d trials)\n",
-                    bands_jsonl.c_str(), bands_csv.c_str(), bands.size(),
-                    result.points.front().trials);
-      }
-      int violating = 0;
-      for (const PointStats& ps : result.points) {
-        violating += ps.violating_trials;
-      }
-      if (violating > 0) {
-        std::fprintf(stderr,
-                     "\n%d trial(s) violated protocol invariants — see the "
-                     "per-trial artifacts\n",
-                     violating);
-        return 3;
-      }
-    } else {
-      if (json_path || csv_path) {
-        usage_error("--json/--csv require --campaign (artifacts describe "
-                    "multi-trial runs)");
-      }
-      // Record whenever a trace was requested — and always under --check,
-      // so a violation ships with its replayable reproducer.
-      std::optional<check::TraceRecorder> recorder;
-      std::vector<check::TraceSink*> sinks;
-      if (trace_path || check_mode) {
-        recorder.emplace(s, /*include_datagrams=*/false,
-                         /*include_probe_spans=*/spans);
-        sinks.push_back(&*recorder);
-      }
-      harness::RunOptions run_opts;
-      run_opts.backend = backend;
-      if (watchdog_timeout) run_opts.timeout = *watchdog_timeout;
-      run_opts.log_dir = live_logs;
-      const RunResult r = run(s, run_opts, sinks);
-      report(r);
-      if (r.checks.checked) report_checks(r.checks);
-      if (metrics_out) {
-        const int rc = write_metrics_artifacts(*metrics_out, r.series);
-        if (rc != 0) return rc;
-      }
-
-      std::string save_to;
-      if (trace_path) {
-        save_to = *trace_path;
-      } else if (!r.checks.passed() && r.checks.checked) {
-        save_to = s.name + "-violation.trace.jsonl";
-      }
-      if (!save_to.empty()) {
-        std::string error;
-        if (!check::save_trace_file(recorder->trace(), save_to, error)) {
-          std::fprintf(stderr, "scenario_runner: %s\n", error.c_str());
-          return 2;
-        }
-        std::printf("\ntrace: %s (%zu events; verify with --replay %s)\n",
-                    save_to.c_str(), recorder->trace().events.size(),
-                    save_to.c_str());
-      }
-      bool gate_failed = false;
-      if (gate_path) {
-        std::string error;
-        const auto baselines = load_baselines_file(*gate_path, error);
-        if (!baselines) {
-          std::fprintf(stderr, "scenario_runner: --gate: %s\n",
-                       error.c_str());
-          finished.store(true);
-          return 2;
-        }
-        const GateReport gr = gate_run(s, r, *baselines);
-        std::printf("\n%s\n", gr.describe().c_str());
-        gate_failed = !gr.passed;
-      }
-      if (r.checks.checked && !r.checks.passed()) {
-        finished.store(true);
-        return 3;
-      }
-      if (gate_failed) {
-        finished.store(true);
-        return 6;
-      }
+      ::usleep(50 * 1000);
     }
+    if (finished.load()) return;
+    std::fprintf(stderr,
+                 "scenario_runner: watchdog expired after %.0fs — killing "
+                 "workers\n",
+                 limit.seconds());
+    live::emergency_teardown();
+    std::_Exit(5);
+  }).detach();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  int rc = 2;
+  try {
+    const Options o = parse(argc, argv);
+    const Mode& mode = pick_mode(o);
+    if (o.timeout) arm_watchdog(*o.timeout);
+    rc = mode.run(o);
   } catch (const live::TimeoutError& e) {
     std::fprintf(stderr, "scenario_runner: %s\n", e.what());
     live::emergency_teardown();
-    return 5;
+    rc = 5;
   } catch (const ScenarioError& e) {
-    finished.store(true);
     std::fprintf(stderr, "%s\n", e.what());
-    return 2;
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "scenario_runner: %s\n", e.what());
   }
   finished.store(true);
-  return 0;
+  return rc;
 }

@@ -1,8 +1,9 @@
 #include "check/shrink.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
+
+#include "harness/campaign.h"
 
 namespace lifeguard::check {
 
@@ -125,7 +126,8 @@ ShrinkResult shrink(const Scenario& s, const ShrinkOptions& opts) {
   out.reproduced = true;
   out.minimal_result = std::move(baseline);
 
-  const int jobs = std::max(opts.jobs, 1);
+  const std::size_t width =
+      static_cast<std::size_t>(harness::worker_count(opts.jobs));
   for (; out.rounds < opts.max_rounds; ) {
     const std::vector<Candidate> candidates = propose(current, opts);
     int accepted = -1;
@@ -135,31 +137,18 @@ ShrinkResult shrink(const Scenario& s, const ShrinkOptions& opts) {
     // candidate. A batch runs concurrently, but acceptance depends only on
     // candidate order — the minimal scenario is jobs-invariant.
     for (std::size_t base = 0; base < candidates.size() && accepted < 0;
-         base += static_cast<std::size_t>(jobs)) {
-      const std::size_t batch =
-          std::min(candidates.size() - base, static_cast<std::size_t>(jobs));
+         base += width) {
+      const std::size_t batch = std::min(candidates.size() - base, width);
+      // A reduction that broke the shape keeps an empty result, which
+      // violates nothing.
       std::vector<RunResult> results(batch);
-      std::vector<bool> violating(batch, false);
-      auto evaluate = [&](std::size_t offset) {
+      harness::parallel_for(batch, opts.jobs, [&](std::size_t offset) {
         const Scenario& cand = candidates[base + offset].scenario;
-        if (!cand.validate().empty()) return;  // reduction broke the shape
-        RunResult r = harness::run(cand);
-        violating[offset] = violates_target(r, out.target_invariants);
-        results[offset] = std::move(r);
-      };
-      if (batch == 1) {
-        evaluate(0);
-      } else {
-        std::vector<std::thread> pool;
-        pool.reserve(batch);
-        for (std::size_t off = 0; off < batch; ++off) {
-          pool.emplace_back(evaluate, off);
-        }
-        for (std::thread& th : pool) th.join();
-      }
+        if (cand.validate().empty()) results[offset] = harness::run(cand);
+      });
       out.runs += static_cast<int>(batch);
       for (std::size_t off = 0; off < batch; ++off) {
-        if (violating[off]) {
+        if (violates_target(results[off], out.target_invariants)) {
           accepted = static_cast<int>(base + off);
           accepted_result = std::move(results[off]);
           break;

@@ -25,8 +25,8 @@
 namespace lifeguard::check {
 
 struct ShrinkOptions {
-  /// Concurrent candidate evaluations per batch (>= 1). Does not affect
-  /// the result, only wall-clock.
+  /// Concurrent candidate evaluations per batch (0 = one per hardware
+  /// thread). Does not affect the result, only wall-clock.
   int jobs = 1;
   /// Accepted-reduction budget (each round accepts at most one).
   int max_rounds = 64;

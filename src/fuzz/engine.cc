@@ -7,7 +7,6 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "check/coverage.h"
 #include "common/flatjson.h"
@@ -74,12 +73,6 @@ std::vector<fault::FaultKind> entry_kinds_of(const fault::Timeline& tl) {
     kinds.push_back(e.fault.kind);
   }
   return kinds;
-}
-
-int effective_jobs(int jobs) {
-  if (jobs > 0) return jobs;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
 }  // namespace
@@ -214,7 +207,7 @@ FuzzReport Engine::run() {
           f.invariants = sig;
           f.trial_index = done + i;
           check::ShrinkOptions sopts;
-          sopts.jobs = effective_jobs(opts_.jobs);
+          sopts.jobs = opts_.jobs;
           f.shrink = check::shrink(violating, sopts);
 
           harness::Scenario minimal = f.shrink.minimal;

@@ -317,75 +317,73 @@ CampaignResult run(const Campaign& c, const std::vector<Reporter*>& reporters) {
   std::mutex mu;
   for (Reporter* r : reporters) r->begin(c, grid, total);
 
-  int jobs = c.jobs;
-  if (jobs == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    jobs = hw == 0 ? 1 : static_cast<int>(hw);
-  }
-  jobs = std::min(jobs, std::max(total, 1));
-
-  std::atomic<int> next{0};
-  std::atomic<bool> aborted{false};
-  std::exception_ptr first_error;
   std::vector<bool> done(static_cast<std::size_t>(total), false);
   int completed = 0;
   int emitted = 0;
-
-  auto worker = [&] {
-    for (;;) {
-      const int ti = next.fetch_add(1, std::memory_order_relaxed);
-      if (ti >= total || aborted.load(std::memory_order_relaxed)) return;
-      TrialResult& t = result.trials[static_cast<std::size_t>(ti)];
-      const GridPoint& point = grid[static_cast<std::size_t>(t.point_index)];
-      try {
-        Scenario s = point.scenario;
-        s.seed = t.seed;
-        const std::vector<check::TraceSink*> sinks =
-            c.trial_sinks ? c.trial_sinks(t)
-                          : std::vector<check::TraceSink*>{};
-        t.result = harness::run(s, sinks);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!first_error) first_error = std::current_exception();
-        aborted.store(true, std::memory_order_relaxed);
-        return;
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      done[static_cast<std::size_t>(ti)] = true;
-      ++completed;
-      // Reporters are an extension point — a throwing callback must follow
-      // the same abort-and-rethrow contract as a throwing trial, not
-      // std::terminate the worker thread.
-      try {
-        for (Reporter* r : reporters) r->progress(completed, total);
-        // Emit in trial-index order: flush the contiguous completed prefix.
-        while (emitted < total && done[static_cast<std::size_t>(emitted)]) {
-          TrialResult& e = result.trials[static_cast<std::size_t>(emitted)];
-          for (Reporter* r : reporters) r->on_trial(e);
-          if (!c.keep_trial_metrics) e.result.metrics.reset();
-          ++emitted;
-        }
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-        aborted.store(true, std::memory_order_relaxed);
-        return;
-      }
+  // A throwing trial or reporter aborts the pool, which rethrows it here.
+  parallel_for(static_cast<std::size_t>(total), c.jobs, [&](std::size_t ti) {
+    TrialResult& t = result.trials[ti];
+    Scenario s = grid[static_cast<std::size_t>(t.point_index)].scenario;
+    s.seed = t.seed;
+    const std::vector<check::TraceSink*> sinks =
+        c.trial_sinks ? c.trial_sinks(t) : std::vector<check::TraceSink*>{};
+    t.result = harness::run(s, sinks);
+    std::lock_guard<std::mutex> lock(mu);
+    done[ti] = true;
+    ++completed;
+    for (Reporter* r : reporters) r->progress(completed, total);
+    // Emit in trial-index order: flush the contiguous completed prefix.
+    while (emitted < total && done[static_cast<std::size_t>(emitted)]) {
+      TrialResult& e = result.trials[static_cast<std::size_t>(emitted++)];
+      for (Reporter* r : reporters) r->on_trial(e);
+      if (!c.keep_trial_metrics) e.result.metrics.reset();
     }
-  };
-
-  if (jobs <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(jobs));
-    for (int i = 0; i < jobs; ++i) pool.emplace_back(worker);
-    for (std::thread& th : pool) th.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  });
 
   fold_point_stats(grid, result.trials, c.repetitions, result.points);
   for (Reporter* r : reporters) r->end(result);
   return result;
+}
+
+int worker_count(int jobs) {
+  if (jobs > 0) return jobs;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+void parallel_for(std::size_t count, int jobs,
+                  const std::function<void(std::size_t)>& fn) {
+  const std::size_t workers =
+      std::min(static_cast<std::size_t>(worker_count(jobs)), count);
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex mu;
+  std::exception_ptr first_error;
+  auto worker = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!first_error) first_error = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+        return;
+      }
+    }
+  };
+  {
+    // jthreads join when the pool goes, also when starting one throws.
+    std::vector<std::jthread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace lifeguard::harness

@@ -195,11 +195,27 @@ struct CampaignResult {
 };
 
 /// Execute the campaign. Throws ScenarioError when validate() is non-empty;
-/// a trial that throws aborts the campaign and rethrows on the caller
-/// thread. Reporters may be empty; they are invoked under an internal lock
-/// (begin / progress / on_trial / end) and need no synchronization of their
-/// own.
+/// a trial or a reporter that throws aborts the campaign and rethrows on the
+/// caller thread. Reporters may be empty; they are invoked under an internal
+/// lock (begin / progress / on_trial / end) and need no synchronization of
+/// their own.
 CampaignResult run(const Campaign& c,
                    const std::vector<Reporter*>& reporters = {});
+
+// ---------------------------------------------------------------------------
+// Worker pool
+
+/// Threads for a `jobs` setting: the value itself, or one per hardware
+/// thread when it is 0.
+int worker_count(int jobs);
+
+/// Calls fn(0) … fn(count - 1) on worker_count(jobs) threads, never more
+/// than `count`, each claiming the next unclaimed index; inline on the
+/// caller at one thread. After the first exception no index is claimed:
+/// the workers finish their calls and join, then it is rethrown on the
+/// caller. Campaign trials, check::shrink's batches and scenario_runner's
+/// registry runs share it.
+void parallel_for(std::size_t count, int jobs,
+                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace lifeguard::harness

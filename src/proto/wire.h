@@ -297,20 +297,30 @@ void encode(const BasicDead<Str>& d, BufWriter& w) {
   w.str(d.from);
 }
 
-template <class Str>
-void encode(const BasicPushPull<Str>& p, BufWriter& w) {
-  w.u8(static_cast<std::uint8_t>(p.is_response ? MsgType::kPushPullResp
-                                               : MsgType::kPushPullReq));
-  w.u8(p.join ? 1 : 0);
-  w.str(p.from);
-  detail::write_addr(w, p.from_addr);
-  w.varint(p.members.size());
-  for (const auto& s : p.members) {
+/// A push-pull from its fields. `members` is any sized range of entries
+/// with name, addr, incarnation and state: a message's list, or the sender's
+/// membership table itself, so a node encodes its state without copying it.
+template <class Members>
+void encode_push_pull(bool is_response, bool join, std::string_view from,
+                      const Address& from_addr, const Members& members,
+                      BufWriter& w) {
+  w.u8(static_cast<std::uint8_t>(is_response ? MsgType::kPushPullResp
+                                             : MsgType::kPushPullReq));
+  w.u8(join ? 1 : 0);
+  w.str(from);
+  detail::write_addr(w, from_addr);
+  w.varint(members.size());
+  for (const auto& s : members) {
     w.str(s.name);
     detail::write_addr(w, s.addr);
     w.u64(s.incarnation);
-    w.u8(s.state);
+    w.u8(static_cast<std::uint8_t>(s.state));
   }
+}
+
+template <class Str>
+void encode(const BasicPushPull<Str>& p, BufWriter& w) {
+  encode_push_pull(p.is_response, p.join, p.from, p.from_addr, p.members, w);
 }
 
 void encode(const Message& m, BufWriter& w);

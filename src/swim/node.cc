@@ -65,13 +65,7 @@ void Node::join(const std::vector<Address>& seeds) {
 
 void Node::send_join_requests() {
   for (const Address& seed : join_seeds_) {
-    proto::PushPull req;
-    req.is_response = false;
-    req.join = true;
-    req.from = name_;
-    req.from_addr = addr_;
-    req.members = snapshot_state();
-    send_message(seed, Channel::kReliable, req);
+    send_push_pull(seed, /*is_response=*/false, /*join=*/true);
   }
 }
 
@@ -193,13 +187,7 @@ void Node::push_pull_tick() {
 void Node::push_pull_round() {
   auto peers = table_.random_active(1, rt_.rng(), {});
   if (peers.empty()) return;
-  proto::PushPull req;
-  req.is_response = false;
-  req.join = false;
-  req.from = name_;
-  req.from_addr = addr_;
-  req.members = snapshot_state();
-  send_message(peers.front()->addr, Channel::kReliable, req);
+  send_push_pull(peers.front()->addr, /*is_response=*/false, /*join=*/false);
 }
 
 void Node::reconnect_tick() {
@@ -212,13 +200,7 @@ void Node::reconnect_tick() {
   // request simply goes unanswered.
   auto dead = table_.random_dead(1, rt_.rng());
   if (dead.empty()) return;
-  proto::PushPull req;
-  req.is_response = false;
-  req.join = false;
-  req.from = name_;
-  req.from_addr = addr_;
-  req.members = snapshot_state();
-  send_message(dead.front()->addr, Channel::kReliable, req);
+  send_push_pull(dead.front()->addr, /*is_response=*/false, /*join=*/false);
   obs_.reconnect_attempts().add();
 }
 

@@ -207,7 +207,9 @@ class Node : public membership::Agent {
 
   // ---- anti-entropy (node_sync.cc) ----
   void handle_push_pull(const proto::PushPullView& p);
-  std::vector<proto::MemberSnapshot> snapshot_state() const;
+  /// Send this node's whole table to `to` as one push-pull, encoded
+  /// straight from the table (requests, join requests and responses).
+  void send_push_pull(const Address& to, bool is_response, bool join);
   void merge_remote_state(const proto::PushPullView& p);
 
   // ---- data ----

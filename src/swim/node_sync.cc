@@ -10,18 +10,11 @@
 
 namespace lifeguard::swim {
 
-std::vector<proto::MemberSnapshot> Node::snapshot_state() const {
-  std::vector<proto::MemberSnapshot> out;
-  out.reserve(table_.size());
-  for (const Member& m : table_.all()) {
-    proto::MemberSnapshot s;
-    s.name = m.name;
-    s.addr = m.addr;
-    s.incarnation = m.incarnation;
-    s.state = static_cast<std::uint8_t>(m.state);
-    out.push_back(std::move(s));
-  }
-  return out;
+void Node::send_push_pull(const Address& to, bool is_response, bool join) {
+  BufWriter w(std::move(frame_));
+  proto::encode_push_pull(is_response, join, name_, addr_, table_.all(), w);
+  frame_ = std::move(w).take();
+  send_control(to, Channel::kReliable, {});
 }
 
 void Node::handle_push_pull(const proto::PushPullView& p) {
@@ -37,13 +30,8 @@ void Node::handle_push_pull(const proto::PushPullView& p) {
     }
   }
   if (!p.is_response) {
-    proto::PushPull resp;
-    resp.is_response = true;
-    resp.join = p.join;  // echo, so the joiner can tell this answers a join
-    resp.from = name_;
-    resp.from_addr = addr_;
-    resp.members = snapshot_state();
-    send_message(p.from_addr, Channel::kReliable, resp);
+    // Echo join, so the joiner can tell this answers a join.
+    send_push_pull(p.from_addr, /*is_response=*/true, p.join);
   }
   merge_remote_state(p);
 }

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/report.h"
@@ -393,6 +397,71 @@ TEST(CampaignTimelineSweep, TimelineParameterSweepIsJobsInvariant) {
     fault_drops += t.result.metrics.counter_value("net.dropped.fault_loss");
   }
   EXPECT_GT(fault_drops, 0);
+}
+
+TEST(ParallelFor, RunsEveryIndexOnceAtAnyJobs) {
+  for (int jobs : {0, 1, 3, 8}) {
+    SCOPED_TRACE(jobs);
+    std::vector<std::atomic<int>> runs(50);
+    parallel_for(runs.size(), jobs,
+                 [&](std::size_t i) { runs[i].fetch_add(1); });
+    for (const std::atomic<int>& r : runs) EXPECT_EQ(r.load(), 1);
+  }
+  parallel_for(0, 4, [](std::size_t) { ADD_FAILURE() << "no index"; });
+}
+
+TEST(ParallelFor, ThrowingTaskRethrowsOnTheCallerAfterEveryWorkerJoined) {
+  constexpr std::size_t kCount = 64;
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    std::vector<std::atomic<int>> runs(kCount);
+    std::atomic<int> in_flight{0};
+    auto ran = [&runs] {
+      int n = 0;
+      for (const std::atomic<int>& r : runs) n += r.load();
+      return n;
+    };
+    int ran_at_catch = -1;
+    try {
+      parallel_for(kCount, jobs, [&](std::size_t i) {
+        in_flight.fetch_add(1);
+        runs[i].fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        in_flight.fetch_sub(1);
+        if (i == 5) throw std::runtime_error("task 5");
+      });
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 5");
+      EXPECT_EQ(in_flight.load(), 0) << "a task still running at rethrow";
+      ran_at_catch = ran();
+    }
+    ASSERT_GE(ran_at_catch, 6) << "no rethrow";
+    // No worker outlives the call: nothing more runs after the rethrow.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(ran(), ran_at_catch);
+    for (const std::atomic<int>& r : runs) EXPECT_LE(r.load(), 1);
+    // Claiming stopped at the throw; inline, right after index 5.
+    EXPECT_LT(ran_at_catch, static_cast<int>(kCount));
+    if (jobs == 1) {
+      EXPECT_EQ(ran_at_catch, 6);
+    }
+  }
+}
+
+TEST(CampaignReporters, ThrowingOnTrialRethrowsFromRun) {
+  struct ReporterFailure {};
+  struct Throwing : Reporter {
+    void on_trial(const TrialResult& t) override {
+      if (t.trial_index == 2) throw ReporterFailure{};
+    }
+  };
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    Campaign c = tiny_campaign();
+    c.jobs = jobs;
+    Throwing reporter;
+    EXPECT_THROW(run(c, {&reporter}), ReporterFailure);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 // dead→suspect conversion) and the join path, via direct message injection.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "proto/wire.h"
+#include "recording_runtime.h"
 #include "sim/simulator.h"
 
 namespace lifeguard {
@@ -132,6 +135,77 @@ TEST_F(NodeSync, MergeRefutesSuspicionAboutSelf) {
   inject(make_state(true, {snap("node-0", MemberState::kDead, inc_before)}));
   EXPECT_GT(node().incarnation(), inc_before);
   EXPECT_GT(node().metrics().counter_value("swim.refutations"), 0);
+}
+
+/// What a node sent as one push-pull: the frame, and the owned message
+/// built from a copy of its table at that moment (the form the wire tests
+/// and the benchmark's codec probe use).
+struct SentPushPull {
+  std::vector<std::uint8_t> frame;
+  std::vector<proto::MemberSnapshot> table;
+};
+
+std::vector<std::uint8_t> encode_owned(bool is_response, bool join,
+                                       const SentPushPull& sent) {
+  proto::PushPull p{is_response, join, "node-0", Address{1, 7946},
+                    sent.table};
+  BufWriter w;
+  proto::encode(p, w);
+  const std::span<const std::uint8_t> bytes = w.bytes();
+  return {bytes.begin(), bytes.end()};
+}
+
+TEST(PushPullFrame, IsTheOwnedMessageEncodedFromTheTable) {
+  RecordingRuntime rt;
+  swim::Node node("node-0", Address{1, 7946}, swim::Config::lifeguard(), rt);
+  std::vector<SentPushPull> sent;
+  rt.on_send = [&](const RecordingRuntime::Sent& s) {
+    proto::FrameWalk walk(s.bytes);
+    std::span<const std::uint8_t> control;  // the last frame
+    for (std::span<const std::uint8_t> f; walk.next(f);) control = f;
+    const auto tag = static_cast<proto::MsgType>(control[0]);
+    if (tag != proto::MsgType::kPushPullReq &&
+        tag != proto::MsgType::kPushPullResp) {
+      return;
+    }
+    SentPushPull pp{{control.begin(), control.end()}, {}};
+    for (const swim::Member& m : node.members().all()) {
+      pp.table.push_back({m.name, m.addr, m.incarnation,
+                          static_cast<std::uint8_t>(m.state)});
+    }
+    sent.push_back(std::move(pp));
+  };
+  node.start();
+  for (int i = 1; i <= 3; ++i) {
+    const std::string name = "node-" + std::to_string(i);
+    const auto bytes = proto::encode_datagram(
+        proto::Alive{name, static_cast<std::uint64_t>(i),
+                     Address{static_cast<std::uint32_t>(i) + 1, 7946}});
+    node.on_packet(Address{2, 7946}, bytes, Channel::kUdp);
+  }
+
+  // Periodic requests (and reconnects), while the unanswered members go
+  // suspect and dead.
+  rt.run_for(sec(65));
+  ASSERT_GE(sent.size(), 2u);
+  for (const SentPushPull& pp : sent) {
+    EXPECT_EQ(pp.frame, encode_owned(false, false, pp));
+  }
+
+  // A response, echoing the request's join flag.
+  sent.clear();
+  const auto request = proto::encode_datagram(
+      proto::PushPull{false, true, "node-9", Address{10, 7946}, {}});
+  node.on_packet(Address{10, 7946}, request, Channel::kReliable);
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].frame, encode_owned(true, true, sent[0]));
+
+  // A join request.
+  sent.clear();
+  node.join({Address{10, 7946}});
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].frame, encode_owned(false, true, sent[0]));
+  EXPECT_EQ(sent[0].table.size(), 4u);  // self and the three members
 }
 
 }  // namespace

@@ -9,15 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <span>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "proto/wire.h"
+#include "recording_runtime.h"
 #include "swim/node.h"
 
 namespace lifeguard {
@@ -25,54 +23,6 @@ namespace {
 
 Address addr(int i) { return Address{static_cast<std::uint32_t>(i) + 1, 7946}; }
 std::string name(int i) { return "node-" + std::to_string(i); }
-
-/// A single-node runtime that records every datagram the node sends and
-/// runs its timers in (time, schedule order).
-class RecordingRuntime final : public Runtime {
- public:
-  struct Sent {
-    TimePoint at;
-    Address to;
-    std::vector<std::uint8_t> bytes;
-    Channel channel;
-    bool operator==(const Sent&) const = default;
-  };
-
-  TimePoint now() const override { return now_; }
-  TimerId schedule(Duration delay, Task fn) override {
-    const TimerId id = next_id_++;
-    timers_.emplace(std::pair{now_ + std::max(delay, Duration{0}), id},
-                    std::move(fn));
-    return id;
-  }
-  void cancel(TimerId id) override { cancelled_.insert(id); }
-  void send(const Address& to, std::vector<std::uint8_t> payload,
-            Channel channel) override {
-    sent.push_back({now_, to, std::move(payload), channel});
-  }
-  Rng& rng() override { return rng_; }
-  NameIndex& names() override { return names_; }
-
-  void run_for(Duration d) {
-    const TimePoint end = now_ + d;
-    while (!timers_.empty() && timers_.begin()->first.first <= end) {
-      auto timer = timers_.extract(timers_.begin());
-      now_ = timer.key().first;
-      if (cancelled_.erase(timer.key().second) == 0) timer.mapped()();
-    }
-    now_ = end;
-  }
-
-  std::vector<Sent> sent;
-
- private:
-  TimePoint now_{};
-  Rng rng_{77};
-  NameIndex names_;
-  TimerId next_id_ = 1;
-  std::map<std::pair<TimePoint, TimerId>, Task> timers_;
-  std::set<TimerId> cancelled_;
-};
 
 struct Twin {
   explicit Twin(bool overwrite)
