@@ -45,6 +45,17 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// The node's observer: every membership transition it observes goes up as
+/// an EV line about node --index, straight off the loop thread.
+struct EventForwarder final : membership::Observer {
+  EventForwarder(int i, live::LineWriter& w) : index(i), writer(w) {}
+  int index;
+  live::LineWriter& writer;
+  void on_member_event(const swim::MemberEvent& me) override {
+    writer.write_line(live::event_msg_line(check::trace_event_of(me, index)));
+  }
+};
+
 /// Loop-thread telemetry self-sampler: the per-node counterpart of the sim
 /// tier's obs::Sampler. Emits one kMetricSample EV line per catalog metric
 /// each interval, node = this worker's index, so the parent's merge carries
@@ -172,15 +183,11 @@ int main(int argc, char** argv) {
   net::NetemFilter filter;
   rt.set_fault_filter(&filter);
 
+  live::LineWriter writer(control_fd);
+  EventForwarder forwarder(index, writer);
   const std::string name = "node-" + std::to_string(index);
   swim::Node node(name, rt.local_address(), *config, rt);
-  live::LineWriter writer(control_fd);
-
-  // Every membership transition this node observes goes up as an EV line,
-  // straight off the loop thread the EventBus fires on.
-  auto sub = node.subscribe([&writer](const swim::MemberEvent& me) {
-    writer.write_line(live::event_msg_line(check::trace_event_of(me)));
-  });
+  node.set_observer(&forwarder);
 
   rt.start(&node);
 

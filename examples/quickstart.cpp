@@ -4,9 +4,10 @@
 //   ./examples/quickstart
 //
 // This is the five-minute tour of the public API: ClusterBuilder assembles a
-// cluster of swim::Node agents over the simulator; subscribe() streams every
-// membership event through a RAII subscription.
+// cluster of swim::Node agents over the simulator; an attached
+// check::TraceSink sees every membership event as a check::TraceEvent.
 #include <cstdio>
+#include <string>
 
 #include "cluster/cluster.h"
 
@@ -14,17 +15,24 @@ using namespace lifeguard;
 
 namespace {
 
-void print_event(const swim::MemberEvent& e) {
-  std::printf("  [%6.2fs] %-8s saw %-8s %-7s (incarnation %llu%s)\n",
-              e.at.seconds(), e.reporter.c_str(), e.member.c_str(),
-              swim::event_type_name(e.type),
-              static_cast<unsigned long long>(e.incarnation),
-              e.originated ? ", originated here" : "");
-}
+/// Prints the membership events node-0 observes.
+struct Node0Printer final : check::TraceSink {
+  void on_trace_event(const check::TraceEvent& e) override {
+    if (!check::is_member_event(e.kind) || e.node != 0) return;
+    const std::string member = "node-" + std::to_string(e.peer);
+    std::printf("  [%6.2fs] %-8s saw %-8s %-7s (incarnation %llu%s)\n",
+                e.at.seconds(), "node-0", member.c_str(),
+                check::trace_event_kind_name(e.kind),
+                static_cast<unsigned long long>(e.incarnation),
+                e.originated ? ", originated here" : "");
+  }
+};
 
 }  // namespace
 
 int main() {
+  Node0Printer printer;  // outlives the cluster it is attached to
+
   // 1. Build a 16-node cluster running full Lifeguard (all three components:
   //    LHA-Probe, LHA-Suspicion, Buddy System).
   auto cluster = ClusterBuilder()
@@ -40,15 +48,11 @@ int main() {
               cluster->converged() ? "yes" : "no");
 
   // 2. Crash a member and watch detection + dissemination, live, at node-0.
-  //    The subscription detaches automatically when `sub` goes out of scope.
-  {
-    auto sub = cluster->subscribe([](const swim::MemberEvent& e) {
-      if (e.reporter == "node-0") print_event(e);
-    });
-    std::printf("Crashing node-5; events observed at node-0:\n");
-    cluster->simulator()->crash_node(5);
-    cluster->run_for(sec(30));
-  }
+  cluster->attach_sink(&printer);
+  std::printf("Crashing node-5; events observed at node-0:\n");
+  cluster->simulator()->crash_node(5);
+  cluster->run_for(sec(30));
+  cluster->detach_sink(&printer);
 
   // 3. Inspect a node's view and its local health.
   const auto& node0 = cluster->node(0);
@@ -59,9 +63,7 @@ int main() {
 
   // 4. Graceful leave, for contrast: no failure event is generated.
   std::printf("\nnode-7 leaves gracefully; events observed at node-0:\n");
-  auto sub = cluster->subscribe([](const swim::MemberEvent& e) {
-    if (e.reporter == "node-0") print_event(e);
-  });
+  cluster->attach_sink(&printer);
   cluster->node(7).leave();
   cluster->run_for(sec(5));
 

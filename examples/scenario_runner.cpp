@@ -99,8 +99,9 @@
 //       Run a scenario loaded from a versioned JSON file (the committed
 //       scenarios/*.json format; see docs/scenario-files.md). A first-class
 //       base like --scenario: every override flag, both backends, --check,
-//       --trace and --campaign compose with it. Malformed files are
-//       rejected with a message naming the offending key/value.
+//       --trace and --campaign compose with it; given with --scenario, it
+//       is refused. Malformed files are rejected with a message naming the
+//       offending key/value.
 //
 //   ./examples/scenario_runner --validate-scenarios PATH
 //       Strictly validate one scenario file, or every *.json under a
@@ -1099,6 +1100,10 @@ const Mode& pick_mode(const Options& o) {
     if (f != "--fault" && std::count(o.flags.begin(), o.flags.end(), f) > 1) {
       usage_error(f + " given twice");
     }
+  }
+  if (o.given("--scenario") && o.given("--scenario-file")) {
+    usage_error("--scenario and --scenario-file both set the base scenario; "
+                "give one of them");
   }
   return *mode;
 }

@@ -10,11 +10,28 @@
 // protocol timers keep the demo short).
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
+#include <string>
 
 #include "cluster/cluster.h"
 
 using namespace lifeguard;
+
+namespace {
+
+/// Prints every membership event. The cluster calls it on the node loop
+/// threads, one call at a time.
+struct EventPrinter final : check::TraceSink {
+  void on_trace_event(const check::TraceEvent& e) override {
+    const std::string reporter = "node-" + std::to_string(e.node);
+    const std::string member = "node-" + std::to_string(e.peer);
+    std::printf("  event: %-8s reports %-8s %s (inc %llu)\n",
+                reporter.c_str(), member.c_str(),
+                check::trace_event_kind_name(e.kind),
+                static_cast<unsigned long long>(e.incarnation));
+  }
+};
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const int n = argc > 1 ? std::atoi(argv[1]) : 5;
@@ -33,6 +50,7 @@ int main(int argc, char** argv) {
   cfg.reconnect_interval = sec(2);
 
   std::printf("Starting %d agents on loopback UDP...\n", n);
+  EventPrinter printer;  // outlives the cluster it is attached to
   auto cluster = ClusterBuilder()
                      .size(n)
                      .config(cfg)
@@ -44,15 +62,7 @@ int main(int argc, char** argv) {
                 cluster->node(i).address().to_string().c_str());
   }
 
-  // Events arrive on each node's runtime loop thread; serialize the prints.
-  auto sub = cluster->subscribe([](const swim::MemberEvent& e) {
-    static std::mutex mu;
-    const std::lock_guard<std::mutex> lock(mu);
-    std::printf("  event: %-8s reports %-8s %s (inc %llu)\n",
-                e.reporter.c_str(), e.member.c_str(),
-                swim::event_type_name(e.type),
-                static_cast<unsigned long long>(e.incarnation));
-  });
+  cluster->attach_sink(&printer);
 
   std::printf("\nWaiting for convergence...\n");
   cluster->start();

@@ -100,7 +100,7 @@ int node_index_of(std::string_view member_name) {
   return value;
 }
 
-TraceEvent trace_event_of(const swim::MemberEvent& me) {
+TraceEvent trace_event_of(const swim::MemberEvent& me, int reporter) {
   TraceEvent e;
   e.at = me.at;
   switch (me.type) {
@@ -120,7 +120,7 @@ TraceEvent trace_event_of(const swim::MemberEvent& me) {
       e.kind = TraceEventKind::kLeft;
       break;
   }
-  e.node = node_index_of(me.reporter);
+  e.node = reporter;
   e.peer = node_index_of(me.member);
   e.origin = node_index_of(me.origin);
   e.incarnation = me.incarnation;

@@ -33,7 +33,7 @@ struct MemberEvent;
 namespace lifeguard::check {
 
 enum class TraceEventKind : std::uint8_t {
-  // -- membership transitions (swim::EventBus) --
+  // -- membership transitions (membership::Observer::on_member_event) --
   kJoin = 0,
   kAlive,
   kSuspect,
@@ -61,7 +61,7 @@ inline constexpr int kTraceEventKindCount = 18;
 
 const char* trace_event_kind_name(TraceEventKind k);
 std::optional<TraceEventKind> trace_event_kind_from_name(std::string_view n);
-/// True for the kinds that originate on the membership EventBus.
+/// True for the membership-transition kinds (kJoin..kLeft).
 bool is_member_event(TraceEventKind k);
 
 struct TraceEvent {
@@ -93,10 +93,11 @@ struct TraceEvent {
 /// this way, so the mapping is total within a simulated cluster.
 int node_index_of(std::string_view member_name);
 
-/// One membership transition as a TraceEvent: the kind and fields copied,
-/// member names turned into node indices (node_index_of). The simulator and
-/// the live tier's workers both convert through it.
-TraceEvent trace_event_of(const swim::MemberEvent& me);
+/// One membership transition at node `reporter` as a TraceEvent: the kind
+/// and fields copied, the member and origin names turned into node indices
+/// (node_index_of). The simulator and the live tier's workers both convert
+/// through it; each knows the index of the node it observes.
+TraceEvent trace_event_of(const swim::MemberEvent& me, int reporter);
 
 /// True for the probe-round span kinds (kProbeStart..kProbeNack).
 bool is_probe_span_event(TraceEventKind k);

@@ -1,5 +1,6 @@
 #include "cluster/cluster.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -23,11 +24,11 @@ T query_on_loop(net::UdpRuntime& rt, std::function<T()> fn) {
   T result{};
   rt.post([&] {
     T value = fn();
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      result = std::move(value);
-      done = true;
-    }
+    // Notify under the lock: once the waiter sees `done` it returns and
+    // destroys `cv`, so the loop thread must be out of notify_one by then.
+    const std::lock_guard<std::mutex> lock(mu);
+    result = std::move(value);
+    done = true;
     cv.notify_one();
   });
   std::unique_lock<std::mutex> lock(mu);
@@ -47,13 +48,30 @@ struct Cluster::Impl {
   std::unique_ptr<sim::Simulator> sim;
 
   // ---- kUdp ----
+  /// Node `index`'s observer: forwards its membership events, as records,
+  /// to the attached sinks. Runs on that node's loop thread.
+  struct Forwarder final : membership::Observer {
+    Forwarder(Impl* i, int n) : impl(i), index(n) {}
+    Impl* impl;
+    int index;
+    void on_member_event(const swim::MemberEvent& e) override {
+      const std::lock_guard<std::mutex> lock(impl->sinks_mu);
+      if (impl->sinks.empty()) return;
+      check::publish(impl->sinks, check::trace_event_of(e, index));
+    }
+  };
+  /// Serialises the forwarders (one per loop thread) against
+  /// attach_sink/detach_sink: the one cross-thread path of a UDP cluster.
+  std::mutex sinks_mu;
+  std::vector<check::TraceSink*> sinks;
+  /// One per node, sized once; declared before `agents` so the nodes that
+  /// point at them go first.
+  std::vector<Forwarder> forwarders;
   struct UdpAgent {
     std::unique_ptr<net::UdpRuntime> rt;
     std::unique_ptr<swim::Node> node;
   };
   std::vector<UdpAgent> agents;
-  swim::EventBus udp_bus;
-  std::vector<swim::EventBus::Subscription> udp_feeders;
 };
 
 Cluster::Cluster(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
@@ -126,9 +144,23 @@ void Cluster::stop() {
   for (auto& agent : impl_->agents) agent.rt->shutdown();
 }
 
-swim::EventBus::Subscription Cluster::subscribe(swim::EventBus::Handler fn) {
-  if (impl_->sim) return impl_->sim->event_bus().subscribe(std::move(fn));
-  return impl_->udp_bus.subscribe(std::move(fn));
+void Cluster::attach_sink(check::TraceSink* sink) {
+  if (impl_->sim) {
+    impl_->sim->attach_sink(sink);
+    return;
+  }
+  const std::lock_guard<std::mutex> lock(impl_->sinks_mu);
+  impl_->sinks.push_back(sink);
+}
+
+void Cluster::detach_sink(check::TraceSink* sink) {
+  if (impl_->sim) {
+    impl_->sim->detach_sink(sink);
+    return;
+  }
+  const std::lock_guard<std::mutex> lock(impl_->sinks_mu);
+  const auto it = std::find(impl_->sinks.begin(), impl_->sinks.end(), sink);
+  if (it != impl_->sinks.end()) impl_->sinks.erase(it);
 }
 
 swim::Node& Cluster::node(int index) {
@@ -272,7 +304,7 @@ std::unique_ptr<Cluster> ClusterBuilder::build() const {
   }
 
   impl->agents.reserve(static_cast<std::size_t>(size_));
-  swim::EventBus* bus = &impl->udp_bus;
+  impl->forwarders.reserve(static_cast<std::size_t>(size_));
   for (int i = 0; i < size_; ++i) {
     Cluster::Impl::UdpAgent agent;
     agent.rt = std::make_unique<net::UdpRuntime>(
@@ -280,8 +312,7 @@ std::unique_ptr<Cluster> ClusterBuilder::build() const {
     agent.node = std::make_unique<swim::Node>(
         "node-" + std::to_string(i), agent.rt->local_address(), config_,
         *agent.rt);
-    impl->udp_feeders.push_back(agent.node->subscribe(
-        [bus](const swim::MemberEvent& e) { bus->publish(e); }));
+    agent.node->set_observer(&impl->forwarders.emplace_back(impl.get(), i));
     agent.rt->start(agent.node.get());
     impl->agents.push_back(std::move(agent));
   }

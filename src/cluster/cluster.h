@@ -7,13 +7,13 @@
 //   * kSim — the deterministic discrete-event simulator (sim::Simulator).
 //     run_for() advances the virtual clock; a (config, seed) pair replays
 //     identically. simulator() exposes the underlying Simulator for anomaly
-//     injection and per-node event logs.
+//     injection.
 //   * kUdp — real loopback UDP sockets, one runtime loop thread per node
 //     (net::UdpRuntime). run_for() sleeps wall-clock time; queries are
 //     marshalled onto each node's loop thread.
 //
-// Cluster-wide membership events from every node fan into one EventBus;
-// subscribe() returns a RAII Subscription (see swim/events.h).
+// A cluster is observed through check::TraceSinks: attach_sink() delivers
+// every node's membership events as check::TraceEvents (see check/events.h).
 //
 // Build via ClusterBuilder:
 //
@@ -31,11 +31,11 @@
 #include <memory>
 #include <string>
 
+#include "check/events.h"
 #include "common/metrics.h"
 #include "common/types.h"
 #include "sim/simulator.h"
 #include "swim/config.h"
-#include "swim/events.h"
 #include "swim/node.h"
 
 namespace lifeguard {
@@ -66,10 +66,16 @@ class Cluster {
   /// Stop every node. Idempotent; also invoked by the destructor.
   void stop();
 
-  /// Cluster-wide event feed: every membership transition observed by any
-  /// node. UDP backend: the handler runs on node loop threads.
-  [[nodiscard]] swim::EventBus::Subscription subscribe(
-      swim::EventBus::Handler fn);
+  /// Attach a sink to the cluster's TraceEvent stream until detach_sink.
+  /// kSim: the simulator's own pair (every record kind, under
+  /// check::sink_wants). kUdp: every node's membership events, delivered on
+  /// the node loop threads one at a time under the cluster's lock, so a sink
+  /// needs no lock of its own but must not call back into the cluster.
+  void attach_sink(check::TraceSink* sink);
+  /// Detach one attachment of `sink`; a no-op when it is not attached. Once
+  /// it returns, the sink is not called again (kUdp: it waits out a call in
+  /// flight on a loop thread).
+  void detach_sink(check::TraceSink* sink);
 
   /// Node access. UDP backend: any use beyond name()/address() must be
   /// marshalled onto that node's loop thread — prefer the query helpers.
@@ -115,7 +121,7 @@ class ClusterBuilder {
   /// Simulated kernel receive-buffer bound per node (kSim only).
   ClusterBuilder& recv_buffer_bytes(std::size_t bytes);
   /// No-op, kept only because perfbench/lgbench.cc calls it: the simulator
-  /// keeps no per-node event logs; every event flows on the cluster bus.
+  /// keeps no per-node event logs; every event flows to the attached sinks.
   ClusterBuilder& record_failures_only(bool on);
   /// Membership backend spec (kSim only; see membership::BackendRegistry):
   /// "swim" (default), "central", "central:miss=N", "static". The UDP

@@ -96,6 +96,7 @@ class StaticAgent final : public Agent {
   void start() override {
     if (running_) return;
     running_ = true;
+    if (observer_ == nullptr) return;
     // The roster is configuration, not protocol: report every peer joined
     // up front so traces and views have the full fixed membership.
     for (int i = 0; i < cluster_size_; ++i) {
@@ -104,10 +105,9 @@ class StaticAgent final : public Agent {
       e.at = rt_.now();
       e.type = swim::EventType::kJoin;
       e.member = "node-" + std::to_string(i);
-      e.reporter = name_;
       e.origin = name_;
       e.originated = false;
-      events_.publish(e);
+      observer_->on_member_event(e);
     }
   }
   void join(const std::vector<Address>&) override {}
@@ -123,10 +123,6 @@ class StaticAgent final : public Agent {
   void on_unblocked() override {}
   const std::string& name() const override { return name_; }
   const Address& address() const override { return addr_; }
-  [[nodiscard]] swim::EventBus::Subscription subscribe(
-      swim::EventBus::Handler fn) override {
-    return events_.subscribe(std::move(fn));
-  }
   int active_members() const override { return cluster_size_; }
   std::vector<std::string> active_view() const override {
     std::vector<std::string> out;
@@ -145,7 +141,6 @@ class StaticAgent final : public Agent {
   int index_ = 0;
   int cluster_size_ = 0;
   Runtime& rt_;
-  swim::EventBus events_;
   Metrics metrics_;
   bool running_ = false;
 };

@@ -76,18 +76,18 @@ void CentralAgent::stop() {
 
 void CentralAgent::publish(swim::EventType type, std::uint32_t member_index,
                            std::uint64_t incarnation, bool originated) {
-  if (member_index == index_) return;  // no events about self
+  // No events about self, and none when nothing observes this agent.
+  if (member_index == index_ || observer_ == nullptr) return;
   swim::MemberEvent e;
   e.at = rt_.now();
   e.type = type;
   e.member = member_name(member_index);
-  e.reporter = name_;
   // Every transition in this protocol is decided at the coordinator except a
   // member's own coordinator-failure verdict.
   e.origin = originated ? name_ : member_name(0);
   e.incarnation = incarnation;
   e.originated = originated;
-  events_.publish(e);
+  observer_->on_member_event(e);
 }
 
 void CentralAgent::send_bytes(const Address& to,

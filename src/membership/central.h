@@ -64,10 +64,6 @@ class CentralAgent final : public Agent {
   void on_unblocked() override {}
   const std::string& name() const override { return name_; }
   const Address& address() const override { return addr_; }
-  [[nodiscard]] swim::EventBus::Subscription subscribe(
-      swim::EventBus::Handler fn) override {
-    return events_.subscribe(std::move(fn));
-  }
   int active_members() const override;
   std::vector<std::string> active_view() const override;
   int dead_count() const override;
@@ -122,7 +118,6 @@ class CentralAgent final : public Agent {
   bool plant_refail_ = false;
 
   Runtime& rt_;
-  swim::EventBus events_;
   Metrics metrics_;
   obs::DetectionMetrics det_;
 

@@ -20,7 +20,7 @@ Simulator::Simulator(int num_nodes, const swim::Config& cfg, SimParams params)
   network_ = std::make_unique<Network>(params.network, num_nodes, rng_.fork());
   runtimes_.reserve(static_cast<std::size_t>(num_nodes));
   agents_.reserve(static_cast<std::size_t>(num_nodes));
-  subscriptions_.resize(static_cast<std::size_t>(num_nodes));
+  taps_.reserve(static_cast<std::size_t>(num_nodes));
   crashed_.assign(static_cast<std::size_t>(num_nodes), false);
   // Node i's name is id i of the index its nodes share.
   for (int i = 0; i < num_nodes; ++i) {
@@ -33,6 +33,7 @@ Simulator::Simulator(int num_nodes, const swim::Config& cfg, SimParams params)
     runtimes_.push_back(std::make_unique<SimRuntime>(
         *this, i, sim_address(i), rng_.fork(), params.msg_proc_cost,
         params.recv_buffer_bytes));
+    taps_.emplace_back(this, i);
     agents_.push_back(backend_->create(agent_params(i), *runtimes_.back()));
     attach_node(i);
   }
@@ -49,54 +50,47 @@ membership::AgentParams Simulator::agent_params(int index) const {
   return p;
 }
 
-void Simulator::ProbeTap::span(check::TraceEventKind kind,
-                               std::string_view peer, double value) {
+void Simulator::NodeTap::span(check::TraceEventKind kind,
+                              std::string_view peer, double value) {
   if (!sim->wants(kind)) return;
   sim->note(kind, node, check::node_index_of(peer), value);
 }
 
-void Simulator::ProbeTap::on_probe_start(const std::string& target) {
+void Simulator::NodeTap::on_member_event(const swim::MemberEvent& e) {
+  // Every sink wants membership transitions.
+  if (sim->sinks_.empty()) return;
+  check::publish(sim->sinks_, check::trace_event_of(e, node));
+}
+
+void Simulator::NodeTap::on_probe_start(const std::string& target) {
   span(check::TraceEventKind::kProbeStart, target);
 }
 
-void Simulator::ProbeTap::on_probe_ack(const std::string& target,
-                                       Duration rtt) {
+void Simulator::NodeTap::on_probe_ack(const std::string& target,
+                                      Duration rtt) {
   span(check::TraceEventKind::kProbeAck, target, static_cast<double>(rtt.us));
 }
 
-void Simulator::ProbeTap::on_probe_indirect(const std::string& target) {
+void Simulator::NodeTap::on_probe_indirect(const std::string& target) {
   span(check::TraceEventKind::kProbeIndirect, target);
 }
 
-void Simulator::ProbeTap::on_probe_fail(const std::string& target) {
+void Simulator::NodeTap::on_probe_fail(const std::string& target) {
   span(check::TraceEventKind::kProbeFail, target);
 }
 
-void Simulator::ProbeTap::on_probe_nack(const std::string& /*target*/,
-                                        std::string_view relay) {
+void Simulator::NodeTap::on_probe_nack(const std::string& /*target*/,
+                                       std::string_view relay) {
   span(check::TraceEventKind::kProbeNack, relay);
 }
 
 void Simulator::attach_node(int index) {
   const auto i = static_cast<std::size_t>(index);
   membership::Agent* agent = agents_[i].get();
-  // Each membership event is converted once for the sinks, then
-  // republished on the cluster bus for Cluster::subscribe.
-  subscriptions_[i] = agent->subscribe([this](const swim::MemberEvent& e) {
-    if (!sinks_.empty()) check::publish(sinks_, check::trace_event_of(e));
-    bus_.publish(e);
-  });
+  // The slot's tap survives restart_node: the fresh incarnation reports to
+  // the same observer.
+  agent->set_observer(&taps_[i]);
   runtimes_[i]->attach(agent, [agent] { agent->on_unblocked(); });
-  // Probe-span telemetry: one adapter per slot, surviving restart_node (the
-  // fresh incarnation gets the same tap re-installed). Backends without a
-  // probe pipeline ignore the observer.
-  if (probe_taps_.size() <= i) probe_taps_.resize(i + 1);
-  if (probe_taps_[i] == nullptr) {
-    probe_taps_[i] = std::make_unique<ProbeTap>();
-    probe_taps_[i]->sim = this;
-    probe_taps_[i]->node = index;
-  }
-  agent->set_probe_observer(probe_taps_[i].get());
 }
 
 Simulator::~Simulator() {

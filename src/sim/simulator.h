@@ -4,7 +4,9 @@
 // SimParams::membership (membership::BackendRegistry); the default "swim"
 // backend is bit-parity with the simulator's original direct use of
 // swim::Node. The simulator is also the one publisher of a run's
-// check::TraceEvent observation stream (attach_sink, note).
+// check::TraceEvent observation stream (attach_sink, note): each node
+// slot's membership::Observer turns the agent's membership events and
+// probe stages into records for the attached sinks.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +27,6 @@
 #include "swim/config.h"
 #include "swim/events.h"
 #include "swim/node.h"
-#include "swim/probe_observer.h"
 
 namespace lifeguard::sim {
 
@@ -84,8 +85,8 @@ class Simulator {
   }
   /// Replace a crashed node with a fresh process at the same address (clean
   /// state, incarnation 0) and have it rejoin through node 0. The fresh
-  /// incarnation publishes on the same event_bus(). Models the churn of an
-  /// orchestrator restarting a failed agent.
+  /// incarnation reports to the slot's observer, so attached sinks see it
+  /// too. Models the churn of an orchestrator restarting a failed agent.
   void restart_node(int index);
 
   // ---- access ----
@@ -118,9 +119,6 @@ class Simulator {
   }
   /// The name index all nodes' tables and queues share; node i is id i.
   NameIndex& names() { return names_; }
-  /// Cluster-wide feed of every node's membership events; survives
-  /// restart_node (new incarnations are re-attached).
-  swim::EventBus& event_bus() { return bus_; }
   Network& network() { return *network_; }
   const Network& network() const { return *network_; }
   EventQueue& queue() { return queue_; }
@@ -176,18 +174,21 @@ class Simulator {
   /// Recompute wanted_ from the attached sinks.
   void refresh_wanted();
 
-  /// Wire node `index`'s events onto the observation stream and the
-  /// cluster bus, its runtime and its probe tap (also after restart_node).
+  /// Wire node `index`'s agent to its runtime and its slot's tap (also
+  /// after restart_node).
   void attach_node(int index);
 
-  /// Per-node adapter turning swim::ProbeObserver callbacks into probe-span
-  /// records. Pure observer: draws no randomness, only translates member
-  /// names to indices — and only when an attached sink wants the span.
-  struct ProbeTap final : swim::ProbeObserver {
-    Simulator* sim = nullptr;
-    int node = -1;
+  /// Node slot `node`'s observer: turns its agent's membership events and
+  /// probe stages into records for the attached sinks. Pure observer: draws
+  /// no randomness, only translates member names to indices — and only when
+  /// an attached sink wants the record.
+  struct NodeTap final : membership::Observer {
+    NodeTap(Simulator* s, int n) : sim(s), node(n) {}
+    Simulator* sim;
+    int node;
     void span(check::TraceEventKind kind, std::string_view peer,
               double value = 0);
+    void on_member_event(const swim::MemberEvent& e) override;
     void on_probe_start(const std::string& target) override;
     void on_probe_ack(const std::string& target, Duration rtt) override;
     void on_probe_indirect(const std::string& target) override;
@@ -202,18 +203,17 @@ class Simulator {
   swim::Config cfg_;
   membership::BackendSpec spec_;
   const membership::Backend* backend_ = nullptr;
-  swim::EventBus bus_;
   std::unique_ptr<Network> network_;
   NameIndex names_;  ///< outlives the runtimes and agents below
   std::vector<std::unique_ptr<SimRuntime>> runtimes_;
+  /// One per node slot, kept across restart_node; sized once, so the
+  /// agents' pointers into it stay valid. Outlives the agents.
+  std::vector<NodeTap> taps_;
   std::vector<std::unique_ptr<membership::Agent>> agents_;
-  std::vector<swim::EventBus::Subscription> subscriptions_;
   std::vector<bool> crashed_;
   std::vector<check::TraceSink*> sinks_;
   /// Bit k set when an attached sink wants TraceEventKind k.
   std::uint32_t wanted_ = 0;
-  /// One per node; re-installed on restart_node (stable across incarnations).
-  std::vector<std::unique_ptr<ProbeTap>> probe_taps_;
   /// Metrics of node incarnations retired by restart_node.
   Metrics retired_metrics_;
   std::int64_t datagrams_routed_ = 0;

@@ -15,8 +15,8 @@
 //
 // All interaction with the environment goes through Runtime; the node is
 // single-threaded and never blocks. Incoming datagrams enter through
-// on_packet(); membership transitions exit on the node's EventBus
-// (events(), subscribe()).
+// on_packet(); membership transitions and probe stages exit through the
+// agent's one observer (membership::Agent::set_observer).
 #pragma once
 
 #include <cstdint>
@@ -45,12 +45,10 @@
 
 namespace lifeguard::swim {
 
-class ProbeObserver;
-
 class Node : public membership::Agent {
  public:
-  /// Membership transitions are published on events(); attach observers with
-  /// subscribe().
+  /// Membership transitions are reported to the observer installed with
+  /// set_observer().
   Node(std::string name, Address addr, Config cfg, Runtime& rt);
   ~Node() override;
 
@@ -76,14 +74,6 @@ class Node : public membership::Agent {
   /// stalled probe/gossip loops.
   void on_unblocked() override;
 
-  // ---- events ----
-  /// Bus carrying every membership transition this node observes.
-  const EventBus& events() const { return events_; }
-  /// Shorthand for events().subscribe(fn).
-  [[nodiscard]] EventBus::Subscription subscribe(EventBus::Handler fn) override {
-    return events_.subscribe(std::move(fn));
-  }
-
   // ---- introspection ----
   const std::string& name() const override { return name_; }
   const Address& address() const override { return addr_; }
@@ -102,9 +92,6 @@ class Node : public membership::Agent {
   const proto::BroadcastQueue& broadcasts() const { return bcast_; }
   /// Typed view over metrics() plus the live gauges samplers read.
   const obs::NodeMetrics& observed() const { return obs_; }
-  /// Attach a probe-pipeline lifecycle observer (telemetry spans); nullptr
-  /// detaches. The observer must outlive the node or be detached first.
-  void set_probe_observer(ProbeObserver* o) override { probe_observer_ = o; }
 
   /// Test-only planted defect ("swim:plant=drop-refute"): the node never
   /// refutes suspicion or death gossip about itself, so a healthy member
@@ -217,7 +204,6 @@ class Node : public membership::Agent {
   Address addr_;
   Config cfg_;
   Runtime& rt_;
-  EventBus events_;
 
   MembershipTable table_;
   proto::BroadcastQueue bcast_;
@@ -233,7 +219,6 @@ class Node : public membership::Agent {
   /// string-keyed map lookups (this subsumes the hand-rolled Counter*
   /// caches the node used to carry).
   obs::NodeMetrics obs_;
-  ProbeObserver* probe_observer_ = nullptr;
 
   std::uint64_t incarnation_ = 0;
   std::uint32_t next_seq_ = 1;

@@ -7,15 +7,15 @@ namespace lifeguard::swim {
 
 void Node::emit(EventType type, const Member& m, std::string_view origin,
                 bool originated) {
+  if (observer_ == nullptr) return;
   MemberEvent e;
   e.at = rt_.now();
   e.type = type;
   e.member = m.name;
-  e.reporter = name_;
   e.origin = origin;
   e.incarnation = m.incarnation;
   e.originated = originated;
-  events_.publish(e);
+  observer_->on_member_event(e);
 }
 
 void Node::on_alive_msg(const proto::AliveView& a) {

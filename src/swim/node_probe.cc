@@ -8,8 +8,6 @@
 // by (LHM + 1).
 #include "swim/node.h"
 
-#include "swim/probe_observer.h"
-
 namespace lifeguard::swim {
 
 Duration Node::scaled_probe_interval() const {
@@ -52,7 +50,7 @@ void Node::begin_probe(Member& target) {
   ps.started = rt_.now();
   probe_ = ps;
   obs_.probe_started().add();
-  if (probe_observer_ != nullptr) probe_observer_->on_probe_start(target.name);
+  if (observer_ != nullptr) observer_->on_probe_start(target.name);
 
   send_message(target.addr, Channel::kUdp,
                proto::PingView{probe_->seq, target.name, name_, addr_},
@@ -83,8 +81,8 @@ void Node::launch_indirect() {
   if (!probe_ || probe_->indirect_started) return;
   probe_->indirect_started = true;
   obs_.probe_indirect().add();
-  if (probe_observer_ != nullptr) {
-    probe_observer_->on_probe_indirect(probe_->target);
+  if (observer_ != nullptr) {
+    observer_->on_probe_indirect(probe_->target);
   }
 
   Member* target = table_.find(probe_->target);
@@ -139,7 +137,7 @@ void Node::finish_probe() {
     obs_.probe_missed_nack().add();
   }
   obs_.lhm().set(static_cast<double>(health_.score()));
-  if (probe_observer_ != nullptr) probe_observer_->on_probe_fail(target);
+  if (observer_ != nullptr) observer_->on_probe_fail(target);
 
   Member* m = table_.find(target);
   if (m == nullptr || !is_active(m->state)) return;
@@ -215,7 +213,7 @@ void Node::handle_ack(const proto::AckView& a) {
     cancel_timer(probe_->timeout_timer);
     cancel_timer(probe_->period_timer);
     probe_.reset();
-    if (probe_observer_ != nullptr) probe_observer_->on_probe_ack(target, rtt);
+    if (observer_ != nullptr) observer_->on_probe_ack(target, rtt);
     return;
   }
   // Ack from a target we probed on someone's behalf: forward to the origin.
@@ -237,8 +235,8 @@ void Node::handle_nack(const proto::NackView& n) {
   if (probe_ && probe_->seq == n.seq) {
     ++probe_->nacks_received;
     obs_.probe_nack_received().add();
-    if (probe_observer_ != nullptr) {
-      probe_observer_->on_probe_nack(probe_->target, n.from);
+    if (observer_ != nullptr) {
+      observer_->on_probe_nack(probe_->target, n.from);
     }
   }
 }

@@ -103,4 +103,14 @@ TEST(ScenarioRunnerRefusals, RunCampaignAndFuzzIgnoreNoFlag) {
   });
 }
 
+TEST(ScenarioRunnerRefusals, OneBaseScenario) {
+  const std::string both = "--scenario steady-state --scenario-file '" +
+                           std::string(LIFEGUARD_SOURCE_DIR) +
+                           "/scenarios/packet-chaos.json' --nodes 10 ";
+  expect_refused({
+      {both + "--length 20", "--scenario and --scenario-file"},
+      {"--campaign " + both + "--reps 2", "--scenario and --scenario-file"},
+  });
+}
+
 }  // namespace

@@ -2,8 +2,8 @@
 // the simulated substrate.
 #include <gtest/gtest.h>
 
-#include <vector>
-
+#include "check/tap.h"
+#include "member_log.h"
 #include "sim/simulator.h"
 
 namespace lifeguard {
@@ -45,15 +45,14 @@ TEST(Cluster, SteadyStateProducesNoEvents) {
   sim.start_all();
   sim.run_for(sec(15));
   // After convergence, run 60 quiet seconds: no suspicions, no failures.
-  std::vector<swim::MemberEvent> events;
-  const auto sub = sim.event_bus().subscribe(
-      [&events](const swim::MemberEvent& e) { events.push_back(e); });
+  MemberLog log;
+  const check::EventTap tap(sim, {&log});
   sim.run_for(sec(60));
-  for (const auto& e : events) {
-    EXPECT_NE(e.type, swim::EventType::kSuspect)
-        << "spurious suspicion at " << e.reporter << " about " << e.member;
-    EXPECT_NE(e.type, swim::EventType::kFailed)
-        << "spurious failure at " << e.reporter << " about " << e.member;
+  for (const auto& e : log.events) {
+    EXPECT_NE(e.kind, check::TraceEventKind::kSuspect)
+        << "spurious suspicion: " << e.describe();
+    EXPECT_NE(e.kind, check::TraceEventKind::kFailed)
+        << "spurious failure: " << e.describe();
   }
 }
 
@@ -73,9 +72,8 @@ TEST(Cluster, DeterministicReplay) {
 
 TEST(Cluster, GracefulLeaveDisseminates) {
   sim::Simulator sim(16, swim::Config::lifeguard(), params(23));
-  std::vector<swim::MemberEvent> events;
-  const auto sub = sim.event_bus().subscribe(
-      [&events](const swim::MemberEvent& e) { events.push_back(e); });
+  MemberLog log;
+  const check::EventTap tap(sim, {&log});
   sim.start_all();
   sim.run_for(sec(12));
   ASSERT_TRUE(sim.converged(16));
@@ -91,8 +89,8 @@ TEST(Cluster, GracefulLeaveDisseminates) {
   }
   EXPECT_EQ(left_views, 15);
   // A graceful leave is NOT a failure event anywhere.
-  for (const auto& e : events) {
-    EXPECT_NE(e.type, swim::EventType::kFailed);
+  for (const auto& e : log.events) {
+    EXPECT_NE(e.kind, check::TraceEventKind::kFailed);
   }
 }
 

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <vector>
 
+#include "check/tap.h"
+#include "member_log.h"
 #include "sim/simulator.h"
 #include "swim/suspicion.h"
 
@@ -18,11 +20,11 @@ sim::SimParams params(std::uint64_t seed) {
   return p;
 }
 
-double detect_time(const std::vector<swim::MemberEvent>& events,
-                   const std::string& member, TimePoint after) {
+double detect_time(const std::vector<check::TraceEvent>& events, int member,
+                   TimePoint after) {
   double first = -1;
   for (const auto& e : events) {
-    if (e.type != swim::EventType::kFailed || e.member != member) continue;
+    if (e.kind != check::TraceEventKind::kFailed || e.peer != member) continue;
     if (!e.originated || e.at < after) continue;
     const double t = (e.at - after).seconds();
     if (first < 0 || t < first) first = t;
@@ -48,9 +50,8 @@ TEST_P(FailureDetection, CrashIsDetectedWithinBound) {
   const swim::Config cfg = use_lifeguard ? swim::Config::lifeguard()
                                          : swim::Config::swim_baseline();
   sim::Simulator sim(32, cfg, params(31));
-  std::vector<swim::MemberEvent> events;
-  const auto sub = sim.event_bus().subscribe(
-      [&events](const swim::MemberEvent& e) { events.push_back(e); });
+  MemberLog log;
+  const check::EventTap tap(sim, {&log});
   sim.start_all();
   sim.run_for(sec(15));
   ASSERT_TRUE(sim.converged(32));
@@ -59,7 +60,7 @@ TEST_P(FailureDetection, CrashIsDetectedWithinBound) {
   sim.crash_node(9);
   sim.run_for(sec(60));
 
-  const double t = detect_time(events, "node-9", crash_at);
+  const double t = detect_time(log.events, 9, crash_at);
   ASSERT_GT(t, 0.0) << "crash never detected";
   // Analytical expectation: probe selection (~seconds) + protocol period
   // (1 s) + suspicion timeout (α·log10(32) ≈ 7.5 s at α=5). Lifeguard's
@@ -84,9 +85,8 @@ TEST(FailureDetectionExtra, ShortAnomalySurvivesWithoutFailureEvents) {
   // A 3-second blip is far below the suspicion timeout: the member may be
   // suspected but must never be declared failed.
   sim::Simulator sim(32, swim::Config::lifeguard(), params(37));
-  std::vector<swim::MemberEvent> events;
-  const auto sub = sim.event_bus().subscribe(
-      [&events](const swim::MemberEvent& e) { events.push_back(e); });
+  MemberLog log;
+  const check::EventTap tap(sim, {&log});
   sim.start_all();
   sim.run_for(sec(15));
   ASSERT_TRUE(sim.converged(32));
@@ -96,9 +96,8 @@ TEST(FailureDetectionExtra, ShortAnomalySurvivesWithoutFailureEvents) {
   sim.unblock_node(5);
   sim.run_for(sec(30));
 
-  for (const auto& e : events) {
-    EXPECT_NE(e.type, swim::EventType::kFailed)
-        << e.reporter << " declared " << e.member << " failed";
+  for (const auto& e : log.events) {
+    EXPECT_NE(e.kind, check::TraceEventKind::kFailed) << e.describe();
   }
   for (int i = 0; i < sim.size(); ++i) {
     EXPECT_EQ(sim.node(i).members().num_active(), 32);
@@ -127,9 +126,8 @@ TEST(FailureDetectionExtra, RecoveredNodeIsResurrectedEverywhere) {
 
 TEST(FailureDetectionExtra, MultipleSimultaneousCrashes) {
   sim::Simulator sim(48, swim::Config::lifeguard(), params(43));
-  std::vector<swim::MemberEvent> events;
-  const auto sub = sim.event_bus().subscribe(
-      [&events](const swim::MemberEvent& e) { events.push_back(e); });
+  MemberLog log;
+  const check::EventTap tap(sim, {&log});
   sim.start_all();
   sim.run_for(sec(15));
   ASSERT_TRUE(sim.converged(48));
@@ -140,8 +138,8 @@ TEST(FailureDetectionExtra, MultipleSimultaneousCrashes) {
   sim.crash_node(3);
   sim.run_for(sec(90));
 
-  for (const char* name : {"node-1", "node-2", "node-3"}) {
-    EXPECT_GT(detect_time(events, name, crash_at), 0.0) << name;
+  for (const int member : {1, 2, 3}) {
+    EXPECT_GT(detect_time(log.events, member, crash_at), 0.0) << member;
   }
   for (int i = 4; i < sim.size(); ++i) {
     EXPECT_EQ(sim.node(i).members().num_active(), 45) << "node " << i;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "check/tap.h"
 #include "sim/simulator.h"
 #include "swim/config.h"
 
@@ -71,28 +72,40 @@ TEST(SimulatorRestart, RestartedNodeIsUnblockedAndDeliverable) {
   EXPECT_TRUE(sim.converged(6));
 }
 
+/// Keeps node-4's records, every incarnation's, probe spans included.
+struct Node4Log final : check::TraceSink {
+  void on_trace_event(const check::TraceEvent& e) override {
+    if (e.node == 4) events.push_back(e);
+  }
+  bool wants_probe_spans() const override { return true; }
+  std::vector<check::TraceEvent> events;
+};
+
 TEST(SimulatorRestart, EventLogOfPreviousIncarnationIsRetained) {
   Simulator sim(6, swim::Config::lifeguard(), quiet_params(14));
-  std::vector<swim::MemberEvent> events;  // node-4's, every incarnation
-  const auto sub =
-      sim.event_bus().subscribe([&events](const swim::MemberEvent& e) {
-        if (e.reporter == "node-4") events.push_back(e);
-      });
+  Node4Log log;
+  const check::EventTap tap(sim, {&log});
   sim.start_all();
   sim.run_for(sec(15));
-  const std::size_t events_before = events.size();
+  const std::size_t events_before = log.events.size();
   ASSERT_GT(events_before, 0u);
   sim.crash_node(4);
   sim.run_for(sec(15));
   const TimePoint restarted_at = sim.now();
   sim.restart_node(4);
   sim.run_for(sec(20));
-  // The cluster bus survives the swap: it has at least everything it had,
-  // and the fresh incarnation publishes on it too (it re-learns the view).
-  EXPECT_GE(events.size(), events_before);
-  EXPECT_TRUE(std::any_of(events.begin(), events.end(), [&](const auto& e) {
-    return e.at >= restarted_at && e.type == swim::EventType::kJoin;
-  }));
+  // The slot's observer survives the swap: the sink keeps everything it
+  // had, and the fresh incarnation reports to it too — it re-learns the
+  // view and probes its peers.
+  EXPECT_GE(log.events.size(), events_before);
+  const auto since_restart = [&](check::TraceEventKind kind) {
+    return std::any_of(log.events.begin(), log.events.end(),
+                       [&](const check::TraceEvent& e) {
+                         return e.at >= restarted_at && e.kind == kind;
+                       });
+  };
+  EXPECT_TRUE(since_restart(check::TraceEventKind::kJoin));
+  EXPECT_TRUE(since_restart(check::TraceEventKind::kProbeStart));
 }
 
 }  // namespace

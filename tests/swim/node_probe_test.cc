@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "check/tap.h"
+#include "member_log.h"
 #include "sim/simulator.h"
 
 namespace lifeguard {
@@ -59,15 +61,13 @@ TEST(NodeProbe, IndirectPathRescuesUdpLossyDirectProbe) {
   p.seed = 47;
   p.network.udp_loss = 0.6;
   sim::Simulator sim(6, cfg, p);
-  std::vector<swim::MemberEvent> events;
-  const auto sub = sim.event_bus().subscribe(
-      [&events](const swim::MemberEvent& e) { events.push_back(e); });
+  MemberLog log;
+  const check::EventTap tap(sim, {&log});
   sim.start_all();
   sim.run_for(sec(40));
   // No member may be declared dead: acks flow via relays or reliable pings.
-  for (const auto& e : events) {
-    EXPECT_NE(e.type, swim::EventType::kFailed)
-        << e.reporter << " declared " << e.member;
+  for (const auto& e : log.events) {
+    EXPECT_NE(e.kind, check::TraceEventKind::kFailed) << e.describe();
   }
 }
 

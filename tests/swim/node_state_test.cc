@@ -2,21 +2,22 @@
 // injecting wire messages into a single simulated node.
 #include <gtest/gtest.h>
 
-#include <vector>
-
+#include "check/tap.h"
+#include "member_log.h"
 #include "proto/wire.h"
 #include "sim/simulator.h"
 
 namespace lifeguard {
 namespace {
 
+using check::TraceEventKind;
 using swim::MemberState;
 
+// Members are named like simulated nodes, so the records' indices name
+// them: node-1 is the member under test, node-2 and up accuse it.
 class NodeState : public ::testing::Test {
  protected:
-  NodeState() : sim_(make()) {
-    sub_ = sim_.event_bus().subscribe(
-        [this](const swim::MemberEvent& e) { events_.push_back(e); });
+  NodeState() : sim_(make()), tap_(sim_, {&log_}) {
     node().start();
     sim_.run_for(msec(10));
   }
@@ -49,72 +50,72 @@ class NodeState : public ::testing::Test {
   }
 
   sim::Simulator sim_;
-  /// Every membership event the node publishes.
-  std::vector<swim::MemberEvent> events_;
-  swim::EventBus::Subscription sub_;
+  /// Every membership event the node reports.
+  MemberLog log_;
+  check::EventTap tap_;
 };
 
 TEST_F(NodeState, AliveAddsUnknownMember) {
-  add_member("m", 3);
-  EXPECT_EQ(state("m"), MemberState::kAlive);
-  EXPECT_EQ(inc_of("m"), 3u);
-  EXPECT_EQ(node().members().num_active(), 2);  // self + m
+  add_member("node-1", 3);
+  EXPECT_EQ(state("node-1"), MemberState::kAlive);
+  EXPECT_EQ(inc_of("node-1"), 3u);
+  EXPECT_EQ(node().members().num_active(), 2);  // self + node-1
 }
 
 TEST_F(NodeState, StaleAliveIgnored) {
-  add_member("m", 5);
-  inject(proto::Alive{"m", 4, Address{100, 1}});
-  EXPECT_EQ(inc_of("m"), 5u);
+  add_member("node-1", 5);
+  inject(proto::Alive{"node-1", 4, Address{100, 1}});
+  EXPECT_EQ(inc_of("node-1"), 5u);
 }
 
 TEST_F(NodeState, SuspectRequiresKnownMember) {
-  inject(proto::Suspect{"ghost", 1, "accuser"});
-  EXPECT_FALSE(node().state_of("ghost").has_value());
+  inject(proto::Suspect{"node-9", 1, "node-2"});
+  EXPECT_FALSE(node().state_of("node-9").has_value());
 }
 
 TEST_F(NodeState, SuspectMarksAliveMember) {
-  add_member("m", 2);
-  inject(proto::Suspect{"m", 2, "accuser"});
-  EXPECT_EQ(state("m"), MemberState::kSuspect);
-  EXPECT_EQ(inc_of("m"), 2u);
+  add_member("node-1", 2);
+  inject(proto::Suspect{"node-1", 2, "node-2"});
+  EXPECT_EQ(state("node-1"), MemberState::kSuspect);
+  EXPECT_EQ(inc_of("node-1"), 2u);
 }
 
 TEST_F(NodeState, StaleSuspectIgnored) {
-  add_member("m", 5);
-  inject(proto::Suspect{"m", 4, "accuser"});
-  EXPECT_EQ(state("m"), MemberState::kAlive);
+  add_member("node-1", 5);
+  inject(proto::Suspect{"node-1", 4, "node-2"});
+  EXPECT_EQ(state("node-1"), MemberState::kAlive);
 }
 
 TEST_F(NodeState, EqualIncarnationAliveDoesNotRefuteSuspicion) {
   // SWIM §4.2: alive overrides suspect only with a HIGHER incarnation.
-  add_member("m", 2);
-  inject(proto::Suspect{"m", 2, "accuser"});
-  inject(proto::Alive{"m", 2, Address{100, 1}});
-  EXPECT_EQ(state("m"), MemberState::kSuspect);
+  add_member("node-1", 2);
+  inject(proto::Suspect{"node-1", 2, "node-2"});
+  inject(proto::Alive{"node-1", 2, Address{100, 1}});
+  EXPECT_EQ(state("node-1"), MemberState::kSuspect);
 }
 
 TEST_F(NodeState, HigherIncarnationAliveRefutesSuspicion) {
-  add_member("m", 2);
-  inject(proto::Suspect{"m", 2, "accuser"});
-  inject(proto::Alive{"m", 3, Address{100, 1}});
-  EXPECT_EQ(state("m"), MemberState::kAlive);
-  EXPECT_EQ(inc_of("m"), 3u);
+  add_member("node-1", 2);
+  inject(proto::Suspect{"node-1", 2, "node-2"});
+  inject(proto::Alive{"node-1", 3, Address{100, 1}});
+  EXPECT_EQ(state("node-1"), MemberState::kAlive);
+  EXPECT_EQ(inc_of("node-1"), 3u);
   // The refutation keeps spreading: it must sit in the broadcast queue.
   EXPECT_GT(node().pending_broadcasts(), 0u);
 }
 
 TEST_F(NodeState, SuspicionTimeoutDeclaresDead) {
-  add_member("m", 0);
-  inject(proto::Suspect{"m", 0, "accuser"});
+  add_member("node-1", 0);
+  inject(proto::Suspect{"node-1", 0, "node-2"});
   // n = 2 active: Min = 5·max(1, log10(2))·1 s = 5 s; Max = 6·Min = 30 s.
   sim_.run_for(sec(31));
-  EXPECT_EQ(state("m"), MemberState::kDead);
+  EXPECT_EQ(state("node-1"), MemberState::kDead);
   // The local timeout originated a failure event.
   bool found = false;
-  for (const auto& e : events_) {
-    if (e.type == swim::EventType::kFailed && e.member == "m") {
+  for (const auto& e : log_.events) {
+    if (e.kind == TraceEventKind::kFailed && e.peer == 1) {
       EXPECT_TRUE(e.originated);
-      EXPECT_EQ(e.reporter, "node-0");
+      EXPECT_EQ(e.node, 0);
       found = true;
     }
   }
@@ -122,87 +123,88 @@ TEST_F(NodeState, SuspicionTimeoutDeclaresDead) {
 }
 
 TEST_F(NodeState, IndependentConfirmationsShrinkTimeout) {
-  add_member("m", 0);
-  inject(proto::Suspect{"m", 0, "a1"});
-  inject(proto::Suspect{"m", 0, "a2"});
-  inject(proto::Suspect{"m", 0, "a3"});
-  inject(proto::Suspect{"m", 0, "a4"});  // K = 3 reached
+  add_member("node-1", 0);
+  inject(proto::Suspect{"node-1", 0, "node-2"});
+  inject(proto::Suspect{"node-1", 0, "node-3"});
+  inject(proto::Suspect{"node-1", 0, "node-4"});
+  inject(proto::Suspect{"node-1", 0, "node-5"});  // K = 3 reached
   // Timeout now at Min = 5 s, not Max = 30 s.
   sim_.run_for(sec(6));
-  EXPECT_EQ(state("m"), MemberState::kDead);
+  EXPECT_EQ(state("node-1"), MemberState::kDead);
 }
 
 TEST_F(NodeState, DuplicateOriginsDoNotShrinkTimeout) {
-  add_member("m", 0);
-  inject(proto::Suspect{"m", 0, "a1"});
-  for (int i = 0; i < 10; ++i) inject(proto::Suspect{"m", 0, "a1"});
+  add_member("node-1", 0);
+  inject(proto::Suspect{"node-1", 0, "node-2"});
+  for (int i = 0; i < 10; ++i) inject(proto::Suspect{"node-1", 0, "node-2"});
   sim_.run_for(sec(6));
-  EXPECT_EQ(state("m"), MemberState::kSuspect);  // still waiting (Max = 30 s)
+  // Still waiting (Max = 30 s).
+  EXPECT_EQ(state("node-1"), MemberState::kSuspect);
 }
 
 TEST_F(NodeState, DeadMessageKillsMember) {
-  add_member("m", 1);
-  inject(proto::Dead{"m", 1, "accuser"});
-  EXPECT_EQ(state("m"), MemberState::kDead);
+  add_member("node-1", 1);
+  inject(proto::Dead{"node-1", 1, "node-2"});
+  EXPECT_EQ(state("node-1"), MemberState::kDead);
   // Applying gossip is dissemination, not origination.
-  for (const auto& e : events_) {
-    if (e.type == swim::EventType::kFailed && e.member == "m") {
+  for (const auto& e : log_.events) {
+    if (e.kind == TraceEventKind::kFailed && e.peer == 1) {
       EXPECT_FALSE(e.originated);
-      EXPECT_EQ(e.origin, "accuser");
+      EXPECT_EQ(e.origin, 2);
     }
   }
 }
 
 TEST_F(NodeState, StaleDeadIgnored) {
-  add_member("m", 5);
-  inject(proto::Dead{"m", 3, "accuser"});
-  EXPECT_EQ(state("m"), MemberState::kAlive);
+  add_member("node-1", 5);
+  inject(proto::Dead{"node-1", 3, "node-2"});
+  EXPECT_EQ(state("node-1"), MemberState::kAlive);
 }
 
 TEST_F(NodeState, DeadFromSelfMeansLeft) {
-  add_member("m", 1);
-  inject(proto::Dead{"m", 1, "m"});
-  EXPECT_EQ(state("m"), MemberState::kLeft);
+  add_member("node-1", 1);
+  inject(proto::Dead{"node-1", 1, "node-1"});
+  EXPECT_EQ(state("node-1"), MemberState::kLeft);
   bool saw_left = false;
-  for (const auto& e : events_) {
-    saw_left |= e.type == swim::EventType::kLeft && e.member == "m";
-    EXPECT_NE(e.type, swim::EventType::kFailed);
+  for (const auto& e : log_.events) {
+    saw_left |= e.kind == TraceEventKind::kLeft && e.peer == 1;
+    EXPECT_NE(e.kind, TraceEventKind::kFailed);
   }
   EXPECT_TRUE(saw_left);
 }
 
 TEST_F(NodeState, SuspectOnDeadMemberIgnored) {
-  add_member("m", 1);
-  inject(proto::Dead{"m", 1, "accuser"});
-  inject(proto::Suspect{"m", 1, "other"});
-  EXPECT_EQ(state("m"), MemberState::kDead);
+  add_member("node-1", 1);
+  inject(proto::Dead{"node-1", 1, "node-2"});
+  inject(proto::Suspect{"node-1", 1, "node-3"});
+  EXPECT_EQ(state("node-1"), MemberState::kDead);
 }
 
 TEST_F(NodeState, ResurrectionWithHigherIncarnation) {
-  add_member("m", 1);
-  inject(proto::Dead{"m", 1, "accuser"});
-  inject(proto::Alive{"m", 2, Address{100, 1}});
-  EXPECT_EQ(state("m"), MemberState::kAlive);
-  EXPECT_EQ(inc_of("m"), 2u);
+  add_member("node-1", 1);
+  inject(proto::Dead{"node-1", 1, "node-2"});
+  inject(proto::Alive{"node-1", 2, Address{100, 1}});
+  EXPECT_EQ(state("node-1"), MemberState::kAlive);
+  EXPECT_EQ(inc_of("node-1"), 2u);
 }
 
 TEST_F(NodeState, SuspectHigherIncarnationUpdatesExistingSuspicion) {
-  add_member("m", 1);
-  inject(proto::Suspect{"m", 1, "a"});
-  inject(proto::Suspect{"m", 3, "b"});
-  EXPECT_EQ(state("m"), MemberState::kSuspect);
-  EXPECT_EQ(inc_of("m"), 3u);
+  add_member("node-1", 1);
+  inject(proto::Suspect{"node-1", 1, "node-2"});
+  inject(proto::Suspect{"node-1", 3, "node-3"});
+  EXPECT_EQ(state("node-1"), MemberState::kSuspect);
+  EXPECT_EQ(inc_of("node-1"), 3u);
   // An alive at the old incarnation can no longer refute.
-  inject(proto::Alive{"m", 2, Address{100, 1}});
-  EXPECT_EQ(state("m"), MemberState::kSuspect);
-  inject(proto::Alive{"m", 4, Address{100, 1}});
-  EXPECT_EQ(state("m"), MemberState::kAlive);
+  inject(proto::Alive{"node-1", 2, Address{100, 1}});
+  EXPECT_EQ(state("node-1"), MemberState::kSuspect);
+  inject(proto::Alive{"node-1", 4, Address{100, 1}});
+  EXPECT_EQ(state("node-1"), MemberState::kAlive);
 }
 
 TEST_F(NodeState, AliveUpdatesAddress) {
-  add_member("m", 1);
-  inject(proto::Alive{"m", 2, Address{111, 9}});
-  EXPECT_EQ(node().members().find("m")->addr, (Address{111, 9}));
+  add_member("node-1", 1);
+  inject(proto::Alive{"node-1", 2, Address{111, 9}});
+  EXPECT_EQ(node().members().find("node-1")->addr, (Address{111, 9}));
 }
 
 TEST_F(NodeState, MalformedPacketsAreCountedAndIgnored) {
@@ -213,11 +215,11 @@ TEST_F(NodeState, MalformedPacketsAreCountedAndIgnored) {
 }
 
 TEST_F(NodeState, JoinEventEmittedOnce) {
-  add_member("m", 0);
-  add_member("m", 0);  // duplicate alive
+  add_member("node-1", 0);
+  add_member("node-1", 0);  // duplicate alive
   int joins = 0;
-  for (const auto& e : events_) {
-    joins += e.type == swim::EventType::kJoin && e.member == "m" ? 1 : 0;
+  for (const auto& e : log_.events) {
+    joins += e.kind == TraceEventKind::kJoin && e.peer == 1 ? 1 : 0;
   }
   EXPECT_EQ(joins, 1);
 }

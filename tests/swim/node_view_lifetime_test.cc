@@ -24,13 +24,17 @@ namespace {
 Address addr(int i) { return Address{static_cast<std::uint32_t>(i) + 1, 7946}; }
 std::string name(int i) { return "node-" + std::to_string(i); }
 
-struct Twin {
+/// One twin, and the observer that records its node's membership events.
+struct Twin final : membership::Observer {
   explicit Twin(bool overwrite)
       : node(name(0), addr(0), swim::Config::lifeguard(), rt),
         overwrite(overwrite) {
-    sub = node.subscribe(
-        [this](const swim::MemberEvent& e) { events.push_back(e); });
+    node.set_observer(this);
     node.start();
+  }
+
+  void on_member_event(const swim::MemberEvent& e) override {
+    events.push_back(e);
   }
 
   void deliver(const std::vector<proto::Message>& frames, int from,
@@ -50,7 +54,6 @@ struct Twin {
   swim::Node node;
   bool overwrite;
   std::vector<swim::MemberEvent> events;
-  swim::EventBus::Subscription sub;
   /// Every delivered payload, alive to the end (overwritten or intact).
   std::vector<std::vector<std::uint8_t>> buffers;
 };
@@ -82,7 +85,6 @@ void expect_same_events(const std::vector<swim::MemberEvent>& a,
     EXPECT_EQ(a[i].at, b[i].at);
     EXPECT_EQ(a[i].type, b[i].type);
     EXPECT_EQ(a[i].member, b[i].member);
-    EXPECT_EQ(a[i].reporter, b[i].reporter);
     EXPECT_EQ(a[i].origin, b[i].origin);
     EXPECT_EQ(a[i].incarnation, b[i].incarnation);
     EXPECT_EQ(a[i].originated, b[i].originated);
