@@ -29,7 +29,7 @@
 #include "live/control.h"
 #include "net/fault_filter.h"
 #include "net/udp_runtime.h"
-#include "obs/catalog.h"
+#include "obs/sampler.h"
 #include "swim/node.h"
 
 using namespace lifeguard;
@@ -48,92 +48,17 @@ int usage(const char* argv0) {
 /// The node's observer: every membership transition it observes goes up as
 /// an EV line about node --index, straight off the loop thread.
 struct EventForwarder final : membership::Observer {
-  EventForwarder(int i, live::LineWriter& w) : index(i), writer(w) {}
+  EventForwarder(int i, const Runtime& r, live::LineWriter& w)
+      : index(i), rt(r), writer(w) {}
   int index;
+  const Runtime& rt;
   live::LineWriter& writer;
-  void on_member_event(const swim::MemberEvent& me) override {
-    writer.write_line(live::event_msg_line(check::trace_event_of(me, index)));
+  void on_event(const membership::Event& e) override {
+    if (!check::is_member_event(e.kind)) return;
+    check::TraceEvent t = check::trace_event_of(e, index);
+    t.at = rt.now();
+    writer.write_line(live::event_msg_line(t));
   }
-};
-
-/// Loop-thread telemetry self-sampler: the per-node counterpart of the sim
-/// tier's obs::Sampler. Emits one kMetricSample EV line per catalog metric
-/// each interval, node = this worker's index, so the parent's merge carries
-/// the same series schema across backends (sim-only metrics are skipped).
-class SelfSampler {
- public:
-  SelfSampler(int index, swim::Node& node, live::LineWriter& writer)
-      : index_(index), node_(node), writer_(writer) {}
-
-  void sample(TimePoint now) {
-    const double dt = prev_at_.us > 0 ? (now - prev_at_).seconds() : 0.0;
-    auto rate = [dt](double cur, double& prev) {
-      const double d = cur - prev;
-      prev = cur;
-      return (dt > 0 && d > 0) ? d / dt : 0.0;
-    };
-
-    const double suspect = node_.suspect_count();
-    const double dead = node_.dead_count();
-    const Metrics& m = node_.metrics();
-    double rtt_count = 0, rtt_sum = 0;
-    if (const auto it = m.histograms().find("probe.rtt_us");
-        it != m.histograms().end()) {
-      rtt_count = static_cast<double>(it->second.count());
-      rtt_sum = it->second.sum();
-    }
-    const double d_count = rtt_count - prev_rtt_count_;
-    const double d_sum = rtt_sum - prev_rtt_sum_;
-    prev_rtt_count_ = rtt_count;
-    prev_rtt_sum_ = rtt_sum;
-
-    const double lhm = static_cast<double>(node_.local_health().score());
-    const double pending = static_cast<double>(node_.pending_broadcasts());
-    const double msgs =
-        static_cast<double>(m.counter_value("net.msgs_sent"));
-
-    emit(now, obs::Metric::kMembersActive,
-         static_cast<double>(node_.members().num_active()));
-    emit(now, obs::Metric::kMembersSuspect, suspect);
-    emit(now, obs::Metric::kMembersDead, dead);
-    emit(now, obs::Metric::kLhmMean, lhm);
-    emit(now, obs::Metric::kLhmMax, lhm);
-    emit(now, obs::Metric::kProbeRttMeanUs, d_count > 0 ? d_sum / d_count : 0);
-    emit(now, obs::Metric::kProbeNackRate,
-         rate(static_cast<double>(m.counter_value("probe.nack_received")),
-              prev_nacks_));
-    emit(now, obs::Metric::kProbeFailRate,
-         rate(static_cast<double>(m.counter_value("probe.failed")),
-              prev_fails_));
-    emit(now, obs::Metric::kNetMsgsRate, rate(msgs, prev_msgs_));
-    emit(now, obs::Metric::kNetMsgsTotal, msgs);
-    emit(now, obs::Metric::kNetBytesTotal,
-         static_cast<double>(m.counter_value("net.bytes_sent")));
-    emit(now, obs::Metric::kGossipPendingMean, pending);
-    emit(now, obs::Metric::kGossipPendingMax, pending);
-    emit(now, obs::Metric::kGossipTransmitsRate,
-         rate(static_cast<double>(node_.broadcasts().total_transmits()),
-              prev_transmits_));
-    prev_at_ = now;
-  }
-
- private:
-  void emit(TimePoint at, obs::Metric metric, double value) {
-    check::TraceEvent e;
-    e.at = at;
-    e.kind = check::TraceEventKind::kMetricSample;
-    e.node = index_;
-    e.peer = static_cast<int>(metric);
-    e.value = value;
-    writer_.write_line(live::event_msg_line(e));
-  }
-
-  int index_;
-  swim::Node& node_;
-  live::LineWriter& writer_;
-  TimePoint prev_at_{};
-  double prev_nacks_ = 0, prev_fails_ = 0, prev_msgs_ = 0;
-  double prev_transmits_ = 0, prev_rtt_count_ = 0, prev_rtt_sum_ = 0;
 };
 
 }  // namespace
@@ -184,7 +109,7 @@ int main(int argc, char** argv) {
   rt.set_fault_filter(&filter);
 
   live::LineWriter writer(control_fd);
-  EventForwarder forwarder(index, writer);
+  EventForwarder forwarder(index, rt, writer);
   const std::string name = "node-" + std::to_string(index);
   swim::Node node(name, rt.local_address(), *config, rt);
   node.set_observer(&forwarder);
@@ -201,20 +126,17 @@ int main(int argc, char** argv) {
   };
   rt.post([&] { rt.schedule(tick, [&] { tick_fn(); }); });
 
-  // Telemetry self-sampling, same loop-thread pattern as the TICK watermark.
-  // Samples are EV lines, so they ride the merged trace like any other event
-  // (and the parent's TraceRecorder captures them for offline analysis).
-  SelfSampler sampler(index, node, writer);
-  std::function<void()> sample_fn;
+  // Telemetry: an obs::Sampler over this node, ticking on the loop
+  // thread like the TICK watermark. Samples are EV lines, so they ride the
+  // merged trace like any other event (and the parent's TraceRecorder
+  // captures them for offline analysis).
+  std::optional<obs::Sampler> sampler;
   if (metrics_interval_us > 0) {
-    const Duration metrics_interval{metrics_interval_us};
-    sample_fn = [&, metrics_interval] {
-      sampler.sample(rt.now());
-      rt.schedule(metrics_interval, [&] { sample_fn(); });
-    };
-    rt.post([&, metrics_interval] {
-      rt.schedule(metrics_interval, [&] { sample_fn(); });
-    });
+    sampler.emplace(node, index, rt, Duration{metrics_interval_us},
+                    [&writer](const check::TraceEvent& e) {
+                      writer.write_line(live::event_msg_line(e));
+                    });
+    rt.post([&] { sampler->start(); });
   }
 
   writer.write_line(

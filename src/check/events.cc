@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "swim/events.h"
+#include "membership/agent.h"
 
 namespace lifeguard::check {
 
@@ -100,32 +100,16 @@ int node_index_of(std::string_view member_name) {
   return value;
 }
 
-TraceEvent trace_event_of(const swim::MemberEvent& me, int reporter) {
-  TraceEvent e;
-  e.at = me.at;
-  switch (me.type) {
-    case swim::EventType::kJoin:
-      e.kind = TraceEventKind::kJoin;
-      break;
-    case swim::EventType::kAlive:
-      e.kind = TraceEventKind::kAlive;
-      break;
-    case swim::EventType::kSuspect:
-      e.kind = TraceEventKind::kSuspect;
-      break;
-    case swim::EventType::kFailed:
-      e.kind = TraceEventKind::kFailed;
-      break;
-    case swim::EventType::kLeft:
-      e.kind = TraceEventKind::kLeft;
-      break;
-  }
-  e.node = reporter;
-  e.peer = node_index_of(me.member);
-  e.origin = node_index_of(me.origin);
-  e.incarnation = me.incarnation;
-  e.originated = me.originated;
-  return e;
+TraceEvent trace_event_of(const membership::Event& e, int reporter) {
+  TraceEvent t;
+  t.kind = e.kind;
+  t.node = reporter;
+  t.peer = node_index_of(e.member);
+  t.origin = node_index_of(e.origin);
+  t.incarnation = e.incarnation;
+  t.originated = e.originated;
+  t.value = e.value;
+  return t;
 }
 
 bool sink_wants(const TraceSink& sink, TraceEventKind k) {

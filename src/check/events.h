@@ -1,17 +1,18 @@
 // The observation stream the checking layer is built on.
 //
 // A TraceEvent is one record of a run's single observation stream:
-// membership transitions (join/alive/suspect/failed/left, converted from
-// swim::MemberEvent by trace_event_of), process control
-// (crash/restart/block/unblock), fault-timeline entry spans, telemetry
-// samples, and — for sinks that opt in — routed datagrams and probe-round
-// spans. In a simulated run sim::Simulator is the one publisher: it records
-// each happening once as a TraceEvent and fans it out to its attached sinks;
-// in a live run live::TraceMerger does the same for the merged worker
-// streams. Node identities are indices (the simulator's "node-N" scheme),
-// which keeps records compact, totally comparable, and bit-stable across
-// runs: two deterministic runs of the same (scenario, seed) produce
-// element-wise equal streams, which is what record–replay verification pins.
+// membership transitions (join/alive/suspect/failed/left) and probe-round
+// spans, both converted from an agent's membership::Event by
+// trace_event_of; process control (crash/restart/block/unblock);
+// fault-timeline entry spans; telemetry samples; and routed datagrams.
+// Datagrams and probe spans reach only the sinks that opt in. In a
+// simulated run sim::Simulator is the one publisher: it records each
+// happening once as a TraceEvent and fans it out to its attached sinks; in
+// a live run live::TraceMerger does the same for the merged worker streams.
+// Node identities are indices (the simulator's "node-N" scheme), which keeps
+// records compact, totally comparable, and bit-stable across runs: two
+// deterministic runs of the same (scenario, seed) produce element-wise equal
+// streams, which is what record–replay verification pins.
 //
 // TraceSink is the observer seam: check::Checker evaluates invariants over
 // the stream live, check::TraceRecorder retains it for JSONL persistence,
@@ -26,14 +27,14 @@
 
 #include "common/types.h"
 
-namespace lifeguard::swim {
-struct MemberEvent;
+namespace lifeguard::membership {
+struct Event;
 }
 
 namespace lifeguard::check {
 
 enum class TraceEventKind : std::uint8_t {
-  // -- membership transitions (membership::Observer::on_member_event) --
+  // -- membership transitions (membership::Observer) --
   kJoin = 0,
   kAlive,
   kSuspect,
@@ -47,7 +48,7 @@ enum class TraceEventKind : std::uint8_t {
   kFaultStart,
   kFaultEnd,
   kDatagram,
-  // -- telemetry (obs:: sampler and probe-round spans) --
+  // -- telemetry (obs::Sampler) and probe-round spans (membership::Observer)
   kMetricSample,
   kProbeStart,
   kProbeAck,
@@ -93,11 +94,12 @@ struct TraceEvent {
 /// this way, so the mapping is total within a simulated cluster.
 int node_index_of(std::string_view member_name);
 
-/// One membership transition at node `reporter` as a TraceEvent: the kind
-/// and fields copied, the member and origin names turned into node indices
-/// (node_index_of). The simulator and the live tier's workers both convert
-/// through it; each knows the index of the node it observes.
-TraceEvent trace_event_of(const swim::MemberEvent& me, int reporter);
+/// One agent record at node `reporter` as a TraceEvent: the kind and fields
+/// copied, the member and origin names turned into node indices
+/// (node_index_of). `at` is left for the caller, which reads the clock the
+/// agent runs on. The simulator, the UDP cluster and the live tier's workers
+/// all convert through it; each knows the index of the node it observes.
+TraceEvent trace_event_of(const membership::Event& e, int reporter);
 
 /// True for the probe-round span kinds (kProbeStart..kProbeNack).
 bool is_probe_span_event(TraceEventKind k);

@@ -48,16 +48,20 @@ struct Cluster::Impl {
   std::unique_ptr<sim::Simulator> sim;
 
   // ---- kUdp ----
-  /// Node `index`'s observer: forwards its membership events, as records,
-  /// to the attached sinks. Runs on that node's loop thread.
+  /// Node `index`'s observer: forwards its membership transitions, as
+  /// records, to the attached sinks. Runs on that node's loop thread.
   struct Forwarder final : membership::Observer {
-    Forwarder(Impl* i, int n) : impl(i), index(n) {}
+    Forwarder(Impl* i, int n, const Runtime& r) : impl(i), index(n), rt(r) {}
     Impl* impl;
     int index;
-    void on_member_event(const swim::MemberEvent& e) override {
+    const Runtime& rt;
+    void on_event(const membership::Event& e) override {
+      if (!check::is_member_event(e.kind)) return;
+      check::TraceEvent t = check::trace_event_of(e, index);
+      t.at = rt.now();
       const std::lock_guard<std::mutex> lock(impl->sinks_mu);
       if (impl->sinks.empty()) return;
-      check::publish(impl->sinks, check::trace_event_of(e, index));
+      check::publish(impl->sinks, t);
     }
   };
   /// Serialises the forwarders (one per loop thread) against
@@ -312,7 +316,8 @@ std::unique_ptr<Cluster> ClusterBuilder::build() const {
     agent.node = std::make_unique<swim::Node>(
         "node-" + std::to_string(i), agent.rt->local_address(), config_,
         *agent.rt);
-    agent.node->set_observer(&impl->forwarders.emplace_back(impl.get(), i));
+    agent.node->set_observer(
+        &impl->forwarders.emplace_back(impl.get(), i, *agent.rt));
     agent.rt->start(agent.node.get());
     impl->agents.push_back(std::move(agent));
   }

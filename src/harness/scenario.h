@@ -179,15 +179,15 @@ enum class Backend : std::uint8_t { kSim, kLive };
 const char* backend_name(Backend b);
 std::optional<Backend> backend_from_name(std::string_view name);
 
-/// Cross-backend run options. The sim backend ignores everything but
-/// `backend`; the live fields mirror live::RunOptions.
+/// Cross-backend run options, taken by harness::run and live::run. The sim
+/// backend ignores everything but `backend`.
 struct RunOptions {
   Backend backend = Backend::kSim;
-  /// Live only: wall-clock ceiling (zero = derived from the scenario).
+  /// Live only: hard wall-clock ceiling for the whole run (zero = derived
+  /// from the scenario: spawn + quiesce + planned run + grace).
   Duration timeout{};
-  /// Live only: worker binary override (empty = auto-discover).
-  std::string node_binary;
-  /// Live only: per-node stderr log directory (empty = no logs).
+  /// Live only: per-node stderr log directory, created if missing (empty =
+  /// no logs). The worker binary is found by live::find_live_node_binary.
   std::string log_dir;
 };
 

@@ -36,6 +36,9 @@ constexpr int kMaxLiveCluster = 128;
 /// timeline entry tokens are small indices; this cannot collide).
 constexpr int kPartitionToken = 1 << 20;
 
+/// How long one worker may take to report HELLO after fork/exec.
+constexpr Duration kHandshakeTimeout = sec(10);
+
 /// One cluster member slot: the (current) process behind index i, its
 /// merger stream, and end-of-run stats. Respawns replace `proc` and open a
 /// fresh stream; the old stream closes at its EOF.
@@ -73,7 +76,7 @@ bool spec_runs_invariant(const check::Spec& spec, std::string_view name) {
 /// SIGKILLed and reaped whether the run finishes, throws, or times out.
 class LiveRun {
  public:
-  LiveRun(const harness::Scenario& s, const RunOptions& opts,
+  LiveRun(const harness::Scenario& s, const harness::RunOptions& opts,
           const std::vector<check::TraceSink*>& sinks)
       : s_(s), opts_(opts), plan_rng_(s.seed ^ 0x11fe9ad5u),
         accounting_(s.cluster_size) {
@@ -136,7 +139,7 @@ class LiveRun {
   void supplement_convergence(TimePoint run_end);
 
   const harness::Scenario& s_;
-  const RunOptions& opts_;
+  const harness::RunOptions& opts_;
   Rng plan_rng_;
   fault::Schedule plan_;
   harness::FailureAccounting accounting_;
@@ -174,9 +177,7 @@ void LiveRun::spawn_slot(int index, std::uint16_t port) {
   auto proc = std::make_unique<NodeProcess>();
   std::string error;
   if (!proc->spawn(po, error)) fail(error);
-  if (!proc->handshake(opts_.handshake_timeout, error)) {
-    fail(error);
-  }
+  if (!proc->handshake(kHandshakeTimeout, error)) fail(error);
   Slot& slot = slots_[static_cast<std::size_t>(index)];
   slot.proc = std::move(proc);
   slot.stream = merger_->open_stream();
@@ -469,12 +470,11 @@ void LiveRun::supplement_convergence(TimePoint run_end) {
 }
 
 harness::RunResult LiveRun::execute() {
-  binary_ = opts_.node_binary.empty() ? find_live_node_binary()
-                                      : opts_.node_binary;
-  if (!file_exists(binary_)) {
+  binary_ = find_live_node_binary();
+  if (binary_.empty()) {
     fail("live_node worker binary not found (searched $LIFEGUARD_LIVE_NODE, "
          "next to the current executable, and ./live_node); build the "
-         "live_node target or pass --node-binary");
+         "live_node target or set $LIFEGUARD_LIVE_NODE to its path");
   }
   if (!opts_.log_dir.empty()) {
     ::mkdir(opts_.log_dir.c_str(), 0755);
@@ -484,7 +484,7 @@ harness::RunResult LiveRun::execute() {
   const Duration ceiling =
       opts_.timeout > Duration{0}
           ? opts_.timeout
-          : s_.quiesce + plan_.total_run + opts_.handshake_timeout + sec(30);
+          : s_.quiesce + plan_.total_run + kHandshakeTimeout + sec(30);
   deadline_ns_ = epoch_ns_ + ceiling.us * 1000;
 
   parent_stream_ = merger_->open_stream();
@@ -558,7 +558,8 @@ std::string find_live_node_binary() {
   return {};
 }
 
-harness::RunResult run(const harness::Scenario& s, const RunOptions& opts,
+harness::RunResult run(const harness::Scenario& s,
+                       const harness::RunOptions& opts,
                        const std::vector<check::TraceSink*>& sinks) {
   auto errors = s.validate();
   if (membership::base_name(s.membership) != "swim") {
@@ -604,11 +605,7 @@ std::optional<Backend> backend_from_name(std::string_view name) {
 RunResult run(const Scenario& s, const RunOptions& opts,
               const std::vector<check::TraceSink*>& sinks) {
   if (opts.backend == Backend::kSim) return run(s, sinks);
-  live::RunOptions lo;
-  lo.timeout = opts.timeout;
-  lo.node_binary = opts.node_binary;
-  lo.log_dir = opts.log_dir;
-  return live::run(s, lo, sinks);
+  return live::run(s, opts, sinks);
 }
 
 }  // namespace lifeguard::harness

@@ -19,23 +19,9 @@
 #include <vector>
 
 #include "check/events.h"
-#include "common/types.h"
 #include "harness/scenario.h"
 
 namespace lifeguard::live {
-
-struct RunOptions {
-  /// Hard wall-clock ceiling for the whole run. Zero derives one from the
-  /// scenario (spawn + quiesce + planned run + grace). On expiry every
-  /// worker is SIGKILLed and TimeoutError is thrown — no orphans.
-  Duration timeout{};
-  /// Path to the live_node worker binary; empty uses find_live_node_binary().
-  std::string node_binary;
-  /// Directory for per-node stderr logs (created if missing); empty disables.
-  std::string log_dir;
-  /// How long one worker may take to report HELLO after fork/exec.
-  Duration handshake_timeout = sec(10);
-};
 
 /// The run blew its wall-clock ceiling (workers wedged, host overloaded).
 /// All workers have already been torn down when this is thrown.
@@ -48,10 +34,13 @@ class TimeoutError : public std::runtime_error {
 /// the running executable, then ./live_node. Empty string when not found.
 std::string find_live_node_binary();
 
-/// Execute `s` against a real-process cluster. Throws harness::ScenarioError
-/// on an invalid descriptor, std::runtime_error on spawn/handshake failure,
-/// TimeoutError on the wall-clock ceiling.
-harness::RunResult run(const harness::Scenario& s, const RunOptions& opts = {},
+/// Execute `s` against a real-process cluster, under `opts`' wall-clock
+/// ceiling and log directory (its `backend` is not read). Throws
+/// harness::ScenarioError on an invalid descriptor, std::runtime_error on
+/// spawn/handshake failure, TimeoutError on the wall-clock ceiling: on
+/// expiry every worker is SIGKILLed first — no orphans.
+harness::RunResult run(const harness::Scenario& s,
+                       const harness::RunOptions& opts = {},
                        const std::vector<check::TraceSink*>& sinks = {});
 
 }  // namespace lifeguard::live

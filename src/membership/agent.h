@@ -5,19 +5,18 @@
 // Scenario can swap the failure-detection protocol (SWIM/Lifeguard, a
 // centralized heartbeat coordinator, a static no-detection control) without
 // touching any of that machinery. An Agent is one member: it owns its
-// member table, reports what happens to it to one Observer (membership
-// transitions as swim::MemberEvent, the shape the trace/check/obs layers
-// already consume, and probe-round stages), and does all I/O through the
-// sans-I/O Runtime it was created with.
+// member table, reports what happens to it to one Observer as Event records
+// (membership transitions and probe-round stages, in check::TraceEventKind's
+// terms), and does all I/O through the sans-I/O Runtime it was created with.
 //
 // Contract highlights (docs/membership.md has the full version):
 //   * Single-threaded: all entry points run on the owning runtime's thread.
 //   * Deterministic: an agent draws randomness only from Runtime::rng(), so
 //     a (scenario, seed) pair replays bit-identically.
-//   * Events: state transitions are reported as swim::MemberEvent with
-//     `originated` set only on transitions this agent itself decided (its
-//     own detector firing), never when applying another member's report —
-//     false-positive accounting (paper §V-F1) depends on this.
+//   * Events: a state transition is reported with `originated` set only
+//     when this agent itself decided it (its own detector firing), never
+//     when applying another member's report — false-positive accounting
+//     (paper §V-F1) depends on this.
 //   * Views: active_view() returns the names of members this agent currently
 //     believes alive (itself included); convergence checking compares these
 //     across the cluster.
@@ -29,10 +28,10 @@
 #include <string_view>
 #include <vector>
 
+#include "check/events.h"
 #include "common/metrics.h"
 #include "common/types.h"
 #include "runtime/runtime.h"
-#include "swim/events.h"
 
 namespace lifeguard::obs {
 class DetectionMetrics;
@@ -40,38 +39,41 @@ class DetectionMetrics;
 
 namespace lifeguard::membership {
 
-/// The one way out of an agent: its membership transitions and, for
-/// probe-based protocols, each stage of a probe round (direct ping -> ack
-/// timeout -> indirect ping-req via relays -> nack feedback -> period-end
-/// verdict), which the membership stream cannot show until it culminates in
-/// a suspicion. The simulator installs one per node slot and publishes the
-/// calls as check::TraceEvents to its attached sinks.
+/// One record out of an agent: a membership transition (kJoin..kLeft) or,
+/// for probe-based protocols, a stage of a probe round (kProbeStart..
+/// kProbeNack: direct ping -> ack, or ack timeout -> indirect ping-req via
+/// relays -> nack feedback -> period-end verdict), which the membership
+/// stream cannot show until it culminates in a suspicion. The agent does
+/// not name itself, and the record carries no time: whoever observes an
+/// agent knows which one it watches and reads the clock it runs on.
+/// check::trace_event_of turns a record into a check::TraceEvent.
+struct Event {
+  check::TraceEventKind kind = check::TraceEventKind::kJoin;
+  /// The member the record is about: the transition's subject, the probe's
+  /// target, or for kProbeNack the relay that sent the nack. A view valid
+  /// only for the observer call.
+  std::string_view member{};
+  /// Membership transitions: who originated it (for suspect/failed gossip).
+  /// Empty for probe stages. A view valid only for the observer call.
+  std::string_view origin{};
+  std::uint64_t incarnation = 0;
+  /// True when this agent itself originated the transition (its own probe
+  /// failure or suspicion timeout), false when applying received gossip.
+  bool originated = false;
+  /// kProbeAck: the probe round-trip time in microseconds. 0 otherwise.
+  double value = 0.0;
+};
+
+/// The one way out of an agent. The simulator installs one per node slot and
+/// publishes each record as a check::TraceEvent to its attached sinks.
 ///
 /// Observers are pure: they are called on the agent's runtime thread, must
 /// not mutate the agent, and must draw no randomness — installing one never
-/// perturbs a (scenario, seed) run. Every method defaults to a no-op so an
-/// implementation overrides only what it cares about.
+/// perturbs a (scenario, seed) run.
 class Observer {
  public:
   virtual ~Observer() = default;
-
-  /// A membership transition at the observed agent.
-  virtual void on_member_event(const swim::MemberEvent& /*e*/) {}
-  /// A direct probe of `target` began (one per protocol period with a
-  /// target available).
-  virtual void on_probe_start(const std::string& /*target*/) {}
-  /// The probe completed successfully; `rtt` is ping-to-ack round-trip time.
-  virtual void on_probe_ack(const std::string& /*target*/, Duration /*rtt*/) {}
-  /// The ack timeout expired; the indirect stage (ping-req via relays, plus
-  /// the reliable-channel fallback) launched.
-  virtual void on_probe_indirect(const std::string& /*target*/) {}
-  /// The protocol period ended with no ack: the probe failed and a
-  /// suspicion follows.
-  virtual void on_probe_fail(const std::string& /*target*/) {}
-  /// A relay reported its own timeliness with a nack (Lifeguard §IV-A)
-  /// while the probe of `target` was still unresolved.
-  virtual void on_probe_nack(const std::string& /*target*/,
-                             std::string_view /*relay*/) {}
+  virtual void on_event(const Event& e) = 0;
 };
 
 class Agent : public PacketHandler {
@@ -133,6 +135,11 @@ class Agent : public PacketHandler {
   virtual const obs::DetectionMetrics* detection() const { return nullptr; }
 
  protected:
+  /// Hand `e` to the observer, if one is installed.
+  void report(const Event& e) const {
+    if (observer_ != nullptr) observer_->on_event(e);
+  }
+
   /// What the agent reports to; nullptr when nothing observes it.
   Observer* observer_ = nullptr;
 };

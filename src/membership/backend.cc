@@ -86,12 +86,11 @@ namespace {
 /// comparative campaigns.
 class StaticAgent final : public Agent {
  public:
-  StaticAgent(const AgentParams& params, Runtime& rt)
+  explicit StaticAgent(const AgentParams& params)
       : name_(params.name),
         addr_(params.address),
         index_(params.index),
-        cluster_size_(params.cluster_size),
-        rt_(rt) {}
+        cluster_size_(params.cluster_size) {}
 
   void start() override {
     if (running_) return;
@@ -101,13 +100,10 @@ class StaticAgent final : public Agent {
     // up front so traces and views have the full fixed membership.
     for (int i = 0; i < cluster_size_; ++i) {
       if (i == index_) continue;
-      swim::MemberEvent e;
-      e.at = rt_.now();
-      e.type = swim::EventType::kJoin;
-      e.member = "node-" + std::to_string(i);
-      e.origin = name_;
-      e.originated = false;
-      observer_->on_member_event(e);
+      const std::string member = "node-" + std::to_string(i);
+      report({.kind = check::TraceEventKind::kJoin,
+              .member = member,
+              .origin = name_});
     }
   }
   void join(const std::vector<Address>&) override {}
@@ -140,7 +136,6 @@ class StaticAgent final : public Agent {
   Address addr_;
   int index_ = 0;
   int cluster_size_ = 0;
-  Runtime& rt_;
   Metrics metrics_;
   bool running_ = false;
 };
@@ -203,8 +198,8 @@ class StaticBackend final : public Backend {
   }
   bool detects_failures() const override { return false; }
   std::unique_ptr<Agent> create(const AgentParams& params,
-                                Runtime& rt) const override {
-    return std::make_unique<StaticAgent>(params, rt);
+                                Runtime& /*rt*/) const override {
+    return std::make_unique<StaticAgent>(params);
   }
 };
 

@@ -6,6 +6,8 @@
 
 namespace lifeguard::membership {
 
+using check::TraceEventKind;
+
 namespace {
 
 enum MsgTag : std::uint8_t {
@@ -74,20 +76,19 @@ void CentralAgent::stop() {
   consecutive_misses_ = 0;
 }
 
-void CentralAgent::publish(swim::EventType type, std::uint32_t member_index,
+void CentralAgent::publish(TraceEventKind kind, std::uint32_t member_index,
                            std::uint64_t incarnation, bool originated) {
   // No events about self, and none when nothing observes this agent.
   if (member_index == index_ || observer_ == nullptr) return;
-  swim::MemberEvent e;
-  e.at = rt_.now();
-  e.type = type;
-  e.member = member_name(member_index);
+  const std::string member = member_name(member_index);
   // Every transition in this protocol is decided at the coordinator except a
   // member's own coordinator-failure verdict.
-  e.origin = originated ? name_ : member_name(0);
-  e.incarnation = incarnation;
-  e.originated = originated;
-  observer_->on_member_event(e);
+  const std::string origin = originated ? name_ : member_name(0);
+  report({.kind = kind,
+          .member = member,
+          .origin = origin,
+          .incarnation = incarnation,
+          .originated = originated});
 }
 
 void CentralAgent::send_bytes(const Address& to,
@@ -110,13 +111,13 @@ bool CentralAgent::admit(std::uint32_t index, const Address& from) {
   e.last_heartbeat = rt_.now();
   e.addr = from;
   if (inserted) {
-    publish(swim::EventType::kJoin, index, e.incarnation, true);
+    publish(TraceEventKind::kJoin, index, e.incarnation, true);
     return true;
   }
   if (!e.alive) {
     e.alive = true;
     ++e.incarnation;
-    publish(swim::EventType::kJoin, index, e.incarnation, true);
+    publish(TraceEventKind::kJoin, index, e.incarnation, true);
     return true;
   }
   return false;
@@ -134,7 +135,7 @@ void CentralAgent::check_tick() {
     if (now - e.last_heartbeat > deadline) {
       e.alive = false;
       det_.heartbeat_missed().add();
-      publish(swim::EventType::kFailed, index, e.incarnation, true);
+      publish(TraceEventKind::kFailed, index, e.incarnation, true);
     }
   }
   // Push the view every tick, changed or not: lost view datagrams heal by
@@ -174,7 +175,7 @@ void CentralAgent::heartbeat_tick() {
     if (consecutive_misses_ >= miss_threshold_ && coord != table_.end() &&
         coord->second.alive) {
       coord->second.alive = false;
-      publish(swim::EventType::kFailed, 0, coord->second.incarnation, true);
+      publish(TraceEventKind::kFailed, 0, coord->second.incarnation, true);
     }
   }
   pending_seq_ = next_seq_++;
@@ -195,7 +196,7 @@ void CentralAgent::coordinator_seen_alive() {
   auto coord = table_.find(0);
   if (coord != table_.end() && !coord->second.alive) {
     coord->second.alive = true;
-    publish(swim::EventType::kAlive, 0, coord->second.incarnation, true);
+    publish(TraceEventKind::kAlive, 0, coord->second.incarnation, true);
   }
 }
 
@@ -222,14 +223,14 @@ void CentralAgent::handle_view(BufReader& r) {
       e.incarnation = incarnation;
       // A pair's event stream must open with a join; a member first seen
       // already-failed gets no events until it rejoins.
-      if (alive) publish(swim::EventType::kJoin, index, incarnation, false);
+      if (alive) publish(TraceEventKind::kJoin, index, incarnation, false);
       continue;
     }
     if (alive && !e.alive) {
-      publish(swim::EventType::kJoin, index, incarnation, false);
+      publish(TraceEventKind::kJoin, index, incarnation, false);
       if (index == 0) consecutive_misses_ = 0;
     } else if (!alive && e.alive) {
-      publish(swim::EventType::kFailed, index, incarnation, false);
+      publish(TraceEventKind::kFailed, index, incarnation, false);
     }
     e.alive = alive;
     e.incarnation = incarnation;

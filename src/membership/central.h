@@ -41,7 +41,6 @@
 #include "membership/backend.h"
 #include "obs/registry.h"
 #include "runtime/runtime.h"
-#include "swim/events.h"
 
 namespace lifeguard::membership {
 
@@ -84,7 +83,7 @@ class CentralAgent final : public Agent {
   };
 
   // ---- shared ----
-  void publish(swim::EventType type, std::uint32_t member_index,
+  void publish(check::TraceEventKind kind, std::uint32_t member_index,
                std::uint64_t incarnation, bool originated);
   void send_bytes(const Address& to, std::vector<std::uint8_t> bytes,
                   const char* type);

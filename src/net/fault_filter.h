@@ -81,9 +81,6 @@ class NetemFilter : public FaultFilter {
   /// Remove whatever `token` installed; unknown tokens are a no-op.
   void remove(int token);
 
-  std::size_t active_overlays() const { return overlays_.size(); }
-  std::size_t active_block_sets() const { return blocks_.size(); }
-
   EgressPlan on_egress(const Address& to, Channel channel, std::size_t bytes,
                        Rng& rng) override;
   IngressPlan on_ingress(const Address& from, Channel channel,

@@ -1,10 +1,11 @@
 // The metric catalog — the stable vocabulary of the telemetry layer.
 //
-// Every time-series point the snapshot sampler (obs/sampler.h) or a live
-// worker emits names one Metric from this enum. Ids are stable wire/artifact
-// identifiers: a kMetricSample TraceEvent carries the id in its `peer` field
-// and the sampled value in `value`, so traces, campaign band artifacts and
-// the JSONL/Prometheus exports all agree on what, say, metric 3 means.
+// Every time-series point the snapshot sampler (obs/sampler.h) emits, for
+// the simulator's cluster or for one live worker, names one Metric from
+// this enum. Ids are stable wire/artifact identifiers: a kMetricSample
+// TraceEvent carries the id in its `peer` field and the sampled value in
+// `value`, so traces, campaign band artifacts and the JSONL/Prometheus
+// exports all agree on what, say, metric 3 means.
 // Append-only: never renumber (recorded traces would silently change
 // meaning); add new metrics at the tail.
 //

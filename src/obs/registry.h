@@ -14,7 +14,9 @@
 // "net.sent_ch.udp") and the probe phase is the counter name
 // ("probe.started", "probe.acked", ...). Everything here is lock-free by
 // construction: a node's registry is touched only from its runtime thread,
-// and no method draws randomness or reads a clock.
+// and no method draws randomness or reads a clock. Levels (LHM, gossip-queue
+// depth) are not kept here: samplers (obs/sampler.h) read them through
+// membership::Agent.
 #pragma once
 
 #include <cstddef>
@@ -26,19 +28,6 @@
 #include "common/types.h"
 
 namespace lifeguard::obs {
-
-/// A point-in-time level, set rather than accumulated (gossip-queue depth,
-/// LHM score). Gauges live outside the Metrics map: they are not aggregated
-/// post-run — they exist so samplers (obs/sampler.h, the live worker) can
-/// read the current level without reaching into protocol internals.
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
 
 /// The net.* counters every backend keeps, resolved in `m` (net.sent_ch.<ch>
 /// only when `per_channel`): one count_sent() keeps harness message-load
@@ -119,12 +108,6 @@ class NodeMetrics : public NetMetrics {
   Counter& sync_received() { return *sync_received_; }
   Counter& reconnect_attempts() { return *reconnect_attempts_; }
 
-  // ---- live levels (samplers read these; not in the post-run Metrics) ----
-  Gauge& lhm() { return lhm_; }
-  const Gauge& lhm() const { return lhm_; }
-  Gauge& gossip_pending() { return gossip_pending_; }
-  const Gauge& gossip_pending() const { return gossip_pending_; }
-
  private:
   Counter* probe_started_;
   Counter* probe_indirect_;
@@ -159,9 +142,6 @@ class NodeMetrics : public NetMetrics {
 
   Counter* sync_received_;
   Counter* reconnect_attempts_;
-
-  Gauge lhm_;
-  Gauge gossip_pending_;
 };
 
 /// Typed facade for the backend-generic detection metrics that heartbeat

@@ -122,13 +122,4 @@ void Network::remove_link_fault(int node, int token) {
   }
 }
 
-void Network::clear_link_faults() {
-  for (auto& nf : faults_) {
-    nf.overlays.clear();
-    nf.effective = fault::LinkFault{};
-  }
-  std::fill(overlay_on_.begin(), overlay_on_.end(), 0);
-  active_overlays_ = 0;
-}
-
 }  // namespace lifeguard::sim

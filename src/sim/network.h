@@ -69,8 +69,6 @@ class Network {
   int add_link_fault(int node, const fault::LinkFault& f);
   /// Remove one overlay by its token. Unknown tokens are ignored.
   void remove_link_fault(int node, int token);
-  /// Remove every overlay on every node.
-  void clear_link_faults();
   /// The combined overlay currently effective on `node`.
   const fault::LinkFault& effective_fault(int node) const {
     return faults_[static_cast<std::size_t>(node)].effective;

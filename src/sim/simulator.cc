@@ -50,38 +50,11 @@ membership::AgentParams Simulator::agent_params(int index) const {
   return p;
 }
 
-void Simulator::NodeTap::span(check::TraceEventKind kind,
-                              std::string_view peer, double value) {
-  if (!sim->wants(kind)) return;
-  sim->note(kind, node, check::node_index_of(peer), value);
-}
-
-void Simulator::NodeTap::on_member_event(const swim::MemberEvent& e) {
-  // Every sink wants membership transitions.
-  if (sim->sinks_.empty()) return;
-  check::publish(sim->sinks_, check::trace_event_of(e, node));
-}
-
-void Simulator::NodeTap::on_probe_start(const std::string& target) {
-  span(check::TraceEventKind::kProbeStart, target);
-}
-
-void Simulator::NodeTap::on_probe_ack(const std::string& target,
-                                      Duration rtt) {
-  span(check::TraceEventKind::kProbeAck, target, static_cast<double>(rtt.us));
-}
-
-void Simulator::NodeTap::on_probe_indirect(const std::string& target) {
-  span(check::TraceEventKind::kProbeIndirect, target);
-}
-
-void Simulator::NodeTap::on_probe_fail(const std::string& target) {
-  span(check::TraceEventKind::kProbeFail, target);
-}
-
-void Simulator::NodeTap::on_probe_nack(const std::string& /*target*/,
-                                       std::string_view relay) {
-  span(check::TraceEventKind::kProbeNack, relay);
+void Simulator::NodeTap::on_event(const membership::Event& e) {
+  if (!sim->wants(e.kind)) return;
+  check::TraceEvent t = check::trace_event_of(e, node);
+  t.at = sim->now_;
+  check::publish(sim->sinks_, t);
 }
 
 void Simulator::attach_node(int index) {

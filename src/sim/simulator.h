@@ -5,14 +5,13 @@
 // backend is bit-parity with the simulator's original direct use of
 // swim::Node. The simulator is also the one publisher of a run's
 // check::TraceEvent observation stream (attach_sink, note): each node
-// slot's membership::Observer turns the agent's membership events and
-// probe stages into records for the attached sinks.
+// slot's membership::Observer turns the agent's records (membership
+// transitions and probe stages) into TraceEvents for the attached sinks.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "check/events.h"
@@ -25,7 +24,6 @@
 #include "sim/network.h"
 #include "sim/sim_runtime.h"
 #include "swim/config.h"
-#include "swim/events.h"
 #include "swim/node.h"
 
 namespace lifeguard::sim {
@@ -108,8 +106,6 @@ class Simulator {
   const swim::Node& node(int index) const {
     return dynamic_cast<const swim::Node&>(agent(index));
   }
-  /// The backend spec this cluster was built with ("swim" by default).
-  const std::string& membership_name() const { return spec_.spec; }
   /// The backend name without parameters ("central:miss=5" -> "central").
   const std::string& membership_base() const { return spec_.base; }
   /// False for control backends (static) that never declare failures.
@@ -178,23 +174,15 @@ class Simulator {
   /// after restart_node).
   void attach_node(int index);
 
-  /// Node slot `node`'s observer: turns its agent's membership events and
-  /// probe stages into records for the attached sinks. Pure observer: draws
-  /// no randomness, only translates member names to indices — and only when
-  /// an attached sink wants the record.
+  /// Node slot `node`'s observer: publishes its agent's records to the
+  /// attached sinks. Pure observer: draws no randomness, only translates
+  /// member names to indices — and only when an attached sink wants the
+  /// record.
   struct NodeTap final : membership::Observer {
     NodeTap(Simulator* s, int n) : sim(s), node(n) {}
     Simulator* sim;
     int node;
-    void span(check::TraceEventKind kind, std::string_view peer,
-              double value = 0);
-    void on_member_event(const swim::MemberEvent& e) override;
-    void on_probe_start(const std::string& target) override;
-    void on_probe_ack(const std::string& target, Duration rtt) override;
-    void on_probe_indirect(const std::string& target) override;
-    void on_probe_fail(const std::string& target) override;
-    void on_probe_nack(const std::string& target,
-                       std::string_view relay) override;
+    void on_event(const membership::Event& e) override;
   };
 
   TimePoint now_{};

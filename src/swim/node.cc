@@ -16,7 +16,6 @@ Node::Node(std::string name, Address addr, Config cfg, Runtime& rt)
       table_(name_, rt.names()),
       bcast_(cfg.retransmit_mult, rt.names()),
       health_(cfg.lhm_max, cfg.lha_probe),
-      log_(name_, LogLevel::kOff),
       obs_(metrics_) {
   if (cfg_.buddy_system) {
     piggyback_ = std::make_unique<BuddyPiggyback>(
@@ -297,7 +296,6 @@ void Node::send_gossip(const Address& to) {
 
 void Node::count_sent(const char* type, std::size_t bytes, Channel ch) {
   obs_.count_sent(type, bytes, ch);
-  obs_.gossip_pending().set(static_cast<double>(bcast_.pending()));
 }
 
 // ---- inbound dispatch ------------------------------------------------------

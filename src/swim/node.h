@@ -28,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/logger.h"
 #include "common/metrics.h"
 #include "common/types.h"
 #include "membership/agent.h"
@@ -37,7 +36,6 @@
 #include "proto/wire.h"
 #include "runtime/runtime.h"
 #include "swim/config.h"
-#include "swim/events.h"
 #include "swim/local_health.h"
 #include "swim/membership.h"
 #include "swim/piggyback.h"
@@ -83,15 +81,12 @@ class Node : public membership::Agent {
   std::uint64_t incarnation() const { return incarnation_; }
   Metrics& metrics() override { return metrics_; }
   const Metrics& metrics() const override { return metrics_; }
-  Logger& logger() { return log_; }
   /// Convenience for tests/harness: this node's view of `member`'s state, or
   /// nullopt when unknown.
   std::optional<MemberState> state_of(const std::string& member) const;
   std::size_t pending_broadcasts() const { return bcast_.pending(); }
   /// Read-only view of the gossip queue (checking layer: retransmit bound).
   const proto::BroadcastQueue& broadcasts() const { return bcast_; }
-  /// Typed view over metrics() plus the live gauges samplers read.
-  const obs::NodeMetrics& observed() const { return obs_; }
 
   /// Test-only planted defect ("swim:plant=drop-refute"): the node never
   /// refutes suspicion or death gossip about itself, so a healthy member
@@ -185,8 +180,9 @@ class Node : public membership::Agent {
   void cancel_suspicion(std::string_view member);
   /// Gossip a higher-incarnation alive about self; bumps local health.
   void refute(std::uint64_t suspected_incarnation);
-  void emit(EventType type, const Member& m, std::string_view origin,
-            bool originated);
+  /// Report a membership transition about `m` to the observer.
+  void emit(check::TraceEventKind kind, const Member& m,
+            std::string_view origin, bool originated);
   /// Encoded suspect frame about `target` iff we currently suspect it
   /// (Buddy System priority frame).
   std::optional<std::vector<std::uint8_t>> buddy_frame(
@@ -212,7 +208,6 @@ class Node : public membership::Agent {
   std::vector<std::uint8_t> frame_;
   std::unique_ptr<PiggybackSelector> piggyback_;
   LocalHealth health_;
-  Logger log_;
   Metrics metrics_;
   /// Typed facade over metrics_: every protocol-path counter/histogram is
   /// resolved once here, so hot paths bump pointers instead of doing
@@ -300,7 +295,6 @@ void Node::broadcast(std::string_view member, const Update& update) {
   proto::encode(update, w);
   bcast_.queue(member, w.bytes());
   frame_ = std::move(w).take();
-  obs_.gossip_pending().set(static_cast<double>(bcast_.pending()));
 }
 
 }  // namespace lifeguard::swim

@@ -5,17 +5,15 @@
 
 namespace lifeguard::swim {
 
-void Node::emit(EventType type, const Member& m, std::string_view origin,
-                bool originated) {
-  if (observer_ == nullptr) return;
-  MemberEvent e;
-  e.at = rt_.now();
-  e.type = type;
-  e.member = m.name;
-  e.origin = origin;
-  e.incarnation = m.incarnation;
-  e.originated = originated;
-  observer_->on_member_event(e);
+using check::TraceEventKind;
+
+void Node::emit(TraceEventKind kind, const Member& m,
+                std::string_view origin, bool originated) {
+  report({.kind = kind,
+          .member = m.name,
+          .origin = origin,
+          .incarnation = m.incarnation,
+          .originated = originated});
 }
 
 void Node::on_alive_msg(const proto::AliveView& a) {
@@ -33,7 +31,7 @@ void Node::on_alive_msg(const proto::AliveView& a) {
     nm.state = MemberState::kAlive;
     nm.state_change = rt_.now();
     const Member& stored = table_.add(std::move(nm), rt_.rng());
-    emit(EventType::kJoin, stored, a.member, false);
+    emit(TraceEventKind::kJoin, stored, a.member, false);
     broadcast(a.member, a);  // keep disseminating the join
     obs_.join_learned().add();
     return;
@@ -49,7 +47,7 @@ void Node::on_alive_msg(const proto::AliveView& a) {
   if (prev != MemberState::kAlive) {
     table_.set_state(*m, MemberState::kAlive, rt_.now());
     cancel_suspicion(m->name);
-    emit(EventType::kAlive, *m, a.member, false);
+    emit(TraceEventKind::kAlive, *m, a.member, false);
     (prev == MemberState::kSuspect ? obs_.refuted() : obs_.resurrected())
         .add();
   }
@@ -114,7 +112,7 @@ void Node::start_suspicion(Member& m, std::uint64_t incarnation,
                 rt_.now()));
   arm_suspicion_timer(it->second);
 
-  emit(EventType::kSuspect, m, from, from == name_);
+  emit(TraceEventKind::kSuspect, m, from, from == name_);
   obs_.suspicion_started().add();
   // SWIM: a member that suspects (or adopts a suspicion) gossips it.
   broadcast(m.name, proto::SuspectView{m.name, incarnation, from});
@@ -136,11 +134,6 @@ void Node::on_suspicion_timeout(const std::string& member) {
   obs_.suspicion_confirmations_at_death().record(it->second.confirmations());
   obs_.suspicion_lifetime_s().record(
       (rt_.now() - it->second.start()).seconds());
-  if (log_.enabled(LogLevel::kDebug)) {
-    std::string msg = "suspicion timeout for " + member + " origins:";
-    for (const auto& o : it->second.origins()) msg += " " + o;
-    log_.debug(msg);
-  }
   suspicions_.erase(it);
 
   Member* m = table_.find(member);
@@ -149,7 +142,7 @@ void Node::on_suspicion_timeout(const std::string& member) {
   // Failure event: this node originates the dead declaration (this is what
   // the paper's FP / FP- metrics count when `member` is in fact healthy).
   table_.set_state(*m, MemberState::kDead, rt_.now());
-  emit(EventType::kFailed, *m, name_, true);
+  emit(TraceEventKind::kFailed, *m, name_, true);
   obs_.dead_declared().add();
   broadcast(member, proto::DeadView{member, inc, name_});
 }
@@ -180,7 +173,8 @@ void Node::on_dead_msg(const proto::DeadView& d) {
   const bool left = d.from == d.member;  // graceful leave
   table_.set_state(*m, left ? MemberState::kLeft : MemberState::kDead,
                    rt_.now());
-  emit(left ? EventType::kLeft : EventType::kFailed, *m, d.from, false);
+  emit(left ? TraceEventKind::kLeft : TraceEventKind::kFailed, *m, d.from,
+       false);
   (left ? obs_.left_learned() : obs_.dead_learned()).add();
   broadcast(d.member, d);
 }
@@ -198,7 +192,6 @@ void Node::refute(std::uint64_t suspected_incarnation) {
   // Having to refute means we missed (or were late to) pings — evidence of
   // local slowness (paper §IV-A: refute => LHM +1).
   health_.refuted_suspicion();
-  obs_.lhm().set(static_cast<double>(health_.score()));
   obs_.refutations().add();
   broadcast(name_, proto::AliveView{name_, incarnation_, addr_});
 }

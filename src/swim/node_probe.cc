@@ -10,6 +10,8 @@
 
 namespace lifeguard::swim {
 
+using check::TraceEventKind;
+
 Duration Node::scaled_probe_interval() const {
   return health_.scale(cfg_.probe_interval);
 }
@@ -50,7 +52,7 @@ void Node::begin_probe(Member& target) {
   ps.started = rt_.now();
   probe_ = ps;
   obs_.probe_started().add();
-  if (observer_ != nullptr) observer_->on_probe_start(target.name);
+  report({.kind = TraceEventKind::kProbeStart, .member = target.name});
 
   send_message(target.addr, Channel::kUdp,
                proto::PingView{probe_->seq, target.name, name_, addr_},
@@ -81,9 +83,7 @@ void Node::launch_indirect() {
   if (!probe_ || probe_->indirect_started) return;
   probe_->indirect_started = true;
   obs_.probe_indirect().add();
-  if (observer_ != nullptr) {
-    observer_->on_probe_indirect(probe_->target);
-  }
+  report({.kind = TraceEventKind::kProbeIndirect, .member = probe_->target});
 
   Member* target = table_.find(probe_->target);
   if (target == nullptr) return;
@@ -136,8 +136,7 @@ void Node::finish_probe() {
     health_.missed_nack();
     obs_.probe_missed_nack().add();
   }
-  obs_.lhm().set(static_cast<double>(health_.score()));
-  if (observer_ != nullptr) observer_->on_probe_fail(target);
+  report({.kind = TraceEventKind::kProbeFail, .member = target});
 
   Member* m = table_.find(target);
   if (m == nullptr || !is_active(m->state)) return;
@@ -204,7 +203,6 @@ void Node::handle_ack(const proto::AckView& a) {
     // A timely ack means the local detector is keeping up (paper: −1).
     probe_->acked = true;
     health_.probe_success();
-    obs_.lhm().set(static_cast<double>(health_.score()));
     obs_.probe_acked().add();
     obs_.probe_success().add();
     const Duration rtt = rt_.now() - probe_->started;
@@ -213,7 +211,9 @@ void Node::handle_ack(const proto::AckView& a) {
     cancel_timer(probe_->timeout_timer);
     cancel_timer(probe_->period_timer);
     probe_.reset();
-    if (observer_ != nullptr) observer_->on_probe_ack(target, rtt);
+    report({.kind = TraceEventKind::kProbeAck,
+            .member = target,
+            .value = static_cast<double>(rtt.us)});
     return;
   }
   // Ack from a target we probed on someone's behalf: forward to the origin.
@@ -235,9 +235,7 @@ void Node::handle_nack(const proto::NackView& n) {
   if (probe_ && probe_->seq == n.seq) {
     ++probe_->nacks_received;
     obs_.probe_nack_received().add();
-    if (observer_ != nullptr) {
-      observer_->on_probe_nack(probe_->target, n.from);
-    }
+    report({.kind = TraceEventKind::kProbeNack, .member = n.from});
   }
 }
 

@@ -20,7 +20,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_set>
-#include <vector>
 
 #include "common/types.h"
 #include "runtime/runtime.h"
@@ -69,10 +68,6 @@ class Suspicion {
   Duration remaining_at(TimePoint now) const { return deadline() - now; }
 
   int confirmations() const { return confirmation_count_; }
-  /// All distinct originators seen (creator + confirmations); diagnostics.
-  std::vector<std::string> origins() const {
-    return {seen_from_.begin(), seen_from_.end()};
-  }
   bool accepts_more() const { return confirmation_count_ < k_; }
   const std::string& member() const { return member_; }
   std::uint64_t incarnation() const { return incarnation_; }

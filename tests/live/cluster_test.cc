@@ -61,7 +61,7 @@ TEST(LiveCluster, HealthyClusterConvergesAndPassesInvariants) {
 TEST(LiveCluster, RunHonorsTheWallClockCeiling) {
   REQUIRE_WORKER_BINARY();
   harness::Scenario s = cataloged("live-healthy");
-  RunOptions opts;
+  harness::RunOptions opts;
   opts.timeout = msec(50);  // far below quiesce + run — must trip
   EXPECT_THROW(live::run(s, opts), TimeoutError);
 }

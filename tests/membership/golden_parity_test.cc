@@ -15,6 +15,7 @@
 // transition, every fault marker and every metric sample byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -39,19 +40,18 @@ std::uint64_t fnv1a(const std::string& s) {
 
 struct Captured {
   RunResult result;
+  check::Trace trace;
   std::uint64_t trace_digest = 0;
-  std::size_t trace_events = 0;
 };
 
-Captured capture(const Scenario& s) {
-  check::TraceRecorder rec(s, /*include_datagrams=*/false,
-                           /*include_probe_spans=*/false);
+Captured capture(const Scenario& s, bool probe_spans = false) {
+  check::TraceRecorder rec(s, /*include_datagrams=*/false, probe_spans);
   Captured c;
   c.result = harness::run(s, {&rec});
   std::ostringstream os;
   check::save_trace(rec.trace(), os);
+  c.trace = rec.trace();
   c.trace_digest = fnv1a(os.str());
-  c.trace_events = rec.trace().events.size();
   return c;
 }
 
@@ -74,7 +74,7 @@ TEST(GoldenParity, PartitionSplitHealRegistryScenario) {
       16.150531000000001, 26.407450999999998};
   EXPECT_EQ(c.result.first_detect, first_detect);
   EXPECT_EQ(c.result.full_dissem, full_dissem);
-  EXPECT_EQ(c.trace_events, 800u);
+  EXPECT_EQ(c.trace.events.size(), 800u);
   EXPECT_EQ(c.trace_digest, 16345360116190418353ull);
 }
 
@@ -107,7 +107,7 @@ TEST(GoldenParity, CheckedRunWithMetricsSampling) {
   EXPECT_EQ(c.result.full_dissem, full_dissem);
   EXPECT_EQ(c.result.checks.total_violations, 0);
   EXPECT_EQ(c.result.series.size(), 2400u);
-  EXPECT_EQ(c.trace_events, 2642u);
+  EXPECT_EQ(c.trace.events.size(), 2642u);
   EXPECT_EQ(c.trace_digest, 13160642880555304535ull);
 }
 
@@ -136,8 +136,37 @@ TEST(GoldenParity, ChurnRestartsRebuildNodesThroughTheBackend) {
                                            21.729011};
   EXPECT_EQ(c.result.first_detect, first_detect);
   EXPECT_EQ(c.result.full_dissem, full_dissem);
-  EXPECT_EQ(c.trace_events, 593u);
+  EXPECT_EQ(c.trace.events.size(), 593u);
   EXPECT_EQ(c.trace_digest, 13035817324022135376ull);
+}
+
+TEST(GoldenParity, ProbeSpansRecordEveryProbeStage) {
+  // Spans on: the digest covers every probe-round record (start, ack,
+  // indirect, fail, nack) byte for byte, so a change to how a probe stage
+  // leaves the agent cannot move one.
+  Scenario s;
+  s.name = "golden-spans";
+  s.summary = "golden";
+  s.cluster_size = 10;
+  s.config = swim::Config::lifeguard();
+  s.timeline.add(sec(0), sec(12), fault::Fault::block(),
+                 fault::VictimSelector::uniform(2));
+  s.quiesce = sec(10);
+  s.run_length = sec(30);
+  s.seed = 11;
+  const Captured c = capture(s, /*probe_spans=*/true);
+  for (check::TraceEventKind k :
+       {check::TraceEventKind::kProbeStart, check::TraceEventKind::kProbeAck,
+        check::TraceEventKind::kProbeIndirect,
+        check::TraceEventKind::kProbeFail,
+        check::TraceEventKind::kProbeNack}) {
+    EXPECT_TRUE(std::any_of(
+        c.trace.events.begin(), c.trace.events.end(),
+        [k](const check::TraceEvent& e) { return e.kind == k; }))
+        << check::trace_event_kind_name(k);
+  }
+  EXPECT_EQ(c.trace.events.size(), 898u);
+  EXPECT_EQ(c.trace_digest, 221782765866683033ull);
 }
 
 }  // namespace

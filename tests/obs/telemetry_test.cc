@@ -18,6 +18,7 @@
 #include "obs/catalog.h"
 #include "obs/export.h"
 #include "obs/registry.h"
+#include "obs/sampler.h"
 #include "sim/simulator.h"
 #include "swim/config.h"
 
@@ -157,16 +158,6 @@ TEST(NodeMetrics, EagerResolutionSurvivesUnrelatedInsertions) {
   }
   started.add(7);
   EXPECT_EQ(m.counter_value("probe.started"), 7);
-}
-
-TEST(NodeMetrics, GaugesAreLevelsOutsideThePostRunRegistry) {
-  Metrics m;
-  NodeMetrics nm(m);
-  nm.lhm().set(3.0);
-  nm.gossip_pending().set(12.0);
-  EXPECT_DOUBLE_EQ(nm.lhm().value(), 3.0);
-  EXPECT_DOUBLE_EQ(nm.gossip_pending().value(), 12.0);
-  EXPECT_EQ(m.counters().find("lhm"), m.counters().end());
 }
 
 // ---------------------------------------------------------------------------
@@ -313,6 +304,59 @@ TEST(Sampler, SeriesIsBitIdenticalAcrossRepeatedRuns) {
   const harness::RunResult a = harness::run(s);
   const harness::RunResult b = harness::run(s);
   EXPECT_EQ(a.series, b.series);
+}
+
+TEST(Sampler, OneAgentOnItsOwnRuntimeSamplesLikeTheLiveWorker) {
+  // The live worker's shape: one agent sampled as node = its index, ticking
+  // on the agent's own runtime. A simulated cluster stands in for the
+  // sockets. Sampling starts after the agent has already sent messages, so
+  // the first rate must count only what it sent since the sampler started.
+  sim::SimParams p;
+  p.seed = 5;
+  sim::Simulator sim(6, swim::Config::lifeguard(), p);
+  sim.start_all();
+  sim.run_for(sec(3));
+  const int index = 4;
+  const membership::Agent& agent = sim.agent(index);
+  const double sent_before =
+      static_cast<double>(agent.metrics().counter_value("net.msgs_sent"));
+  ASSERT_GT(sent_before, 0.0);
+
+  std::vector<check::TraceEvent> out;
+  const Duration interval = msec(500);
+  Sampler sampler(agent, index, sim.runtime(index), interval,
+                  [&out](const check::TraceEvent& e) { out.push_back(e); });
+  const TimePoint started = sim.now();
+  sampler.start();
+  sim.run_for(interval * 3);
+
+  // Ids 0-12 and 15 per tick, in catalog order: no simulator queue metrics
+  // and no detection tail.
+  std::vector<int> tick_ids;
+  for (int id = 0; id <= 12; ++id) tick_ids.push_back(id);
+  tick_ids.push_back(static_cast<int>(Metric::kGossipTransmitsRate));
+  ASSERT_EQ(out.size(), 3 * tick_ids.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    SCOPED_TRACE(i);
+    const std::size_t tick = i / tick_ids.size();
+    EXPECT_EQ(out[i].kind, check::TraceEventKind::kMetricSample);
+    EXPECT_EQ(out[i].node, index);
+    EXPECT_EQ(out[i].peer, tick_ids[i % tick_ids.size()]);
+    EXPECT_EQ(out[i].at,
+              started + interval * static_cast<std::int64_t>(tick + 1));
+  }
+
+  const auto first = [&out](Metric m) {
+    for (const check::TraceEvent& e : out) {
+      if (e.peer == static_cast<int>(m)) return e.value;
+    }
+    return -1.0;
+  };
+  const double sent_by_tick = first(Metric::kNetMsgsTotal);
+  ASSERT_GT(sent_by_tick, sent_before);
+  EXPECT_DOUBLE_EQ(first(Metric::kNetMsgsRate),
+                   (sent_by_tick - sent_before) / interval.seconds());
+  EXPECT_DOUBLE_EQ(first(Metric::kMembersActive), 6.0);
 }
 
 TEST(GoldenTrace, RecordReplayMatchesWithSnapshotsAndSpansEnabled) {

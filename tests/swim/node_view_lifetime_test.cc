@@ -4,8 +4,8 @@
 // then reads another datagram's bytes, which no sanitizer flags. So two twin
 // nodes receive the same datagrams, one of every message kind; one twin's
 // buffers are overwritten the moment on_packet returns, the other's are
-// kept intact. Both then run on, and must send the same datagrams, publish
-// the same events and hold the same table.
+// kept intact. Both then run on, and must send the same datagrams, report
+// the same records and hold the same table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +24,19 @@ namespace {
 Address addr(int i) { return Address{static_cast<std::uint32_t>(i) + 1, 7946}; }
 std::string name(int i) { return "node-" + std::to_string(i); }
 
-/// One twin, and the observer that records its node's membership events.
+/// One record as a twin saw it, its names copied out of the call.
+struct Seen {
+  TimePoint at;
+  check::TraceEventKind kind;
+  std::string member;
+  std::string origin;
+  std::uint64_t incarnation;
+  bool originated;
+  double value;
+};
+
+/// One twin, and the observer that records its node's records: membership
+/// transitions and probe stages.
 struct Twin final : membership::Observer {
   explicit Twin(bool overwrite)
       : node(name(0), addr(0), swim::Config::lifeguard(), rt),
@@ -33,8 +45,10 @@ struct Twin final : membership::Observer {
     node.start();
   }
 
-  void on_member_event(const swim::MemberEvent& e) override {
-    events.push_back(e);
+  void on_event(const membership::Event& e) override {
+    events.push_back(Seen{rt.now(), e.kind, std::string(e.member),
+                          std::string(e.origin), e.incarnation, e.originated,
+                          e.value});
   }
 
   void deliver(const std::vector<proto::Message>& frames, int from,
@@ -53,7 +67,7 @@ struct Twin final : membership::Observer {
   RecordingRuntime rt;
   swim::Node node;
   bool overwrite;
-  std::vector<swim::MemberEvent> events;
+  std::vector<Seen> events;
   /// Every delivered payload, alive to the end (overwritten or intact).
   std::vector<std::vector<std::uint8_t>> buffers;
 };
@@ -77,17 +91,18 @@ std::uint32_t last_ping_seq(const RecordingRuntime& rt, const Address& to) {
   return seq;
 }
 
-void expect_same_events(const std::vector<swim::MemberEvent>& a,
-                        const std::vector<swim::MemberEvent>& b) {
+void expect_same_events(const std::vector<Seen>& a,
+                        const std::vector<Seen>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE(i);
     EXPECT_EQ(a[i].at, b[i].at);
-    EXPECT_EQ(a[i].type, b[i].type);
+    EXPECT_EQ(a[i].kind, b[i].kind);
     EXPECT_EQ(a[i].member, b[i].member);
     EXPECT_EQ(a[i].origin, b[i].origin);
     EXPECT_EQ(a[i].incarnation, b[i].incarnation);
     EXPECT_EQ(a[i].originated, b[i].originated);
+    EXPECT_EQ(a[i].value, b[i].value);
   }
 }
 
